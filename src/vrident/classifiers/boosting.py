@@ -10,6 +10,17 @@ values are second-order (Newton) estimates:
 with G/H the summed gradients p - y and hessians p(1-p). Scores start at
 zero (uniform probabilities), and each accepted tree moves them by
 learning_rate * leaf value.
+
+The exact split search sorts each column once per fit, not at every node
+(the "column block" of XGBoost's exact greedy method, Chen & Guestrin 2016,
+section 4.1). Each node carries its rows of every column in sorted order;
+a split hands them to the children by a stable partition of the parent's
+order. A stable partition of a stable sort is the stable sort of the
+subset, so every node sees its rows in the same order, ties included, as
+a fresh stable argsort of those rows would give. The cumulative sums, the
+gains, the tie-break (lowest feature, then lowest boundary) and the
+thresholds are therefore bit-for-bit those of a per-node sort, and so are
+the trees.
 """
 from __future__ import annotations
 
@@ -35,52 +46,66 @@ def _log_loss(F: np.ndarray, y_idx: np.ndarray) -> float:
     return float(np.mean(lse - F[np.arange(F.shape[0]), y_idx]))
 
 
-def _best_reg_split(Xn, g, h, min_leaf):
-    """Best Newton-gain split over all features, or None when no boundary
-    clears min_leaf on both sides with positive gain."""
-    n = Xn.shape[0]
+def _presort(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column orders of X and the values in that order, both feature-major
+    (d, n). The sort is stable, so equal values keep ascending row order."""
+    Xt = np.ascontiguousarray(X.T)
+    order = np.argsort(Xt, axis=1, kind="stable")
+    return order, np.take_along_axis(Xt, order, axis=1)
+
+
+def _best_reg_split(order, xs, g, h, g_tot, h_tot, min_leaf):
+    """Best Newton-gain split of one node, or None when no boundary clears
+    min_leaf on both sides with positive gain.
+
+    ``order`` and ``xs`` are the node's presorted rows and values per
+    feature, (d, n); ``g_tot``/``h_tot`` its gradient and hessian sums.
+    Boundary b puts the first b + 1 sorted rows on the left. Ties go to the
+    lowest feature, then the lowest boundary: the first argmax in row-major
+    order.
+    """
+    n = order.shape[1]
     if n < 2 * min_leaf:
         return None
-    order = np.argsort(Xn, axis=0, kind="stable")
-    xs = np.take_along_axis(Xn, order, axis=0)
-    gl = np.cumsum(g[order], axis=0)[:-1]
-    hl = np.cumsum(h[order], axis=0)[:-1]
-    g_tot = g.sum()
-    h_tot = h.sum()
+    lo, hi = min_leaf - 1, n - min_leaf  # boundaries leaving min_leaf per side
+    gl = np.cumsum(g[order], axis=1)[:, lo:hi]
+    hl = np.cumsum(h[order], axis=1)[:, lo:hi]
     gr = g_tot - gl
     hr = h_tot - hl
     gain = gl**2 / (hl + _EPS) + gr**2 / (hr + _EPS) - g_tot**2 / (h_tot + _EPS)
-    n_left = np.arange(1, n)[:, None]
-    valid = (xs[1:] > xs[:-1]) & (n_left >= min_leaf) & ((n - n_left) >= min_leaf)
-    gain[~valid] = -np.inf
-    best = gain.max()
+    gain[xs[:, lo + 1 : hi + 1] <= xs[:, lo:hi]] = -np.inf
+    feat, j = np.unravel_index(np.argmax(gain), gain.shape)
+    best = gain[feat, j]
     if not (best > 0):
         return None
-    cand = np.argwhere(gain == best)
-    boundary, feat = cand[np.lexsort((cand[:, 0], cand[:, 1]))][0]
-    thr = 0.5 * (xs[boundary, feat] + xs[boundary + 1, feat])
+    boundary = lo + j
+    thr = 0.5 * (xs[feat, boundary] + xs[feat, boundary + 1])
     return float(best), int(feat), float(thr)
 
 
-def _grow_regression_tree(X, g, h, max_leaves, min_leaf) -> FlatTree:
+def _grow_regression_tree(X, order, xs, g, h, max_leaves, min_leaf) -> FlatTree:
+    """Leaf-wise tree on the presorted columns ``order``/``xs`` of X (see
+    ``_presort`` and the module docstring)."""
     buf = _TreeBuffers()
     root = buf.alloc()
     counter = 0
     heap = []
+    n, d = X.shape
+    member = np.zeros(n, dtype=bool)
 
-    def push(nid, idx):
+    def push(nid, idx, order, xs):
         nonlocal counter
-        split = _best_reg_split(X[idx], g[idx], h[idx], min_leaf)
+        split = _best_reg_split(order, xs, g, h, g[idx].sum(), h[idx].sum(), min_leaf)
         if split is not None:
             gain, feat, thr = split
-            heapq.heappush(heap, (-gain, counter, nid, idx, feat, thr))
+            heapq.heappush(heap, (-gain, counter, nid, idx, order, xs, feat, thr))
             counter += 1
 
-    all_idx = np.arange(X.shape[0])
+    all_idx = np.arange(n)
     leaves = {root: all_idx}
-    push(root, all_idx)
+    push(root, all_idx, order, xs)
     while heap and len(leaves) < max_leaves:
-        _, _, nid, idx, feat, thr = heapq.heappop(heap)
+        _, _, nid, idx, order, xs, feat, thr = heapq.heappop(heap)
         mask = X[idx, feat] <= thr
         buf.feature[nid] = feat
         buf.threshold[nid] = thr
@@ -89,9 +114,19 @@ def _grow_regression_tree(X, g, h, max_leaves, min_leaf) -> FlatTree:
         buf.left[nid] = lid
         buf.right[nid] = rid
         del leaves[nid]
-        for child, cidx in ((lid, idx[mask]), (rid, idx[~mask])):
-            leaves[child] = cidx
-            push(child, cidx)
+        lidx, ridx = idx[mask], idx[~mask]
+        leaves[lid] = lidx
+        leaves[rid] = ridx
+        if len(leaves) >= max_leaves:
+            break  # no further split is taken, so the children need no search
+        member[lidx] = True
+        go_left = member[order].ravel()
+        member[lidx] = False
+        for child, cidx, side in ((lid, lidx, go_left), (rid, ridx, ~go_left)):
+            if cidx.size >= 2 * min_leaf:
+                # flat positions in row-major order keep each column's order
+                pos = np.flatnonzero(side)
+                push(child, cidx, order.take(pos).reshape(d, -1), xs.take(pos).reshape(d, -1))
     for nid, idx in leaves.items():
         buf.value[nid] = -g[idx].sum() / (h[idx].sum() + _EPS)
     return buf.pack(1)
@@ -115,6 +150,8 @@ class GradientBoosting(Classifier):
             raise ValueError(f"learning_rate must be in (0, 1], got {learning_rate}")
         if max_leaves < 2:
             raise ValueError(f"max_leaves must be >= 2, got {max_leaves}")
+        if min_leaf < 1:
+            raise ValueError(f"min_leaf must be >= 1, got {min_leaf}")
         self.n_rounds = int(n_rounds)
         self.learning_rate = float(learning_rate)
         self.max_leaves = int(max_leaves)
@@ -130,6 +167,7 @@ class GradientBoosting(Classifier):
         F = np.zeros((n, k))
         self.trees_ = []
         self.train_loss_ = [_log_loss(F, y_idx)]
+        order, xs = _presort(X)
         for _ in range(self.n_rounds):
             P = _softmax(F)
             grad = P - onehot
@@ -137,7 +175,7 @@ class GradientBoosting(Classifier):
             round_trees = []
             for c in range(k):
                 tree = _grow_regression_tree(
-                    X, grad[:, c], hess[:, c], self.max_leaves, self.min_leaf
+                    X, order, xs, grad[:, c], hess[:, c], self.max_leaves, self.min_leaf
                 )
                 round_trees.append(tree)
                 F[:, c] += self.learning_rate * tree.value[tree.apply(X), 0]

@@ -9,10 +9,10 @@ MODEL_FORMAT_VERSION is an error.
 from __future__ import annotations
 
 import json
-import os
 
 import numpy as np
 
+from ..ingest import atomic_write_text
 from .base import Classifier
 from .boosting import GradientBoosting
 from .ensemble import SoftVotingEnsemble
@@ -140,10 +140,7 @@ def _model_from(state: dict):
 
 def save_model(model, path: str) -> None:
     obj = {"format_version": MODEL_FORMAT_VERSION, "model": _model_obj(model)}
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh)
-    os.replace(tmp, path)
+    atomic_write_text(path, json.dumps(obj))
 
 
 def load_model(path: str):

@@ -462,21 +462,36 @@ def filter_windows(
     return kept
 
 
+def windows_in_span(name: str, span: float, window_s: float) -> int:
+    """Number of whole windows in ``span``, which must be a positive multiple
+    of ``window_s``.
+
+    The multiple is checked to a relative 1e-9, because decimal spans are
+    inexact in binary: 0.3 / 0.1 is 2.9999999999999996.
+    """
+    ratio = span / window_s
+    count = round(ratio)
+    if span <= 0 or count < 1 or not math.isclose(ratio, count, rel_tol=1e-9):
+        raise ValueError(f"{name}={span} is not a positive multiple of window_s={window_s}")
+    return count
+
+
 def split_train_test(
     segments: Sequence[WindowSegment],
     train_s: float = DEFAULT_TRAIN_S,
     test_s: float = DEFAULT_TEST_S,
     window_s: float = DEFAULT_WINDOW_S,
 ) -> tuple[list[WindowSegment], list[WindowSegment]]:
-    """Chronological split: train = windows starting before ``train_s``,
-    test = windows starting in [train_s, train_s + test_s).
+    """Chronological split: train = the windows inside [0, train_s),
+    test = the windows inside [train_s, train_s + test_s).
 
     Both spans must be positive multiples of the window length, and the
-    trace must actually cover them.
+    trace must actually cover them. Windows are assigned by index, not by
+    comparing float start times, which for spans such as 0.9 s of 0.3 s
+    windows would put a boundary window on the wrong side.
     """
-    for name, span in (("train_s", train_s), ("test_s", test_s)):
-        if span <= 0 or (span / window_s) != int(span / window_s):
-            raise ValueError(f"{name}={span} is not a positive multiple of window_s={window_s}")
+    n_train = windows_in_span("train_s", train_s, window_s)
+    n_test = windows_in_span("test_s", test_s, window_s)
     if segments:
         tr = segments[0].trace
         needed = train_s + test_s
@@ -485,6 +500,6 @@ def split_train_test(
                 f"trace {tr.user_id}/{tr.game_id} lasts {tr.duration_s:.3f} s; "
                 f"train+test needs {needed:.3f} s ({needed - tr.duration_s:.3f} s short)"
             )
-    train = [s for s in segments if s.t_start < train_s]
-    test = [s for s in segments if train_s <= s.t_start < train_s + test_s]
+    train = [s for s in segments if s.index < n_train]
+    test = [s for s in segments if n_train <= s.index < n_train + n_test]
     return train, test

@@ -21,6 +21,7 @@ from .core import (
     Dataset,
     SplitError,
     TraceRecord,
+    windows_in_span,
 )
 from .features import (
     DEFAULT_BIN_S,
@@ -173,11 +174,8 @@ class EvaluationReport:
 def _split_vectors(
     vectors: list[FeatureVector], record: TraceRecord, spec: ExperimentSpec
 ) -> tuple[list[FeatureVector], list[FeatureVector]]:
-    for name, span in (("train_s", spec.train_s), ("test_s", spec.test_s)):
-        if span <= 0 or (span / spec.window_s) != int(span / spec.window_s):
-            raise ValueError(
-                f"{name}={span} is not a positive multiple of window_s={spec.window_s}"
-            )
+    n_train = windows_in_span("train_s", spec.train_s, spec.window_s)
+    n_test = windows_in_span("test_s", spec.test_s, spec.window_s)
     needed = spec.train_s + spec.test_s
     tr = record.trace
     if needed > tr.duration_s:
@@ -185,8 +183,8 @@ def _split_vectors(
             f"trace {tr.user_id}/{tr.game_id} lasts {tr.duration_s:.3f} s; "
             f"train+test needs {needed:.3f} s ({needed - tr.duration_s:.3f} s short)"
         )
-    train = [v for v in vectors if v.t_start < spec.train_s]
-    test = [v for v in vectors if spec.train_s <= v.t_start < needed]
+    train = [v for v in vectors if v.window_index < n_train]
+    test = [v for v in vectors if n_train <= v.window_index < n_train + n_test]
     return train, test
 
 
@@ -216,6 +214,12 @@ def _evaluate(spec: ExperimentSpec, entries) -> EvaluationReport:
         test_rows.extend(v.values for v in test_vecs)
         test_labels.extend([label] * len(test_vecs))
         bounds.append((label, start, len(test_rows)))
+    untrained = sorted(lab for lab, n in test_counts.items() if n and not train_counts[lab])
+    if untrained:
+        raise ValueError(
+            f"no training windows survived windowing for {', '.join(map(repr, untrained))}, "
+            "which the model would be tested on"
+        )
     if not train_rows:
         raise ValueError("no training windows survived windowing")
     if not test_rows:

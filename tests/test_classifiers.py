@@ -433,6 +433,9 @@ def test_gbm_rejects_bad_parameters():
         GradientBoosting(learning_rate=0.0)
     with pytest.raises(ValueError, match="max_leaves"):
         GradientBoosting(max_leaves=1)
+    for min_leaf in (0, -1):
+        with pytest.raises(ValueError, match="min_leaf"):
+            GradientBoosting(min_leaf=min_leaf)
 
 
 # ---------------------------------------------------------------- ensemble
@@ -514,6 +517,26 @@ def test_save_load_round_trip_ensemble(tmp_path):
     loaded = load_model(path)
     Xq = np.random.default_rng(8).normal(size=(10, 2), scale=3.0)
     assert np.array_equal(loaded.predict_proba(Xq), model.predict_proba(Xq))
+
+
+@pytest.mark.parametrize("failure", ["encode", "rename"])
+def test_failed_save_keeps_previous_model(tmp_path, monkeypatch, failure):
+    X, y = blobs(seed=63)
+    path = tmp_path / "m.json"
+    save_model(LogisticOneVsRest().fit(X, y), str(path))
+    before = path.read_bytes()
+    model = cheap_model("gbm").fit(X, y)
+    if failure == "encode":
+        model.min_leaf = object()  # not JSON-serializable
+    else:
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("os.replace", refuse)
+    with pytest.raises((TypeError, OSError)):
+        save_model(model, str(path))
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
 
 
 def test_save_rejects_unfitted_model():

@@ -273,6 +273,29 @@ def test_split_rejects_non_multiples():
         split_train_test(wins, 480.0, 115.0)
 
 
+@pytest.mark.parametrize("train_s, n_train", [(0.3, 3), (0.7, 7)])
+def test_split_accepts_inexact_float_multiples(train_s, n_train):
+    # 0.3 / 0.1 == 2.9999999999999996 and 0.7 / 0.1 == 6.999999999999999
+    wins = window_trace(make_trace(2.0), window_s=0.1)
+    train, test = split_train_test(wins, train_s, 0.1, window_s=0.1)
+    assert [w.index for w in train] == list(range(n_train))
+    assert [w.index for w in test] == [n_train]
+
+
+def test_split_still_rejects_fractional_multiples():
+    wins = window_trace(make_trace(2.0), window_s=0.1)
+    with pytest.raises(ValueError, match="train_s=0.25"):
+        split_train_test(wins, 0.25, 0.1, window_s=0.1)
+
+
+def test_split_assigns_boundary_window_by_index():
+    # window 3 starts at 3 * 0.3 == 0.8999999999999999, just before 0.9
+    wins = window_trace(make_trace(2.0), window_s=0.3)
+    train, test = split_train_test(wins, 0.9, 0.3, window_s=0.3)
+    assert [w.index for w in train] == [0, 1, 2]
+    assert [w.index for w in test] == [3]
+
+
 def test_split_exact_cover():
     wins = window_trace(make_trace(600.0))
     train, test = split_train_test(wins, 480.0, 120.0)

@@ -31,6 +31,8 @@ from vrident.evaluation import (
     write_json,
     write_table_csv,
 )
+from vrident.evaluation import _split_vectors
+from vrident.features import FeatureVector
 from vrident.ingest import GameProfile, generate_synthetic_cohort
 
 SHORT = dict(train_s=120.0, test_s=60.0)  # fits the 3-minute test cohorts
@@ -177,6 +179,38 @@ def test_identification_rejects_misaligned_span(cohort):
     spec = ExperimentSpec(game_id="game_a", train_s=125.0, test_s=60.0)
     with pytest.raises(ValueError, match="multiple"):
         run_identification(spec, cohort)
+
+
+def test_identification_names_user_without_training_windows(cohort):
+    # user00 loses every movement sample before 120 s, so the dropout filter
+    # discards all of its training windows but keeps its test windows
+    records = []
+    for rec in cohort.for_game("game_a"):
+        tr = rec.trace
+        if rec.user_id == "user00":
+            keep = tr.movement_t >= SHORT["train_s"]
+            tr = dataclasses.replace(tr, movement_t=tr.movement_t[keep], movement=tr.movement[keep])
+        records.append(TraceRecord(rec.user_id, rec.game_id, tr))
+    dataset = Dataset(records=records, game_categories=cohort.game_categories)
+    spec = ExperimentSpec(game_id="game_a", model_kind="logistic", **SHORT)
+    with pytest.raises(ValueError, match="no training windows .*'user00'"):
+        run_identification(spec, dataset)
+
+
+def test_identification_accepts_inexact_float_multiples(cohort):
+    # 0.3 / 0.1 == 2.9999999999999996 must count as three 0.1 s windows
+    rec = cohort.for_game("game_a")[0]
+    vectors = [
+        FeatureVector(rec.user_id, rec.game_id, i, i * 0.1, "traffic", np.zeros(1))
+        for i in range(10)
+    ]
+    spec = ExperimentSpec(game_id="game_a", train_s=0.3, test_s=0.7, window_s=0.1)
+    train, test = _split_vectors(vectors, rec, spec)
+    assert [v.window_index for v in train] == [0, 1, 2]
+    assert [v.window_index for v in test] == [3, 4, 5, 6, 7, 8, 9]
+    bad = dataclasses.replace(spec, train_s=0.25)
+    with pytest.raises(ValueError, match="train_s=0.25"):
+        _split_vectors(vectors, rec, bad)
 
 
 def test_vote_k_beyond_test_windows_fails(cohort):
