@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -26,6 +26,7 @@ from .evaluation import (
     majority_vote_eval,
     report_to_dict,
     run_identification,
+    run_matrix,
     user_subset_experiment,
     write_confusion_csv,
     write_curve_csv,
@@ -288,39 +289,6 @@ def _run_cell(spec: ExperimentSpec, dataset, vote_ks, subset_sizes):
     return report, curve, subsets
 
 
-_POOL_STATE: dict = {}
-
-
-def _pool_init(dataset, vote_ks, subset_sizes) -> None:
-    _POOL_STATE["args"] = (dataset, vote_ks, subset_sizes)
-
-
-def _pool_cell(spec: ExperimentSpec):
-    dataset, vote_ks, subset_sizes = _POOL_STATE["args"]
-    return _run_cell(spec, dataset, vote_ks, subset_sizes)
-
-
-def _run_all_cells(specs, dataset, vote_ks, subset_sizes, jobs):
-    outcomes = []
-    if jobs == 1:
-        for spec in specs:
-            try:
-                outcomes.append(("ok", _run_cell(spec, dataset, vote_ks, subset_sizes)))
-            except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
-                outcomes.append(("error", exc))
-        return outcomes
-    with ProcessPoolExecutor(
-        max_workers=jobs, initializer=_pool_init, initargs=(dataset, vote_ks, subset_sizes)
-    ) as pool:
-        futures = [pool.submit(_pool_cell, spec) for spec in specs]
-        for future in futures:
-            try:
-                outcomes.append(("ok", future.result()))
-            except Exception as exc:  # noqa: BLE001
-                outcomes.append(("error", exc))
-    return outcomes
-
-
 def cmd_evaluate(args) -> int:
     config = load_run_config(args.config)
     jobs = _resolve_jobs(args.jobs)
@@ -347,21 +315,22 @@ def cmd_evaluate(args) -> int:
         for fs in config.feature_sets
         for kind in config.model_kinds
     ]
-    outcomes = _run_all_cells(specs, dataset, config.vote_k, config.subset_sizes, jobs)
+    cell = functools.partial(_run_cell, vote_ks=config.vote_k, subset_sizes=config.subset_sizes)
+    outcomes = run_matrix(specs, dataset, jobs, cell=cell)
 
     cells = []
     ok_reports = []
     failures = 0
-    for spec, (status, payload) in zip(specs, outcomes):
+    for spec, outcome in zip(specs, outcomes):
         slug = _cell_slug(spec)
-        if status == "error":
+        if isinstance(outcome, Exception):
             failures += 1
-            print(f"[FAIL] {slug}: {payload}", file=sys.stderr)
+            print(f"[FAIL] {slug}: {outcome}", file=sys.stderr)
             cells.append(
-                {"spec": dataclasses.asdict(spec), "status": "error", "error": str(payload)}
+                {"spec": dataclasses.asdict(spec), "status": "error", "error": str(outcome)}
             )
             continue
-        report, curve, subsets = payload
+        report, curve, subsets = outcome
         ok_reports.append(report)
         write_confusion_csv(str(out_dir / f"confusion_{slug}.csv"), report)
         write_curve_csv(str(out_dir / f"voting_{slug}.csv"), ("k", "accuracy"), curve)

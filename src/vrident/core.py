@@ -17,7 +17,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -72,47 +72,6 @@ class TraceQualityError(ValueError):
 
 class SplitError(ValueError):
     """A trace cannot satisfy the requested train/test layout."""
-
-
-@dataclass(frozen=True)
-class Pose:
-    px: float
-    py: float
-    pz: float
-    qw: float
-    qx: float
-    qy: float
-    qz: float
-
-    @property
-    def position(self) -> np.ndarray:
-        return np.array([self.px, self.py, self.pz])
-
-    @property
-    def quaternion(self) -> np.ndarray:
-        return np.array([self.qw, self.qx, self.qy, self.qz])
-
-
-@dataclass(frozen=True)
-class MovementSample:
-    t: float
-    head: Pose
-    left: Pose
-    right: Pose
-
-    def as_row(self) -> np.ndarray:
-        row = np.empty(21)
-        for dev, pose in (("head", self.head), ("left", self.left), ("right", self.right)):
-            base = _DEV_BASE[dev]
-            row[base : base + 7] = (pose.px, pose.py, pose.pz, pose.qw, pose.qx, pose.qy, pose.qz)
-        return row
-
-
-@dataclass(frozen=True)
-class PacketRecord:
-    t: float
-    size_bytes: int
-    direction: int  # DIR_UL or DIR_DL
 
 
 @dataclass
@@ -188,28 +147,6 @@ class Trace:
             traffic_dir=traffic_dir,
         )
 
-    @classmethod
-    def from_samples(
-        cls,
-        user_id: str,
-        game_id: str,
-        samples: Sequence[MovementSample],
-        packets: Sequence[PacketRecord] = (),
-        duration_s: float | None = None,
-    ) -> "Trace":
-        movement_t = np.array([s.t for s in samples], dtype=np.float64)
-        movement = (
-            np.stack([s.as_row() for s in samples])
-            if samples
-            else np.empty((0, len(MOVEMENT_CHANNELS)))
-        )
-        traffic_t = np.array([p.t for p in packets], dtype=np.float64)
-        traffic_size = np.array([p.size_bytes for p in packets], dtype=np.int64)
-        traffic_dir = np.array([p.direction for p in packets], dtype=np.uint8)
-        return cls.assemble(
-            user_id, game_id, movement_t, movement, traffic_t, traffic_size, traffic_dir, duration_s
-        )
-
     @property
     def n_movement(self) -> int:
         return self.movement.shape[0]
@@ -217,21 +154,6 @@ class Trace:
     @property
     def n_packets(self) -> int:
         return self.traffic_t.shape[0]
-
-    def sample(self, i: int) -> MovementSample:
-        row = self.movement[i]
-        poses = {
-            dev: Pose(*(float(v) for v in row[base : base + 7]))
-            for dev, base in _DEV_BASE.items()
-        }
-        return MovementSample(t=float(self.movement_t[i]), **poses)
-
-    def packet(self, j: int) -> PacketRecord:
-        return PacketRecord(
-            t=float(self.traffic_t[j]),
-            size_bytes=int(self.traffic_size[j]),
-            direction=int(self.traffic_dir[j]),
-        )
 
 
 @dataclass(frozen=True)
@@ -400,7 +322,7 @@ class WindowSegment:
 
 
 def window_trace(trace: Trace, window_s: float = DEFAULT_WINDOW_S) -> list[WindowSegment]:
-    """Cut a trace into floor(duration / window_s) full windows.
+    """Cut a trace into its whole windows (see :func:`whole_windows`).
 
     Window i covers [i*window_s, (i+1)*window_s) on the re-based time axis;
     membership is half-open, so a sample sitting exactly on a boundary
@@ -408,7 +330,7 @@ def window_trace(trace: Trace, window_s: float = DEFAULT_WINDOW_S) -> list[Windo
     """
     if window_s <= 0:
         raise ValueError(f"window_s must be positive, got {window_s}")
-    n_windows = int(trace.duration_s // window_s)
+    n_windows = whole_windows(trace.duration_s, window_s)
     edges = np.arange(n_windows + 1, dtype=np.float64) * window_s
     m_cuts = np.searchsorted(trace.movement_t, edges, side="left")
     p_cuts = np.searchsorted(trace.traffic_t, edges, side="left")
@@ -462,44 +384,52 @@ def filter_windows(
     return kept
 
 
-def windows_in_span(name: str, span: float, window_s: float) -> int:
-    """Number of whole windows in ``span``, which must be a positive multiple
-    of ``window_s``.
+#: Relative tolerance within which a span counts as a whole number of windows.
+_SPAN_REL_TOL = 1e-9
 
-    The multiple is checked to a relative 1e-9, because decimal spans are
-    inexact in binary: 0.3 / 0.1 is 2.9999999999999996.
+
+def whole_windows(span: float, window_s: float) -> int:
+    """Number of whole windows in ``span``: floor(span / window_s), except
+    that a ratio within a relative 1e-9 of an integer counts as that integer,
+    because decimal spans are inexact in binary: 0.3 / 0.1 is
+    2.9999999999999996.
     """
     ratio = span / window_s
-    count = round(ratio)
-    if span <= 0 or count < 1 or not math.isclose(ratio, count, rel_tol=1e-9):
+    nearest = round(ratio)
+    return nearest if math.isclose(ratio, nearest, rel_tol=_SPAN_REL_TOL) else math.floor(ratio)
+
+
+def windows_in_span(name: str, span: float, window_s: float) -> int:
+    """Number of windows in ``span``, which must be a positive whole multiple
+    of ``window_s`` under the tolerance of :func:`whole_windows`."""
+    count = whole_windows(span, window_s)
+    if span <= 0 or count < 1 or not math.isclose(span / window_s, count, rel_tol=_SPAN_REL_TOL):
         raise ValueError(f"{name}={span} is not a positive multiple of window_s={window_s}")
     return count
 
 
 def split_train_test(
-    segments: Sequence[WindowSegment],
+    trace: Trace,
     train_s: float = DEFAULT_TRAIN_S,
     test_s: float = DEFAULT_TEST_S,
     window_s: float = DEFAULT_WINDOW_S,
-) -> tuple[list[WindowSegment], list[WindowSegment]]:
-    """Chronological split: train = the windows inside [0, train_s),
-    test = the windows inside [train_s, train_s + test_s).
+) -> tuple[range, range]:
+    """Chronological split of a trace's windows, as window numbers: train =
+    the windows inside [0, train_s), test = the windows inside
+    [train_s, train_s + test_s).
 
     Both spans must be positive multiples of the window length, and the
-    trace must actually cover them. Windows are assigned by index, not by
-    comparing float start times, which for spans such as 0.9 s of 0.3 s
-    windows would put a boundary window on the wrong side.
+    trace must actually cover them. Callers keep a window when its number
+    (``WindowSegment.index``, ``FeatureVector.window_index``) is in a range;
+    comparing float start times instead would, for spans such as 0.9 s of
+    0.3 s windows, put a boundary window on the wrong side.
     """
     n_train = windows_in_span("train_s", train_s, window_s)
     n_test = windows_in_span("test_s", test_s, window_s)
-    if segments:
-        tr = segments[0].trace
-        needed = train_s + test_s
-        if needed > tr.duration_s:
-            raise SplitError(
-                f"trace {tr.user_id}/{tr.game_id} lasts {tr.duration_s:.3f} s; "
-                f"train+test needs {needed:.3f} s ({needed - tr.duration_s:.3f} s short)"
-            )
-    train = [s for s in segments if s.index < n_train]
-    test = [s for s in segments if n_train <= s.index < n_train + n_test]
-    return train, test
+    needed = train_s + test_s
+    if needed > trace.duration_s:
+        raise SplitError(
+            f"trace {trace.user_id}/{trace.game_id} lasts {trace.duration_s:.3f} s; "
+            f"train+test needs {needed:.3f} s ({needed - trace.duration_s:.3f} s short)"
+        )
+    return range(n_train), range(n_train, n_train + n_test)

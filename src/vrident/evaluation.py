@@ -19,14 +19,12 @@ from .core import (
     DEFAULT_TRAIN_S,
     DEFAULT_WINDOW_S,
     Dataset,
-    SplitError,
     TraceRecord,
-    windows_in_span,
+    split_train_test,
 )
 from .features import (
     DEFAULT_BIN_S,
     FEATURE_SET_NAMES,
-    FeatureVector,
     MinMaxScaler,
     build_features,
 )
@@ -171,81 +169,75 @@ class EvaluationReport:
 
 # ---- core evaluation ---------------------------------------------------------
 
-def _split_vectors(
-    vectors: list[FeatureVector], record: TraceRecord, spec: ExperimentSpec
-) -> tuple[list[FeatureVector], list[FeatureVector]]:
-    n_train = windows_in_span("train_s", spec.train_s, spec.window_s)
-    n_test = windows_in_span("test_s", spec.test_s, spec.window_s)
-    needed = spec.train_s + spec.test_s
-    tr = record.trace
-    if needed > tr.duration_s:
-        raise SplitError(
-            f"trace {tr.user_id}/{tr.game_id} lasts {tr.duration_s:.3f} s; "
-            f"train+test needs {needed:.3f} s ({needed - tr.duration_s:.3f} s short)"
-        )
-    train = [v for v in vectors if v.window_index < n_train]
-    test = [v for v in vectors if n_train <= v.window_index < n_train + n_test]
-    return train, test
-
-
 def _trace_split(spec: ExperimentSpec, record: TraceRecord):
+    train, test = split_train_test(record.trace, spec.train_s, spec.test_s, spec.window_s)
     vectors = build_features(record.trace, spec.feature_set, spec.window_s, spec.bin_s)
-    return _split_vectors(vectors, record, spec)
+    return (
+        [v for v in vectors if v.window_index in train],
+        [v for v in vectors if v.window_index in test],
+    )
 
 
-def _evaluate(spec: ExperimentSpec, entries) -> EvaluationReport:
-    """Fit and score one cell. ``entries`` is a list of (label, train feature
-    vectors, test feature vectors), one per trace; the label is a user id for
-    identification and a game id for game recognition."""
+def _identification_entries(spec: ExperimentSpec, dataset: Dataset):
+    """(user id, train feature vectors, test feature vectors) for every trace
+    of the spec's game, sorted by user id."""
+    records = sorted(dataset.for_game(spec.game_id), key=lambda r: r.user_id)
+    if len(records) < 2:
+        raise ValueError(f"identification needs at least 2 users, got {len(records)}")
+    return [(r.user_id, *_trace_split(spec, r)) for r in records]
+
+
+def _scaled_matrices(entries) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Scaled (X_train, y_train, X_test, y_test) of (label, train feature
+    vectors, test feature vectors) entries, rows in entry order. The label is
+    a user id for identification and a game id for game recognition; the
+    scaler is fitted on the training rows only."""
     distinct = sorted({label for label, _, _ in entries})
     if len(distinct) < 2:
         raise ValueError(f"evaluation needs at least 2 distinct labels, got {len(distinct)}")
-    train_rows, train_labels = [], []
-    test_rows, test_labels = [], []
-    bounds = []
-    train_counts: dict[str, int] = {}
-    test_counts: dict[str, int] = {}
-    for label, train_vecs, test_vecs in entries:
-        train_counts[label] = train_counts.get(label, 0) + len(train_vecs)
-        test_counts[label] = test_counts.get(label, 0) + len(test_vecs)
-        train_rows.extend(v.values for v in train_vecs)
-        train_labels.extend([label] * len(train_vecs))
-        start = len(test_rows)
-        test_rows.extend(v.values for v in test_vecs)
-        test_labels.extend([label] * len(test_vecs))
-        bounds.append((label, start, len(test_rows)))
-    untrained = sorted(lab for lab, n in test_counts.items() if n and not train_counts[lab])
+    y_train = np.array([label for label, train_vecs, _ in entries for _ in train_vecs])
+    y_test = np.array([label for label, _, test_vecs in entries for _ in test_vecs])
+    untrained = sorted(set(y_test.tolist()) - set(y_train.tolist()))
     if untrained:
         raise ValueError(
             f"no training windows survived windowing for {', '.join(map(repr, untrained))}, "
             "which the model would be tested on"
         )
-    if not train_rows:
+    if not y_train.size:
         raise ValueError("no training windows survived windowing")
-    if not test_rows:
+    if not y_test.size:
         raise ValueError("no test windows survived windowing")
+    train = np.vstack([v.values for _, train_vecs, _ in entries for v in train_vecs])
+    test = np.vstack([v.values for _, _, test_vecs in entries for v in test_vecs])
+    scaler = MinMaxScaler().fit(train)
+    return scaler.transform(train), y_train, scaler.transform(test), y_test
 
-    scaler = MinMaxScaler().fit(np.vstack(train_rows))
-    X_train = scaler.transform(np.vstack(train_rows))
-    X_test = scaler.transform(np.vstack(test_rows))
-    y_train = np.array(train_labels)
-    y_test = np.array(test_labels)
 
+def _evaluate(spec: ExperimentSpec, entries) -> EvaluationReport:
+    """Fit and score one cell on the entries of :func:`_scaled_matrices`."""
+    X_train, y_train, X_test, y_test = _scaled_matrices(entries)
     model = make_model(spec.model_kind, seed=spec.seed, **spec.model_params)
     model.fit(X_train, y_train)
     probas = model.predict_proba(X_test)
     preds = model.labels_[np.argmax(probas, axis=1)]
 
-    streams = [
-        PredictionStream(
-            true_label=label,
-            preds=preds[start:stop],
-            probas=probas[start:stop],
-            labels=model.labels_,
-        )
-        for label, start, stop in bounds
-        if stop > start
-    ]
+    train_counts: dict[str, int] = {}
+    test_counts: dict[str, int] = {}
+    streams = []
+    stop = 0
+    for label, train_vecs, test_vecs in entries:
+        train_counts[label] = train_counts.get(label, 0) + len(train_vecs)
+        test_counts[label] = test_counts.get(label, 0) + len(test_vecs)
+        start, stop = stop, stop + len(test_vecs)
+        if stop > start:
+            streams.append(
+                PredictionStream(
+                    true_label=label,
+                    preds=preds[start:stop],
+                    probas=probas[start:stop],
+                    labels=model.labels_,
+                )
+            )
     labels = tuple(str(lab) for lab in model.labels_.tolist())
     conf = confusion_matrix(y_test, preds, model.labels_)
     return EvaluationReport(
@@ -265,37 +257,15 @@ def _evaluate(spec: ExperimentSpec, entries) -> EvaluationReport:
 def run_identification(spec: ExperimentSpec, dataset: Dataset) -> EvaluationReport:
     """Per-window user identification for one (game, feature set, model) cell:
     chronological train/test split per trace, scaler fitted on train rows."""
-    records = sorted(dataset.for_game(spec.game_id), key=lambda r: r.user_id)
-    if len(records) < 2:
-        raise ValueError(f"identification needs at least 2 users, got {len(records)}")
-    entries = [(r.user_id, *_trace_split(spec, r)) for r in records]
-    return _evaluate(spec, entries)
+    return _evaluate(spec, _identification_entries(spec, dataset))
 
 
 def cell_matrices(
     spec: ExperimentSpec, dataset: Dataset
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Scaled (X_train, y_train, X_test, y_test) for one identification cell,
-    split and scaled exactly as run_identification does it."""
-    records = sorted(dataset.for_game(spec.game_id), key=lambda r: r.user_id)
-    if len(records) < 2:
-        raise ValueError(f"identification needs at least 2 users, got {len(records)}")
-    train_rows, train_labels, test_rows, test_labels = [], [], [], []
-    for record in records:
-        train_vecs, test_vecs = _trace_split(spec, record)
-        train_rows.extend(v.values for v in train_vecs)
-        train_labels.extend([record.user_id] * len(train_vecs))
-        test_rows.extend(v.values for v in test_vecs)
-        test_labels.extend([record.user_id] * len(test_vecs))
-    if not train_rows or not test_rows:
-        raise ValueError("no usable windows on one side of the split")
-    scaler = MinMaxScaler().fit(np.vstack(train_rows))
-    return (
-        scaler.transform(np.vstack(train_rows)),
-        np.array(train_labels),
-        scaler.transform(np.vstack(test_rows)),
-        np.array(test_labels),
-    )
+    exactly the matrices run_identification fits and scores."""
+    return _scaled_matrices(_identification_entries(spec, dataset))
 
 
 def majority_vote_eval(streams: list[PredictionStream], k: int) -> float:
@@ -359,13 +329,13 @@ def user_subset_experiment(
     every starting unit g, so each size reports n_units groups. Duplicate
     user sets (the full-size group) are trained once and reported per group.
     """
-    records = sorted(dataset.for_game(spec.game_id), key=lambda r: r.user_id)
-    users = [r.user_id for r in records]
+    entries = _identification_entries(spec, dataset)
+    users = [user for user, _, _ in entries]
     if unit < 1 or len(users) % unit != 0:
         raise ValueError(f"user count {len(users)} is not divisible by unit {unit}")
     n_units = len(users) // unit
     units = [tuple(users[i * unit : (i + 1) * unit]) for i in range(n_units)]
-    split_cache = {r.user_id: _trace_split(spec, r) for r in records}
+    split_cache = {user: (train, test) for user, train, test in entries}
 
     group_users: dict[int, list[tuple[str, ...]]] = {}
     group_accuracy: dict[int, list[float]] = {}
@@ -465,31 +435,47 @@ def experiment_cells(
     ]
 
 
-_POOL_DATASET: Dataset | None = None
+#: (cell, dataset) of a pool worker, set once per worker process by
+#: _init_worker so the dataset is pickled per worker rather than per cell.
+_WORKER_STATE: tuple = ()
 
 
-def _pool_init(dataset: Dataset) -> None:
-    global _POOL_DATASET
-    _POOL_DATASET = dataset
+def _init_worker(cell, dataset: Dataset) -> None:
+    global _WORKER_STATE
+    _WORKER_STATE = (cell, dataset)
 
 
-def _pool_cell(spec: ExperimentSpec) -> EvaluationReport:
-    return run_identification(spec, _POOL_DATASET)
+def _run_worker_cell(spec: ExperimentSpec):
+    cell, dataset = _WORKER_STATE
+    return cell(spec, dataset)
 
 
-def run_matrix(
-    specs: list[ExperimentSpec], dataset: Dataset, jobs: int = 1
-) -> list[EvaluationReport]:
-    """Evaluate every cell, in spec order; cells are independent, so jobs > 1
-    fans them out across processes (results still assemble in spec order)."""
+def _result_or_exception(cell, spec: ExperimentSpec, dataset: Dataset):
+    try:
+        return cell(spec, dataset)
+    except Exception as exc:  # noqa: BLE001 - one failing cell must not stop the rest
+        return exc
+
+
+def run_matrix(specs: list[ExperimentSpec], dataset: Dataset, jobs: int = 1, cell=None) -> list:
+    """Run ``cell(spec, dataset)`` for every spec and return the results in
+    spec order; ``cell`` defaults to :func:`run_identification`.
+
+    A cell that raises does not stop the others: its slot holds the exception
+    it raised instead of a result. Cells are independent, so jobs > 1 fans
+    them out across processes, each of which receives the dataset once.
+    """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if cell is None:
+        cell = run_identification
     if jobs == 1 or len(specs) <= 1:
-        return [run_identification(spec, dataset) for spec in specs]
+        return [_result_or_exception(cell, spec, dataset) for spec in specs]
     with ProcessPoolExecutor(
-        max_workers=jobs, initializer=_pool_init, initargs=(dataset,)
+        max_workers=jobs, initializer=_init_worker, initargs=(cell, dataset)
     ) as pool:
-        return list(pool.map(_pool_cell, specs))
+        futures = [pool.submit(_run_worker_cell, spec) for spec in specs]
+        return [future.exception() or future.result() for future in futures]
 
 
 # ---- report emission -----------------------------------------------------------

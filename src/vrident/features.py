@@ -16,8 +16,6 @@ std is the population standard deviation.
 """
 from __future__ import annotations
 
-import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +37,7 @@ from .core import (
     forward_vectors,
     window_trace,
 )
+from .ingest import atomic_write_text
 
 STAT_NAMES = ("mean", "min", "max", "q25", "q50", "q75", "std")
 DERIVATIVE_NAMES = ("raw", "vel", "acc")
@@ -111,11 +110,6 @@ def geometry_channels(movement: np.ndarray) -> np.ndarray:
         dots = np.clip(np.einsum("ij,ij->i", ua, ub), -1.0, 1.0)
         cols.append(np.arccos(dots))
     return np.stack(cols, axis=1)
-
-
-def derived_geometry(sample) -> tuple[float, ...]:
-    """Geometry channels of a single MovementSample, in GEOMETRY_CHANNELS order."""
-    return tuple(float(v) for v in geometry_channels(sample.as_row()[None, :])[0])
 
 
 # ---- feature names ----------------------------------------------------------
@@ -342,17 +336,8 @@ def write_feature_csv(path: str, vectors: list[FeatureVector]) -> None:
     sets = {v.feature_set for v in vectors}
     if len(sets) > 1:
         raise ValueError(f"mixed feature sets in one matrix: {sorted(sets)}")
-    names = vectors[0].names
-    header = "user_id,game_id,window_index," + ",".join(names)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(header + "\n")
-            for v in vectors:
-                vals = ",".join(repr(float(x)) for x in v.values)
-                fh.write(f"{v.user_id},{v.game_id},{v.window_index},{vals}\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    lines = ["user_id,game_id,window_index," + ",".join(vectors[0].names)]
+    for v in vectors:
+        vals = ",".join(repr(float(x)) for x in v.values)
+        lines.append(f"{v.user_id},{v.game_id},{v.window_index},{vals}")
+    atomic_write_text(path, "\n".join(lines) + "\n")

@@ -214,13 +214,14 @@ def test_evaluate_malformed_config_does_no_work(cohort_dir, tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
-def test_evaluate_cell_failure_exits_one_but_finishes_the_rest(cohort_dir, tmp_path, capsys):
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_evaluate_cell_failure_exits_one_but_finishes_the_rest(cohort_dir, tmp_path, capsys, jobs):
     cfg = write_config(
         tmp_path / "cfg.json", cohort_dir,
         model_kinds=["logistic", "qda"],
         model_params={"qda": {"bogus_param": 1}},
     )
-    assert run_cli("evaluate", "--config", cfg) == 1
+    assert run_cli("evaluate", "--config", cfg, "--jobs", jobs) == 1
     captured = capsys.readouterr()
     assert "[FAIL] game_a.traffic.qda.s0" in captured.err
     report = json.loads((tmp_path / "reports" / "report.json").read_text())

@@ -8,9 +8,6 @@ import pytest
 from vrident.core import (
     Dataset,
     MOVEMENT_CHANNELS,
-    MovementSample,
-    PacketRecord,
-    Pose,
     QUATERNION_SLICES,
     SplitError,
     Trace,
@@ -24,8 +21,6 @@ from vrident.core import (
     split_train_test,
     window_trace,
 )
-
-IDENTITY = Pose(0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0)
 
 
 def make_trace(
@@ -198,6 +193,14 @@ def test_trailing_partial_window_dropped():
     assert len(window_trace(tr, 10.0)) == 60
 
 
+@pytest.mark.parametrize("duration_s, n_windows", [(0.3, 3), (0.7, 7), (2.0, 20)])
+def test_window_count_tolerates_inexact_float_spans(duration_s, n_windows):
+    # 0.3 / 0.1 == 2.9999999999999996 and 2.0 // 0.1 == 19.0; both count as
+    # whole multiples under the relative 1e-9 rule of the train/test spans
+    wins = window_trace(make_trace(duration_s), 0.1)
+    assert [w.index for w in wins] == list(range(n_windows))
+
+
 def test_windowing_partitions_samples():
     rng = np.random.default_rng(8)
     t = np.sort(rng.uniform(0.0, 47.0, 400))
@@ -250,9 +253,14 @@ def test_filter_windows_logs_discards(caplog):
 
 # ---- split ----
 
+def split_windows(trace, *spans, window_s=10.0):
+    wins = window_trace(trace, window_s)
+    train, test = split_train_test(trace, *spans, window_s=window_s)
+    return [w for w in wins if w.index in train], [w for w in wins if w.index in test]
+
+
 def test_split_default_48_12():
-    wins = window_trace(make_trace(600.0))
-    train, test = split_train_test(wins)
+    train, test = split_windows(make_trace(600.0))
     assert len(train) == 48 and len(test) == 12
     assert max(w.t_start for w in train) == 470.0
     assert min(w.t_start for w in test) == 480.0
@@ -260,45 +268,40 @@ def test_split_default_48_12():
 
 
 def test_split_insufficient_duration():
-    wins = window_trace(make_trace(590.0))
     with pytest.raises(SplitError, match="10.000 s short"):
-        split_train_test(wins, 480.0, 120.0)
+        split_train_test(make_trace(590.0), 480.0, 120.0)
 
 
 def test_split_rejects_non_multiples():
-    wins = window_trace(make_trace(600.0))
+    tr = make_trace(600.0)
     with pytest.raises(ValueError, match="train_s"):
-        split_train_test(wins, 475.0, 120.0)
+        split_train_test(tr, 475.0, 120.0)
     with pytest.raises(ValueError, match="test_s"):
-        split_train_test(wins, 480.0, 115.0)
+        split_train_test(tr, 480.0, 115.0)
 
 
 @pytest.mark.parametrize("train_s, n_train", [(0.3, 3), (0.7, 7)])
 def test_split_accepts_inexact_float_multiples(train_s, n_train):
     # 0.3 / 0.1 == 2.9999999999999996 and 0.7 / 0.1 == 6.999999999999999
-    wins = window_trace(make_trace(2.0), window_s=0.1)
-    train, test = split_train_test(wins, train_s, 0.1, window_s=0.1)
+    train, test = split_windows(make_trace(2.0), train_s, 0.1, window_s=0.1)
     assert [w.index for w in train] == list(range(n_train))
     assert [w.index for w in test] == [n_train]
 
 
 def test_split_still_rejects_fractional_multiples():
-    wins = window_trace(make_trace(2.0), window_s=0.1)
     with pytest.raises(ValueError, match="train_s=0.25"):
-        split_train_test(wins, 0.25, 0.1, window_s=0.1)
+        split_train_test(make_trace(2.0), 0.25, 0.1, window_s=0.1)
 
 
 def test_split_assigns_boundary_window_by_index():
     # window 3 starts at 3 * 0.3 == 0.8999999999999999, just before 0.9
-    wins = window_trace(make_trace(2.0), window_s=0.3)
-    train, test = split_train_test(wins, 0.9, 0.3, window_s=0.3)
+    train, test = split_windows(make_trace(2.0), 0.9, 0.3, window_s=0.3)
     assert [w.index for w in train] == [0, 1, 2]
     assert [w.index for w in test] == [3]
 
 
 def test_split_exact_cover():
-    wins = window_trace(make_trace(600.0))
-    train, test = split_train_test(wins, 480.0, 120.0)
+    train, test = split_windows(make_trace(600.0), 480.0, 120.0)
     starts = sorted(w.t_start for w in train + test)
     assert starts == [10.0 * i for i in range(60)]
 
@@ -315,17 +318,20 @@ def test_assemble_rebases_to_shared_origin():
     assert tr.duration_s == pytest.approx(1.5)
 
 
-def test_sample_packet_round_trip():
-    s = MovementSample(
-        t=0.5,
-        head=Pose(0.1, 1.6, -0.2, 1.0, 0.0, 0.0, 0.0),
-        left=Pose(-0.3, 1.2, -0.4, 0.8, 0.6, 0.0, 0.0),
-        right=Pose(0.3, 1.2, -0.4, 1.0, 0.0, 0.0, 0.0),
+def test_assemble_rebases_rows_and_packets():
+    head = (0.1, 1.6, -0.2, 1.0, 0.0, 0.0, 0.0)
+    left = (-0.3, 1.2, -0.4, 0.8, 0.6, 0.0, 0.0)
+    right = (0.3, 1.2, -0.4, 1.0, 0.0, 0.0, 0.0)
+    row = np.array([head + left + right])
+    tr = Trace.assemble(
+        "u", "g", np.array([0.5]), row, np.array([0.25]), np.array([1200]), np.array([1]),
+        duration_s=1.0,
     )
-    p = PacketRecord(t=0.25, size_bytes=1200, direction=1)
-    tr = Trace.from_samples("u", "g", [s], [p], duration_s=1.0)
-    assert tr.sample(0) == MovementSample(t=0.25, head=s.head, left=s.left, right=s.right)
-    assert tr.packet(0) == PacketRecord(t=0.0, size_bytes=1200, direction=1)
+    assert tr.movement_t.tolist() == [0.25]
+    assert tr.movement.tolist() == row.tolist()
+    assert (tr.traffic_t.tolist(), tr.traffic_size.tolist(), tr.traffic_dir.tolist()) == (
+        [0.0], [1200], [1]
+    )
 
 
 def test_dataset_duplicate_and_missing_game():

@@ -31,8 +31,7 @@ from vrident.evaluation import (
     write_json,
     write_table_csv,
 )
-from vrident.evaluation import _split_vectors
-from vrident.features import FeatureVector
+from vrident.evaluation import _trace_split
 from vrident.ingest import GameProfile, generate_synthetic_cohort
 
 SHORT = dict(train_s=120.0, test_s=60.0)  # fits the 3-minute test cohorts
@@ -198,19 +197,19 @@ def test_identification_names_user_without_training_windows(cohort):
 
 
 def test_identification_accepts_inexact_float_multiples(cohort):
-    # 0.3 / 0.1 == 2.9999999999999996 must count as three 0.1 s windows
+    # 0.3 / 0.1 == 2.9999999999999996 must count as three 0.1 s windows, and a
+    # 1.0 s trace must hold ten of them although 1.0 // 0.1 == 9.0
     rec = cohort.for_game("game_a")[0]
-    vectors = [
-        FeatureVector(rec.user_id, rec.game_id, i, i * 0.1, "traffic", np.zeros(1))
-        for i in range(10)
-    ]
-    spec = ExperimentSpec(game_id="game_a", train_s=0.3, test_s=0.7, window_s=0.1)
-    train, test = _split_vectors(vectors, rec, spec)
+    rec = TraceRecord(rec.user_id, rec.game_id, dataclasses.replace(rec.trace, duration_s=1.0))
+    spec = ExperimentSpec(
+        game_id="game_a", feature_set="traffic", train_s=0.3, test_s=0.7, window_s=0.1, bin_s=0.1
+    )
+    train, test = _trace_split(spec, rec)
     assert [v.window_index for v in train] == [0, 1, 2]
     assert [v.window_index for v in test] == [3, 4, 5, 6, 7, 8, 9]
     bad = dataclasses.replace(spec, train_s=0.25)
     with pytest.raises(ValueError, match="train_s=0.25"):
-        _split_vectors(vectors, rec, bad)
+        _trace_split(bad, rec)
 
 
 def test_vote_k_beyond_test_windows_fails(cohort):
@@ -430,6 +429,20 @@ def test_matrix_parallel_matches_serial(cohort):
     serial = run_matrix(specs, cohort, jobs=1)
     parallel = run_matrix(specs, cohort, jobs=2)
     for a, b in zip(serial, parallel):
+        assert report_to_dict(a) == report_to_dict(b)
+
+
+def test_matrix_isolates_a_failing_cell(cohort):
+    specs = [
+        ExperimentSpec(game_id=game, feature_set="traffic", model_kind=kind, **SHORT)
+        for game, kind in (("game_a", "logistic"), ("no_such_game", "logistic"), ("game_a", "qda"))
+    ]
+    serial = run_matrix(specs, cohort, jobs=1)
+    parallel = run_matrix(specs, cohort, jobs=2)
+    for results in (serial, parallel):
+        assert type(results[1]) is ValueError
+        assert str(results[1]) == "no traces for game 'no_such_game'"
+    for a, b in zip(serial[::2], parallel[::2]):
         assert report_to_dict(a) == report_to_dict(b)
 
 

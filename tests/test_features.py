@@ -8,8 +8,6 @@ import pytest
 
 from vrident.core import (
     MOVEMENT_CHANNELS,
-    MovementSample,
-    Pose,
     QUATERNION_SLICES,
     Trace,
     window_trace,
@@ -21,7 +19,6 @@ from vrident.features import (
     MinMaxScaler,
     TRAFFIC_FEATURE_NAMES,
     build_features,
-    derived_geometry,
     differential,
     feature_names,
     geometry_channels,
@@ -76,19 +73,18 @@ def test_differential_needs_two():
 
 # ---- derived geometry ----
 
-def head_at(py=1.7):
-    return Pose(0.0, py, 0.0, 1.0, 0.0, 0.0, 0.0)
+HEAD = (0.0, 1.7, 0.0, 1.0, 0.0, 0.0, 0.0)
+
+
+def geometry_of(head, left, right) -> np.ndarray:
+    """Geometry channels of one (head, left, right) pose row."""
+    return geometry_channels(np.array([head + left + right]))[0]
 
 
 def test_geometry_aligned_controller():
     # controller 1 m in front of the head (forward = -z), same orientation
-    s = MovementSample(
-        t=0.0,
-        head=head_at(),
-        left=Pose(0.0, 1.7, -1.0, 1.0, 0.0, 0.0, 0.0),
-        right=Pose(0.0, 1.7, -1.0, 1.0, 0.0, 0.0, 0.0),
-    )
-    d = derived_geometry(s)
+    ahead = (0.0, 1.7, -1.0, 1.0, 0.0, 0.0, 0.0)
+    d = geometry_of(HEAD, ahead, ahead)
     assert d[0] == pytest.approx(1.0)  # dist left-head
     assert d[1] == pytest.approx(1.0)  # dist right-head
     assert d[2] == pytest.approx(0.0)  # dist left-right
@@ -98,9 +94,8 @@ def test_geometry_aligned_controller():
 
 def test_geometry_quarter_turn_angle():
     half = math.pi / 4
-    q90y = Pose(0.0, 1.2, -0.5, math.cos(half), 0.0, math.sin(half), 0.0)
-    s = MovementSample(t=0.0, head=head_at(), left=q90y, right=q90y)
-    d = derived_geometry(s)
+    q90y = (0.0, 1.2, -0.5, math.cos(half), 0.0, math.sin(half), 0.0)
+    d = geometry_of(HEAD, q90y, q90y)
     assert d[3] == pytest.approx(math.pi / 2, abs=1e-12)
     assert d[4] == pytest.approx(math.pi / 2, abs=1e-12)
     assert d[5] == pytest.approx(0.0, abs=1e-12)  # controllers agree with each other
@@ -432,6 +427,21 @@ def test_write_feature_csv_round_layout(tmp_path):
     assert first[:3] == ["u7", "ga", "0"]
     assert len(first) == 3 + 28
     assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_failed_feature_csv_write_keeps_previous_file(tmp_path, monkeypatch):
+    vecs = build_features(full_trace(), "traffic")
+    out = tmp_path / "feats.csv"
+    out.write_text("previous\n")
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("os.replace", refuse)
+    with pytest.raises(OSError, match="disk full"):
+        write_feature_csv(out, vecs)
+    assert out.read_text() == "previous\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["feats.csv"]
 
 
 def test_write_feature_csv_rejects_mixed_sets(tmp_path):
