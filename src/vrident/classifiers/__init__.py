@@ -6,18 +6,10 @@ from .boosting import GradientBoosting
 from .ensemble import SoftVotingEnsemble
 from .gaussian import QuadraticDiscriminant
 from .logistic import LogisticOneVsRest
-from .serialize import MODEL_FORMAT_VERSION, load_model, save_model
+from .serialize import MODEL_CLASSES, MODEL_FORMAT_VERSION, load_model, save_model
 from .trees import ExtraTrees, FlatTree, RandomForest
 
-MODEL_KINDS = ("logistic", "qda", "random_forest", "extra_trees", "gbm", "ensemble")
-
-_REGISTRY = {
-    "logistic": LogisticOneVsRest,
-    "qda": QuadraticDiscriminant,
-    "random_forest": RandomForest,
-    "extra_trees": ExtraTrees,
-    "gbm": GradientBoosting,
-}
+MODEL_KINDS = (*MODEL_CLASSES, "ensemble")
 
 
 def make_model(kind: str, seed: int = 0, **params):
@@ -32,11 +24,11 @@ def make_model(kind: str, seed: int = 0, **params):
         if params:
             raise ValueError(f"unknown ensemble parameters: {sorted(params)}")
         if members is None:
-            members = [make_model(k, seed=seed) for k in MODEL_KINDS if k != "ensemble"]
+            members = [cls(seed=seed) for cls in MODEL_CLASSES.values()]
         return SoftVotingEnsemble(members)
-    if kind not in _REGISTRY:
+    if kind not in MODEL_CLASSES:
         raise ValueError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
-    return _REGISTRY[kind](seed=seed, **params)
+    return MODEL_CLASSES[kind](seed=seed, **params)
 
 
 __all__ = [

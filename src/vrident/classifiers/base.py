@@ -18,9 +18,12 @@ def check_matrix(X, n_features: int | None = None) -> np.ndarray:
 class Classifier:
     """Base for all models: fit(X, y) freezes a sorted label order, predict
     is the row-wise argmax of predict_proba (numpy argmax keeps the lowest
-    index on ties). Subclasses implement _fit(X, y_idx) and _proba(X)."""
+    index on ties). Subclasses implement _fit(X, y_idx) and _proba(X), and
+    for saving name their hyperparameters in ``param_names`` (saved-file
+    order) and implement fitted_state()/restore()."""
 
     kind = "base"
+    param_names: tuple[str, ...] = ()
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = int(seed)
@@ -55,15 +58,10 @@ class Classifier:
     def predict(self, X) -> np.ndarray:
         return self.labels_[np.argmax(self.predict_proba(X), axis=1)]
 
-    def metadata(self) -> dict:
-        info = {
-            "kind": self.kind,
-            "seed": self.seed,
-            "n_labels": None if self.labels_ is None else int(self.labels_.shape[0]),
-            "n_features": self.n_features_,
-        }
-        info.update(self._metadata())
-        return info
+    def fitted_state(self) -> dict:
+        """Fitted arrays as JSON values, keyed in saved-file order."""
+        raise NotImplementedError
 
-    def _metadata(self) -> dict:
-        return {}
+    def restore(self, state: dict) -> None:
+        """Set the fitted arrays from a saved fitted_state()."""
+        raise NotImplementedError

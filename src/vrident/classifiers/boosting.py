@@ -134,6 +134,7 @@ def _grow_regression_tree(X, order, xs, g, h, max_leaves, min_leaf) -> FlatTree:
 
 class GradientBoosting(Classifier):
     kind = "gbm"
+    param_names = ("n_rounds", "learning_rate", "max_leaves", "min_leaf")
 
     def __init__(
         self,
@@ -196,11 +197,12 @@ class GradientBoosting(Classifier):
     def _proba(self, X: np.ndarray) -> np.ndarray:
         return _softmax(self.decision_scores(X))
 
-    def _metadata(self) -> dict:
+    def fitted_state(self) -> dict:
         return {
-            "n_rounds": self.n_rounds,
-            "learning_rate": self.learning_rate,
-            "max_leaves": self.max_leaves,
-            "min_leaf": self.min_leaf,
+            "trees": [[t.to_json() for t in rnd] for rnd in self.trees_],
             "train_loss": list(self.train_loss_),
         }
+
+    def restore(self, state: dict) -> None:
+        self.trees_ = [[FlatTree.from_json(t) for t in rnd] for rnd in state["trees"]]
+        self.train_loss_ = [float(v) for v in state["train_loss"]]

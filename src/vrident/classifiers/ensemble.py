@@ -55,9 +55,3 @@ class SoftVotingEnsemble:
     def predict(self, X) -> np.ndarray:
         proba = self.predict_proba(X)
         return self.labels_[np.argmax(proba, axis=1)]
-
-    def metadata(self) -> dict:
-        return {
-            "kind": self.kind,
-            "members": [m.metadata() for m in self.members],
-        }

@@ -16,6 +16,7 @@ class QuadraticDiscriminant(Classifier):
     """
 
     kind = "qda"
+    param_names = ("ridge",)
 
     def __init__(self, ridge: float = 1e-6, seed: int = 0) -> None:
         super().__init__(seed)
@@ -74,5 +75,14 @@ class QuadraticDiscriminant(Classifier):
         e = np.exp(shifted)
         return e / e.sum(axis=1, keepdims=True)
 
-    def _metadata(self) -> dict:
-        return {"ridge": self.ridge}
+    def fitted_state(self) -> dict:
+        return {
+            "means": self.means_.tolist(),
+            "precisions": self.precisions_.tolist(),
+            "logdets": self.logdets_.tolist(),
+        }
+
+    def restore(self, state: dict) -> None:
+        self.means_ = np.array(state["means"], dtype=np.float64)
+        self.precisions_ = np.array(state["precisions"], dtype=np.float64)
+        self.logdets_ = np.array(state["logdets"], dtype=np.float64)

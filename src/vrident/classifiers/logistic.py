@@ -69,6 +69,7 @@ def _fit_binary(X_aug, y01, lam, tol, max_iter):
 
 class LogisticOneVsRest(Classifier):
     kind = "logistic"
+    param_names = ("lam", "tol", "max_iter")
 
     def __init__(
         self, lam: float = 1.0, tol: float = 1e-6, max_iter: int = 100, seed: int = 0
@@ -104,5 +105,9 @@ class LogisticOneVsRest(Classifier):
         s = self.scores(X)
         return s / s.sum(axis=1, keepdims=True)
 
-    def _metadata(self) -> dict:
-        return {"lam": self.lam, "tol": self.tol, "converged": all(self.converged_)}
+    def fitted_state(self) -> dict:
+        return {"weights": self.weights_.tolist(), "converged": list(self.converged_)}
+
+    def restore(self, state: dict) -> None:
+        self.weights_ = np.array(state["weights"], dtype=np.float64)
+        self.converged_ = [bool(v) for v in state["converged"]]

@@ -43,6 +43,25 @@ class FlatTree:
             active = active[self.feature[pos[active]] >= 0]
         return pos
 
+    def to_json(self) -> dict:
+        return {
+            "feature": self.feature.tolist(),
+            "threshold": self.threshold.tolist(),
+            "left": self.left.tolist(),
+            "right": self.right.tolist(),
+            "value": self.value.tolist(),
+        }
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "FlatTree":
+        return cls(
+            feature=np.array(obj["feature"], dtype=np.int64),
+            threshold=np.array(obj["threshold"], dtype=np.float64),
+            left=np.array(obj["left"], dtype=np.int64),
+            right=np.array(obj["right"], dtype=np.int64),
+            value=np.array(obj["value"], dtype=np.float64),
+        )
+
 
 class _TreeBuffers:
     def __init__(self) -> None:
@@ -178,6 +197,7 @@ class RandomForest(Classifier):
     """Bagged Gini trees; probability = mean of leaf class distributions."""
 
     kind = "random_forest"
+    param_names = ("n_trees", "bootstrap", "max_features")
 
     def __init__(
         self,
@@ -216,12 +236,11 @@ class RandomForest(Classifier):
             acc += tree.value[tree.apply(X)]
         return acc / len(self.trees_)
 
-    def _metadata(self) -> dict:
-        return {
-            "n_trees": self.n_trees,
-            "bootstrap": self.bootstrap,
-            "max_features": self.max_features,
-        }
+    def fitted_state(self) -> dict:
+        return {"trees": [t.to_json() for t in self.trees_]}
+
+    def restore(self, state: dict) -> None:
+        self.trees_ = [FlatTree.from_json(t) for t in state["trees"]]
 
 
 class ExtraTrees(RandomForest):

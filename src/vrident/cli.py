@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import __version__
 from .classifiers import MODEL_KINDS, make_model
-from .core import DEFAULT_WINDOW_S, TraceFormatError
+from .core import DEFAULT_WINDOW_S
 from .evaluation import (
     ExperimentSpec,
     cell_matrices,
@@ -75,21 +75,12 @@ class RunConfig:
     shapley_instances: int = 50
 
 
-_REQUIRED_KEYS = ("manifest", "feature_sets", "model_kinds")
-_OPTIONAL_KEYS = (
-    "seeds",
-    "games",
-    "out_dir",
-    "window_s",
-    "bin_s",
-    "train_s",
-    "test_s",
-    "vote_k",
-    "subset_sizes",
-    "model_params",
-    "shapley_permutations",
-    "shapley_instances",
-)
+_CONFIG_KEYS = {f.name for f in dataclasses.fields(RunConfig)}
+_REQUIRED_KEYS = {
+    f.name
+    for f in dataclasses.fields(RunConfig)
+    if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+}
 
 
 def _str_tuple(obj: dict, key: str, where: str) -> tuple[str, ...]:
@@ -138,10 +129,10 @@ def load_run_config(path: str) -> RunConfig:
         raise UsageError(f"{where}: invalid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise UsageError(f"{where}: config must be a JSON object")
-    unknown = sorted(set(obj) - set(_REQUIRED_KEYS) - set(_OPTIONAL_KEYS))
+    unknown = sorted(set(obj) - _CONFIG_KEYS)
     if unknown:
         raise UsageError(f"{where}: unknown config keys: {unknown}")
-    missing = sorted(set(_REQUIRED_KEYS) - set(obj))
+    missing = sorted(_REQUIRED_KEYS - set(obj))
     if missing:
         raise UsageError(f"{where}: missing config keys: {missing}")
 
@@ -225,7 +216,7 @@ def _resolve_jobs(flag_value: int | None) -> int:
 
 
 def _config_games(config: RunConfig, dataset) -> list[str]:
-    available = sorted({r.game_id for r in dataset.records})
+    available = dataset.game_ids()
     if not config.games:
         return available
     missing = sorted(set(config.games) - set(available))
@@ -267,7 +258,7 @@ def cmd_featurize(args) -> int:
     out_dir = _resolve_out_dir(args.out, "features")
     out_dir.mkdir(parents=True, exist_ok=True)
     n_features = len(feature_names(feature_set))
-    for game in sorted({r.game_id for r in dataset.records}):
+    for game in dataset.game_ids():
         records = sorted(dataset.for_game(game), key=lambda r: r.user_id)
         vectors = []
         for record in records:
@@ -502,16 +493,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except TraceFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # UsageError, TraceFormatError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

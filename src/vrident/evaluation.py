@@ -141,6 +141,8 @@ class ExperimentSpec:
             )
         if self.vote_k < 1 or self.vote_k % 2 == 0:
             raise ValueError(f"vote_k must be odd and >= 1, got {self.vote_k}")
+        if not self.window_s > 0:
+            raise ValueError(f"window_s must be positive, got {self.window_s}")
 
 
 @dataclass(frozen=True)

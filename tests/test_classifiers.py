@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -63,9 +65,6 @@ class FixedProba:
 
     def predict_proba(self, X):
         return np.tile(self._proba, (np.asarray(X).shape[0], 1))
-
-    def metadata(self):
-        return {"kind": self.kind}
 
 
 # ---------------------------------------------------------------- base
@@ -178,7 +177,7 @@ def test_gradient_matches_central_differences():
 def test_logistic_converges_on_easy_problem():
     X, y = blobs(seed=2)
     model = LogisticOneVsRest().fit(X, y)
-    assert model.metadata()["converged"] is True
+    assert all(model.converged_)
     assert (model.predict(X) == y).mean() > 0.9
 
 
@@ -519,6 +518,32 @@ def test_save_load_round_trip_ensemble(tmp_path):
     assert np.array_equal(loaded.predict_proba(Xq), model.predict_proba(Xq))
 
 
+# sha256 of each saved file below; captured with numpy 2.4.6 on x86-64. A
+# change to any of them changes the model file format.
+GOLDEN_MODEL_SHA256 = {
+    "logistic": "4629255086f8330f4095d94affcfa6dfafeae2629281529f35841c5d013101dc",
+    "qda": "1e255ffda01fb4c2d9e69af1e2e2bb41d74a1344220921aa7be01681334c2d31",
+    "random_forest": "d0e75fd44b2d0adc26a911d14baead415275f482753bda11f99d2255b3e1753f",
+    "extra_trees": "57e71f01d1573942738792197433889fdf622166c23aad5f492c2c0b1787dcff",
+    "gbm": "45035f4cdaf1dd6bcb1cb281300af2da265d8708839fcd5ee8f9cb5ba98ca8f3",
+    "ensemble": "cbdc508d32cb222afe4d38fd430e52c6bce6ece2d5430557f90639424bd733ac",
+}
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_saved_model_bytes_are_pinned(tmp_path, kind):
+    X, y = blobs(seed=73)
+    if kind == "ensemble":
+        model = SoftVotingEnsemble(
+            [cheap_model(k, seed=2) for k in MODEL_KINDS if k != "ensemble"]
+        )
+    else:
+        model = cheap_model(kind, seed=2)
+    path = tmp_path / f"{kind}.json"
+    save_model(model.fit(X, y), str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_MODEL_SHA256[kind]
+
+
 @pytest.mark.parametrize("failure", ["encode", "rename"])
 def test_failed_save_keeps_previous_model(tmp_path, monkeypatch, failure):
     X, y = blobs(seed=63)
@@ -556,6 +581,27 @@ def test_load_rejects_version_mismatch(tmp_path):
         json.dump(obj, fh)
     with pytest.raises(ValueError, match="format version"):
         load_model(path)
+
+
+@pytest.mark.parametrize(
+    "kind, edit, message",
+    [
+        ("logistic", lambda m: m["params"].update(bogus=1), "logistic model file: unknown param 'bogus'"),
+        ("logistic", lambda m: m.pop("weights"), "logistic model file: missing key 'weights'"),
+        ("gbm", lambda m: m["params"].pop("min_leaf"), "gbm model file: missing param 'min_leaf'"),
+        ("extra_trees", lambda m: m["params"].update(bootstrap=True), "extra_trees fixes it at False"),
+    ],
+    ids=["extra-param", "missing-state", "missing-param", "fixed-param"],
+)
+def test_load_rejects_malformed_model(tmp_path, kind, edit, message):
+    X, y = blobs(seed=79)
+    path = tmp_path / "m.json"
+    save_model(cheap_model(kind).fit(X, y), str(path))
+    obj = json.loads(path.read_text())
+    edit(obj["model"])
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_model(str(path))
 
 
 def test_load_rejects_unknown_kind(tmp_path):

@@ -133,6 +133,12 @@ def test_spec_rejects_bad_vote_k(k):
         ExperimentSpec(game_id="g", vote_k=k)
 
 
+@pytest.mark.parametrize("window_s", [0.0, -10.0, float("nan")])
+def test_spec_rejects_non_positive_window(window_s):
+    with pytest.raises(ValueError, match="window_s must be positive"):
+        ExperimentSpec(game_id="g", window_s=window_s)
+
+
 # ---- run_identification ----
 
 
