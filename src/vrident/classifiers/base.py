@@ -15,6 +15,18 @@ def check_matrix(X, n_features: int | None = None) -> np.ndarray:
     return X
 
 
+def saved_array(where: str, key: str, values, dtype, shape=None) -> np.ndarray:
+    """``values`` read from a model file as an array of ``dtype`` and, when
+    given, ``shape``; otherwise a ValueError naming ``where`` and ``key``."""
+    try:
+        arr = np.array(values, dtype=dtype)
+    except (TypeError, ValueError):
+        raise ValueError(f"{where}: {key!r} is not a rectangular array of numbers") from None
+    if shape is not None and arr.shape != shape:
+        raise ValueError(f"{where}: {key!r} has shape {arr.shape}, expected {shape}")
+    return arr
+
+
 class Classifier:
     """Base for all models: fit(X, y) freezes a sorted label order, predict
     is the row-wise argmax of predict_proba (numpy argmax keeps the lowest
@@ -63,5 +75,6 @@ class Classifier:
         raise NotImplementedError
 
     def restore(self, state: dict) -> None:
-        """Set the fitted arrays from a saved fitted_state()."""
+        """Set the fitted arrays from a saved fitted_state(), checking them
+        against ``labels_`` and ``n_features_``, which are set first."""
         raise NotImplementedError

@@ -204,5 +204,18 @@ class GradientBoosting(Classifier):
         }
 
     def restore(self, state: dict) -> None:
-        self.trees_ = [[FlatTree.from_json(t) for t in rnd] for rnd in state["trees"]]
+        k, where = self.labels_.shape[0], "gbm model file: 'trees'"
+        rounds = state["trees"]
+        if len(rounds) != self.n_rounds:
+            raise ValueError(f"{where} holds {len(rounds)} rounds, but n_rounds is {self.n_rounds}")
+        self.trees_ = []
+        for r, rnd in enumerate(rounds):
+            if len(rnd) != k:
+                raise ValueError(f"{where}[{r}] holds {len(rnd)} trees, expected {k}, one per label")
+            self.trees_.append(
+                [
+                    FlatTree.from_json(t, self.n_features_, 1, f"{where}[{r}][{c}]")
+                    for c, t in enumerate(rnd)
+                ]
+            )
         self.train_loss_ = [float(v) for v in state["train_loss"]]

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from .base import Classifier
+from .base import Classifier, saved_array
 
 
 class QuadraticDiscriminant(Classifier):
@@ -83,6 +83,10 @@ class QuadraticDiscriminant(Classifier):
         }
 
     def restore(self, state: dict) -> None:
-        self.means_ = np.array(state["means"], dtype=np.float64)
-        self.precisions_ = np.array(state["precisions"], dtype=np.float64)
-        self.logdets_ = np.array(state["logdets"], dtype=np.float64)
+        k, d = self.labels_.shape[0], self.n_features_
+        where = "qda model file"
+        self.means_ = saved_array(where, "means", state["means"], np.float64, (k, d))
+        self.precisions_ = saved_array(
+            where, "precisions", state["precisions"], np.float64, (k, d, d)
+        )
+        self.logdets_ = saved_array(where, "logdets", state["logdets"], np.float64, (k,))

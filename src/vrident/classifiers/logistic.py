@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import Classifier
+from .base import Classifier, saved_array
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -109,5 +109,8 @@ class LogisticOneVsRest(Classifier):
         return {"weights": self.weights_.tolist(), "converged": list(self.converged_)}
 
     def restore(self, state: dict) -> None:
-        self.weights_ = np.array(state["weights"], dtype=np.float64)
+        shape = (self.labels_.shape[0], self.n_features_ + 1)
+        self.weights_ = saved_array(
+            "logistic model file", "weights", state["weights"], np.float64, shape
+        )
         self.converged_ = [bool(v) for v in state["converged"]]

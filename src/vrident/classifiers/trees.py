@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import Classifier
+from .base import Classifier, check_matrix, saved_array
 
 
 @dataclass
@@ -43,6 +43,51 @@ class FlatTree:
             active = active[self.feature[pos[active]] >= 0]
         return pos
 
+    def walk_leaves(
+        self, x: np.ndarray, baseline: np.ndarray, rank: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Leaves reached along permutation walks from ``baseline`` to ``x``,
+        without building the walked rows.
+
+        ``rank[p, f]`` is the step at which walk p switches feature f from
+        ``baseline[f]`` to ``x[f]``; after step j the walked row holds x on
+        the features with ``rank[p] <= j`` and the baseline on the rest.
+        Where x and the baseline take the same side of a node, flipping its
+        feature cannot change the path; only the m features of nodes where
+        they part ways can. A walk therefore passes through at most m + 1
+        leaves, one per count of those features flipped, and the tree is
+        descended once per (walk, count).
+
+        Returns ``(leaves, held)``, walk by walk in step order: a walk stays
+        in ``leaves[i]`` for ``held[i]`` consecutive steps, so
+        ``np.repeat(leaves, held).reshape(rank.shape)`` is, at every step,
+        the leaf ``apply`` gives the walked row.
+        """
+        n_walks, d = rank.shape
+        split = self.feature >= 0
+        feat = np.where(split, self.feature, 0)
+        x_left = x[feat] <= self.threshold
+        b_left = baseline[feat] <= self.threshold
+        parted = np.unique(self.feature[split & (x_left != b_left)])
+        # cut[p, c]: the step at which walk p flips the (c+1)-th parted
+        # feature, so exactly c of them are flipped on steps
+        # [cut[p, c-1], cut[p, c]); the last count holds up to step d
+        cut = np.concatenate(
+            [np.sort(rank[:, parted], axis=1), np.full((n_walks, 1), d)], axis=1
+        )
+        held = np.diff(cut, axis=1, prepend=0).ravel()
+        walk = np.repeat(np.arange(n_walks), cut.shape[1])
+        cut = cut.ravel()
+        pos = np.zeros(cut.shape[0], dtype=np.int64)
+        active = np.flatnonzero(split[pos])
+        while active.size:
+            node = pos[active]
+            flipped = rank[walk[active], self.feature[node]] < cut[active]
+            go_left = np.where(flipped, x_left[node], b_left[node])
+            pos[active] = np.where(go_left, self.left[node], self.right[node])
+            active = active[split[pos[active]]]
+        return pos, held
+
     def to_json(self) -> dict:
         return {
             "feature": self.feature.tolist(),
@@ -53,14 +98,40 @@ class FlatTree:
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "FlatTree":
-        return cls(
-            feature=np.array(obj["feature"], dtype=np.int64),
-            threshold=np.array(obj["threshold"], dtype=np.float64),
-            left=np.array(obj["left"], dtype=np.int64),
-            right=np.array(obj["right"], dtype=np.int64),
-            value=np.array(obj["value"], dtype=np.float64),
+    def from_json(cls, obj: dict, n_features: int, width: int, where: str) -> "FlatTree":
+        """The tree saved by to_json, checked so that ``apply`` on rows of
+        ``n_features`` values only reads nodes that exist and always ends
+        in a leaf with ``width`` values; otherwise a ValueError naming
+        ``where`` and the key."""
+        feature = saved_array(where, "feature", obj["feature"], np.int64)
+        if feature.ndim != 1 or feature.size == 0:
+            raise ValueError(f"{where}: 'feature' has shape {feature.shape}, expected (n_nodes,)")
+        n = feature.shape[0]
+        tree = cls(
+            feature=feature,
+            threshold=saved_array(where, "threshold", obj["threshold"], np.float64, (n,)),
+            left=saved_array(where, "left", obj["left"], np.int64, (n,)),
+            right=saved_array(where, "right", obj["right"], np.int64, (n,)),
+            value=saved_array(where, "value", obj["value"], np.float64, (n, width)),
         )
+        bad = np.flatnonzero(feature >= n_features)
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(
+                f"{where}: 'feature' of node {i} is {feature[i]}, "
+                f"but the model has {n_features} features"
+            )
+        # children after their parent: every descent moves forward and stops
+        split = np.flatnonzero(feature >= 0)
+        for key, child in (("left", tree.left), ("right", tree.right)):
+            bad = split[(child[split] <= split) | (child[split] >= n)]
+            if bad.size:
+                i = int(bad[0])
+                raise ValueError(
+                    f"{where}: {key!r} child of node {i} is {child[i]}, "
+                    f"expected a node in {i + 1}..{n - 1}"
+                )
+        return tree
 
 
 class _TreeBuffers:
@@ -236,11 +307,31 @@ class RandomForest(Classifier):
             acc += tree.value[tree.apply(X)]
         return acc / len(self.trees_)
 
+    def walk_proba(self, x, baseline, rank: np.ndarray, col: int) -> np.ndarray:
+        """Probability column ``col`` at every step of permutation walks from
+        ``baseline`` to ``x`` (see FlatTree.walk_leaves): entry [p, j] equals,
+        bit for bit, ``predict_proba`` of the walked row at step j, as the
+        same leaf values are summed in the same tree order as in _proba."""
+        if self.labels_ is None:
+            raise ValueError(f"{self.kind} model is not fitted")
+        x, baseline = check_matrix(np.stack([x, baseline]), self.n_features_)
+        acc = np.zeros(rank.shape)
+        for tree in self.trees_:
+            leaves, held = tree.walk_leaves(x, baseline, rank)
+            acc += np.repeat(tree.value[leaves, col], held).reshape(rank.shape)
+        return acc / len(self.trees_)
+
     def fitted_state(self) -> dict:
         return {"trees": [t.to_json() for t in self.trees_]}
 
     def restore(self, state: dict) -> None:
-        self.trees_ = [FlatTree.from_json(t) for t in state["trees"]]
+        k, where = self.labels_.shape[0], f"{self.kind} model file: 'trees'"
+        trees = state["trees"]
+        if len(trees) != self.n_trees:
+            raise ValueError(f"{where} holds {len(trees)} trees, but n_trees is {self.n_trees}")
+        self.trees_ = [
+            FlatTree.from_json(t, self.n_features_, k, f"{where}[{i}]") for i, t in enumerate(trees)
+        ]
 
 
 class ExtraTrees(RandomForest):

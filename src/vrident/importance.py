@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .classifiers import RandomForest
 from .ingest import atomic_write_text
 
 _EXACT_LIMIT = 5040  # 7!
@@ -54,35 +55,46 @@ def _instance_rng(seed: int, position: int) -> np.random.Generator:
     )
 
 
-def _walk_permutations(model, col, x, baseline, v_base, perms, chunk_perms):
-    """Marginal-contribution sums over the given permutations of one instance."""
+def _step_ranks(perms: np.ndarray) -> np.ndarray:
+    """rank[p, f]: the step at which walk p flips feature f (perms inverted)."""
+    n_perm, d = perms.shape
+    rank = np.empty_like(perms)
+    rank[np.arange(n_perm)[:, None], perms] = np.arange(d)[None, :]
+    return rank
+
+
+def _walk_values(model, col, x, baseline, perms, chunk_perms):
+    """v[p, j]: probability column ``col`` once walk p has completed step j,
+    i.e. of the row holding x on the first j + 1 features of perms[p] and
+    the baseline elsewhere. Forests compute it without building the rows;
+    any other model scores the rows, ``chunk_perms`` walks at a time."""
+    rank = _step_ranks(perms)
+    if isinstance(model, RandomForest):
+        return model.walk_proba(x, baseline, rank, col)
     d = x.shape[0]
-    n_perm = perms.shape[0]
-    blocks = []
-    v_full = None
     steps = np.arange(d)
-    for start in range(0, n_perm, chunk_perms):
-        P = perms[start : start + chunk_perms]
-        b = P.shape[0]
-        row_ids = np.arange(b)[:, None]
-        rank = np.empty_like(P)
-        rank[row_ids, P] = steps[None, :]
+    blocks = []
+    for start in range(0, rank.shape[0], chunk_perms):
+        R = rank[start : start + chunk_perms]
+        b = R.shape[0]
         # mask[p, j, f]: has feature f flipped to the instance value once the
         # walk of permutation p completed step j?
-        mask = rank[:, None, :] <= steps[None, :, None]
+        mask = R[:, None, :] <= steps[None, :, None]
         rows = np.where(mask, x[None, None, :], baseline[None, None, :])
-        v = model.predict_proba(rows.reshape(b * d, d))[:, col].reshape(b, d)
-        if v_full is None:
-            v_full = float(v[0, -1])
-        prev = np.concatenate([np.full((b, 1), v_base), v[:, :-1]], axis=1)
-        marg_steps = v - prev
-        marg = np.empty_like(marg_steps)
-        marg[row_ids, P] = marg_steps
-        blocks.append(marg)
-    # one fixed-order reduction over all permutations, so the chunk size is
-    # purely a memory knob and never shows up in the result
-    marg_all = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=0)
-    return marg_all.sum(axis=0), (marg_all**2).sum(axis=0), v_full
+        blocks.append(model.predict_proba(rows.reshape(b * d, d))[:, col].reshape(b, d))
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=0)
+
+
+def _marginal_sums(v, perms, v_base):
+    """Per-feature sums and sums of squares of the marginal contributions of
+    the walks ``v`` (see _walk_values), and v(instance)."""
+    n_perm = v.shape[0]
+    prev = np.concatenate([np.full((n_perm, 1), v_base), v[:, :-1]], axis=1)
+    marg = np.empty(v.shape)
+    marg[np.arange(n_perm)[:, None], perms] = v - prev
+    # one fixed-order reduction over all permutations, so neither the walk
+    # nor its chunk size shows up in the result
+    return marg.sum(axis=0), (marg**2).sum(axis=0), float(v[0, -1])
 
 
 def shapley_attribution(
@@ -103,6 +115,13 @@ def shapley_attribution(
     instance from a per-instance Philox stream (deterministic given seed);
     ``method="exact"`` enumerates all d! orders and ignores both the seed
     and ``n_permutations`` (refused above 7 features).
+
+    Random forests and extra trees walk each tree without building the
+    masked rows (``RandomForest.walk_proba``); every other model scores the
+    rows, and ``chunk_rows`` bounds how many it scores at once. Neither
+    choice changes a bit of the result. A non-finite baseline value or
+    value in a walked test row is reported, by row and feature name,
+    before any walk starts.
     """
     X = np.asarray(X_test, dtype=np.float64)
     y = np.asarray(y_test)
@@ -142,6 +161,20 @@ def shapley_attribution(
         raise ValueError(f"labels unknown to the model: {missing}")
 
     keep = _subsample_rows(y, max_per_label)
+    # every walked row holds only baseline and kept-row values, so checking
+    # them here, before any walk, checks every row a walk can score
+    bad = np.flatnonzero(~np.isfinite(baseline))
+    if bad.size:
+        f = int(bad[0])
+        raise ValueError(
+            f"baseline feature {feature_names[f]!r} is not finite ({float(baseline[f])!r})"
+        )
+    bad = np.argwhere(~np.isfinite(X[keep]))
+    if bad.size:
+        row, f = int(keep[bad[0, 0]]), int(bad[0, 1])
+        raise ValueError(
+            f"test row {row}, feature {feature_names[f]!r}, is not finite ({float(X[row, f])!r})"
+        )
     chunk_perms = max(1, chunk_rows // max(d, 1))
     base_probas = model.predict_proba(baseline[None, :])[0]
 
@@ -150,7 +183,6 @@ def shapley_attribution(
     total_sum = np.zeros(d)
     total_sumsq = np.zeros(d)
     for pos, row in enumerate(keep.tolist()):
-        x = X[row]
         col = int(cols[row])
         v_base = float(base_probas[col])
         if method == "exact":
@@ -158,9 +190,8 @@ def shapley_attribution(
         else:
             rng = _instance_rng(seed, pos)
             perms = np.stack([rng.permutation(d) for _ in range(n_permutations)])
-        sums, sumsq, v_full = _walk_permutations(
-            model, col, x, baseline, v_base, perms, chunk_perms
-        )
+        v = _walk_values(model, col, X[row], baseline, perms, chunk_perms)
+        sums, sumsq, v_full = _marginal_sums(v, perms, v_base)
         mean = sums / n_permutations
         per_instance[pos] = mean
         gaps[pos] = abs(float(mean.sum()) - (v_full - v_base))

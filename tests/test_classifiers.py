@@ -590,8 +590,80 @@ def test_load_rejects_version_mismatch(tmp_path):
         ("logistic", lambda m: m.pop("weights"), "logistic model file: missing key 'weights'"),
         ("gbm", lambda m: m["params"].pop("min_leaf"), "gbm model file: missing param 'min_leaf'"),
         ("extra_trees", lambda m: m["params"].update(bootstrap=True), "extra_trees fixes it at False"),
+        (
+            "extra_trees",
+            lambda m: m["trees"][1]["feature"].__setitem__(0, 9),
+            "extra_trees model file: 'trees'[1]: 'feature' of node 0 is 9, "
+            "but the model has 2 features",
+        ),
+        (
+            "extra_trees",
+            lambda m: m["trees"][0].update(value=[row[:1] for row in m["trees"][0]["value"]]),
+            "extra_trees model file: 'trees'[0]: 'value' has shape",
+        ),
+        (
+            "random_forest",
+            lambda m: m["trees"][0]["value"][0].pop(),
+            "random_forest model file: 'trees'[0]: 'value' is not a rectangular array of numbers",
+        ),
+        (
+            "random_forest",
+            lambda m: m["trees"][2]["threshold"].pop(),
+            "random_forest model file: 'trees'[2]: 'threshold' has shape",
+        ),
+        (
+            "random_forest",
+            lambda m: m["trees"][0]["left"].__setitem__(0, 0),
+            "random_forest model file: 'trees'[0]: 'left' child of node 0 is 0",
+        ),
+        (
+            "random_forest",
+            lambda m: m["trees"][0]["right"].__setitem__(0, len(m["trees"][0]["right"])),
+            "random_forest model file: 'trees'[0]: 'right' child of node 0 is",
+        ),
+        ("random_forest", lambda m: m["trees"].pop(), "'trees' holds 4 trees, but n_trees is 5"),
+        (
+            "gbm",
+            lambda m: m["trees"][0][1].update(value=[v * 2 for v in m["trees"][0][1]["value"]]),
+            "gbm model file: 'trees'[0][1]: 'value' has shape",
+        ),
+        ("gbm", lambda m: m["trees"][3].pop(), "gbm model file: 'trees'[3] holds 2 trees"),
+        (
+            "logistic",
+            lambda m: m.update(weights=[w[:2] for w in m["weights"]]),
+            "logistic model file: 'weights' has shape (3, 2), expected (3, 3)",
+        ),
+        (
+            "qda",
+            lambda m: m.update(means=m["means"][:2]),
+            "qda model file: 'means' has shape (2, 2), expected (3, 2)",
+        ),
+        (
+            "qda",
+            lambda m: m.update(precisions=[p[:1] for p in m["precisions"]]),
+            "qda model file: 'precisions' has shape (3, 1, 2), expected (3, 2, 2)",
+        ),
+        ("qda", lambda m: m["logdets"].append(0.0), "qda model file: 'logdets' has shape (4,)"),
     ],
-    ids=["extra-param", "missing-state", "missing-param", "fixed-param"],
+    ids=[
+        "extra-param",
+        "missing-state",
+        "missing-param",
+        "fixed-param",
+        "tree-feature-out-of-range",
+        "tree-value-too-narrow",
+        "tree-value-ragged",
+        "tree-arrays-unequal",
+        "tree-child-not-after-parent",
+        "tree-child-out-of-range",
+        "forest-tree-count",
+        "gbm-value-too-wide",
+        "gbm-round-tree-count",
+        "logistic-weights",
+        "qda-means",
+        "qda-precisions",
+        "qda-logdets",
+    ],
 )
 def test_load_rejects_malformed_model(tmp_path, kind, edit, message):
     X, y = blobs(seed=79)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vrident.core import (
     Dataset,
@@ -214,6 +216,45 @@ def test_windowing_partitions_samples():
     assert np.array_equal(covered, in_range)
     for w in wins:
         assert ((w.movement_t >= w.t_start) & (w.movement_t < w.t_start + 10.0)).all()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n_windows=st.integers(1, 6),
+    window_s=st.sampled_from([0.1, 0.25, 0.3, 1.0, 2.5, 10.0]),
+    tail=st.floats(0.0, 0.9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_windows_partition_the_half_open_span(n_windows, window_s, tail, seed):
+    # movement samples and packets at random times and on the window edges;
+    # each one in [0, n * window_s) lands in exactly one window, whose
+    # half-open span holds it, so an edge sample opens the later window
+    rng = np.random.default_rng(seed)
+    edges = np.arange(n_windows + 1, dtype=np.float64) * window_s
+    duration = (n_windows + tail) * window_s
+
+    def times(n):
+        t = np.concatenate([rng.uniform(0.0, duration, n), rng.choice(edges, n // 2)])
+        return np.sort(t)
+
+    mt, pt = times(int(rng.integers(0, 40))), times(int(rng.integers(0, 40)))
+    movement = np.zeros((mt.shape[0], 21))
+    movement[:, [3, 10, 17]] = 1.0
+    tr = Trace("u", "g", duration, mt, movement, pt, np.ones(pt.shape[0]), np.zeros(pt.shape[0]))
+    wins = window_trace(tr, window_s)
+    assert [w.index for w in wins] == list(range(n_windows))
+    for t, lo, hi in ((mt, "m_lo", "m_hi"), (pt, "p_lo", "p_hi")):
+        owner = np.full(t.shape[0], -1)
+        for w in wins:
+            assert w.t_start == edges[w.index]
+            part = slice(getattr(w, lo), getattr(w, hi))
+            assert (owner[part] == -1).all()
+            owner[part] = w.index
+        inside = t < edges[-1]
+        assert (owner[inside] == np.searchsorted(edges, t[inside], side="right") - 1).all()
+        assert (owner[~inside] == -1).all()
+        for k, edge in enumerate(edges[:-1]):
+            assert (owner[t == edge] == k).all()
 
 
 def test_window_traffic_slices():

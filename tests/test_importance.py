@@ -221,6 +221,32 @@ def test_bad_arguments_are_rejected():
         shapley_attribution(model, X, np.array([1, 0]), b)
 
 
+class CountingToy(LinearToy):
+    calls = 0
+
+    def predict_proba(self, X):
+        self.calls += 1
+        return super().predict_proba(X)
+
+
+def test_non_finite_walked_values_are_named_before_any_walk():
+    X = np.arange(12.0).reshape(4, 3)
+    y = np.array([0, 1, 0, 1])
+    names = ("a", "b", "c")
+    X[2, 1] = np.nan
+    model = CountingToy(np.ones(3) / 30)
+    with pytest.raises(ValueError, match=r"test row 2, feature 'b', is not finite \(nan\)"):
+        shapley_attribution(model, X, y, np.zeros(3), max_per_label=2, feature_names=names)
+    assert model.calls == 0
+    baseline = np.array([0.0, 0.0, np.inf])
+    with pytest.raises(ValueError, match=r"baseline feature 'c' is not finite \(inf\)"):
+        shapley_attribution(model, X, y, baseline, feature_names=names)
+    assert model.calls == 0
+    # row 2 is never walked when one instance per label is kept
+    res = shapley_attribution(model, X, y, np.zeros(3), n_permutations=2, max_per_label=1)
+    assert res.instance_rows.tolist() == [0, 1]
+
+
 def test_exact_enumeration_refuses_wide_matrices():
     model = LinearToy(np.ones(8))
     model.labels_ = np.array([0, 1])

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vrident.core import DIR_DL, DIR_UL, TraceFormatError
+from vrident.core import DIR_DL, DIR_UL, MOVEMENT_CHANNELS, TraceFormatError
 from vrident.ingest import (
     GameProfile,
     MOVEMENT_HEADER,
@@ -167,6 +171,58 @@ def test_traffic_round_trip_byte_identical(tmp_path):
     src.write_text(VALID_TRAFFIC)
     write_traffic_csv(dst, *parse_traffic_csv(src))
     assert dst.read_bytes() == src.read_bytes()
+
+
+BAD_CELLS = st.sampled_from(["oops", "1.2.3", "", "--1", "0x10"])
+
+
+def corrupt_cell(path, row, col, text):
+    """Replace the cell at data row ``row``, column ``col`` of a CSV file."""
+    lines = path.read_text().split("\n")
+    cells = lines[row + 1].split(",")
+    cells[col] = text
+    lines[row + 1] = ",".join(cells)
+    path.write_text("\n".join(lines))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30), bad=BAD_CELLS)
+def test_movement_write_read_round_trip_and_corrupted_cell(seed, n, bad):
+    rng = np.random.default_rng(seed)
+    t = np.sort(rng.uniform(0.0, 1e4, n))
+    movement = rng.uniform(-1e6, 1e6, (n, 21)) * rng.choice([1.0, 1e-7, 0.0], (n, 21))
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "a.csv", Path(tmp) / "b.csv"
+        write_movement_csv(first, t, movement)
+        write_movement_csv(second, *parse_movement_csv(first))
+        assert second.read_bytes() == first.read_bytes()
+        row, col = int(rng.integers(n)), int(rng.integers(22))
+        corrupt_cell(first, row, col, bad)
+        name = "t" if col == 0 else MOVEMENT_CHANNELS[col - 1]
+        with pytest.raises(TraceFormatError) as err:
+            parse_movement_csv(first)
+        assert str(err.value) == f"{first}: line {row + 2}: invalid number {bad!r} in column {name}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30), bad=BAD_CELLS)
+def test_traffic_write_read_round_trip_and_corrupted_cell(seed, n, bad):
+    rng = np.random.default_rng(seed)
+    t = np.sort(rng.uniform(0.0, 1e4, n))
+    t[1::3] = t[::3][: t[1::3].shape[0]]  # equal timestamps are allowed
+    sizes = rng.integers(1, 65536, n)
+    dirs = rng.choice([DIR_UL, DIR_DL], n)
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "a.csv", Path(tmp) / "b.csv"
+        write_traffic_csv(first, t, sizes, dirs)
+        write_traffic_csv(second, *parse_traffic_csv(first))
+        assert second.read_bytes() == first.read_bytes()
+        row, col = int(rng.integers(n)), int(rng.integers(2))
+        corrupt_cell(first, row, col, bad)
+        kind, name = ("number", "t") if col == 0 else ("integer", "size_bytes")
+        with pytest.raises(TraceFormatError) as err:
+            parse_traffic_csv(first)
+        assert str(err.value) == f"{first}: line {row + 2}: invalid {kind} {bad!r} in column {name}"
 
 
 def test_written_files_use_lf_and_six_decimals(tmp_path):
