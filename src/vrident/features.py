@@ -338,6 +338,6 @@ def write_feature_csv(path: str, vectors: list[FeatureVector]) -> None:
         raise ValueError(f"mixed feature sets in one matrix: {sorted(sets)}")
     lines = ["user_id,game_id,window_index," + ",".join(vectors[0].names)]
     for v in vectors:
-        vals = ",".join(repr(float(x)) for x in v.values)
+        vals = ",".join(map(repr, v.values.tolist()))
         lines.append(f"{v.user_id},{v.game_id},{v.window_index},{vals}")
     atomic_write_text(path, "\n".join(lines) + "\n")

@@ -6,13 +6,19 @@ Movement CSV: header ``t,head_px,...,right_qz`` (22 columns, verbatim), one
 row per 60 Hz sample, floats printed with 6 fractional digits, UTF-8, LF
 line endings. Traffic CSV: header ``t,size_bytes,dir``; ``dir`` is exactly
 ``UL`` or ``DL`` (case-sensitive) and sizes are integers >= 1. Timestamps
-must be non-decreasing and finite in both files. Parse errors name the
-offending 1-based line number; files written here re-parse byte-identically.
+must be non-decreasing and finite in both files, and sizes fit in int64.
+Parse errors name the offending 1-based line number; files written here
+re-parse byte-identically.
+
+Files of plain decimal ASCII rows are read in one ``np.loadtxt`` pass and
+every other file line by line; both readers accept the same grammar and raise
+the same error messages (see the parsing section below).
 
 Manifest: a JSON file with ``games`` (id -> {"category": "fast"|"slow"})
 and ``traces`` (user_id, game_id, movement/traffic paths relative to the
-manifest, optional duration_s). duration_s exists because the last sample
-timestamp undercounts the capture length by one sample period.
+manifest, optional duration_s, a finite number > 0). duration_s exists
+because the last sample timestamp undercounts the capture length by one
+sample period.
 
 Synthetic cohorts
 -----------------
@@ -29,10 +35,13 @@ every user identical parameters but independent noise streams.
 """
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
+import sys
 import tempfile
+import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -53,7 +62,6 @@ from .core import (
 MOVEMENT_HEADER = "t," + ",".join(MOVEMENT_CHANNELS)
 TRAFFIC_HEADER = "t,size_bytes,dir"
 GAME_CATEGORIES = ("fast", "slow")
-_DIR_NAMES = {DIR_UL: "UL", DIR_DL: "DL"}
 _DIR_CODES = {"UL": DIR_UL, "DL": DIR_DL}
 
 
@@ -72,13 +80,56 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 
 
 # ---- parsing ----------------------------------------------------------------
+#
+# Each parser first reads the whole file in one ``np.loadtxt`` pass. That pass
+# only takes files in a plain grammar on which it agrees with the per-line
+# parser: the verbatim header, then rows of plain decimal ASCII with no blank
+# line (loadtxt would skip one). Any other file, and any file whose fast read
+# turns up a non-finite value, a decreasing timestamp, a size below 1 or a bad
+# dir, goes to the per-line parser, the one source of every error message.
+# ``comments=None`` keeps ``#`` from starting a comment: by default loadtxt
+# reads ``1.0#x`` as 1.0, which float() rejects.
 
-def _data_lines(path: Path, expected_header: str) -> list[tuple[int, str]]:
-    """(1-based line number, text) pairs for data rows, header verified."""
+_MOVEMENT_BYTES = b"0123456789.-,\n"
+_TRAFFIC_BYTES = _MOVEMENT_BYTES + b"DLU"
+_TRAFFIC_ROW = np.dtype([("t", np.float64), ("size_bytes", np.int64), ("dir", "S3")])
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _read_trace_text(path: Path) -> str:
     try:
-        text = path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8")
     except FileNotFoundError:
         raise TraceFormatError(f"{path}: file not found") from None
+
+
+def _plain_rows(text: str, header: str, alphabet: bytes, dtype, ndmin: int) -> np.ndarray | None:
+    """The data rows of ``text`` from one ``np.loadtxt`` pass, or None when
+    ``text`` strays from the plain grammar or the pass rejects a row."""
+    prefix = header + "\n"
+    if not (text.startswith(prefix) and text.isascii()):
+        return None
+    body = text[len(prefix):].encode("ascii")
+    if not body or body.startswith(b"\n") or b"\n\n" in body or body.translate(None, alphabet):
+        return None
+    try:
+        with warnings.catch_warnings():
+            # numpy < 2 reads "12.0" into an int column, with this warning
+            warnings.simplefilter("error", DeprecationWarning)
+            rows = np.loadtxt(
+                io.BytesIO(body), dtype=dtype, delimiter=",", comments=None, ndmin=ndmin
+            )
+    except (ValueError, DeprecationWarning):
+        return None
+    return rows
+
+
+def _nondecreasing(t: np.ndarray) -> bool:
+    return not (np.diff(t) < 0).any()
+
+
+def _data_lines(path: Path, text: str, expected_header: str) -> list[tuple[int, str]]:
+    """(1-based line number, text) pairs for data rows, header verified."""
     lines = text.split("\n")
     if not lines or lines[0] != expected_header:
         got = lines[0] if lines else ""
@@ -106,7 +157,20 @@ def _check_monotone(path: Path, t: np.ndarray, first_data_line: np.ndarray) -> N
 def parse_movement_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Read a movement CSV into (timestamps (n,), channels (n, 21))."""
     path = Path(path)
-    rows = _data_lines(path, MOVEMENT_HEADER)
+    text = _read_trace_text(path)
+    rows = _plain_rows(text, MOVEMENT_HEADER, _MOVEMENT_BYTES, np.float64, ndmin=2)
+    if (
+        rows is None
+        or rows.shape[1] != len(MOVEMENT_CHANNELS) + 1
+        or not np.isfinite(rows).all()
+        or not _nondecreasing(rows[:, 0])
+    ):
+        return _parse_movement_lines(path, text)
+    return rows[:, 0], rows[:, 1:]
+
+
+def _parse_movement_lines(path: Path, text: str) -> tuple[np.ndarray, np.ndarray]:
+    rows = _data_lines(path, text, MOVEMENT_HEADER)
     n_cols = len(MOVEMENT_CHANNELS) + 1
     cells = []
     for lineno, line in rows:
@@ -140,7 +204,23 @@ def parse_movement_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
 def parse_traffic_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read a traffic CSV into (timestamps (m,), sizes (m,), directions (m,))."""
     path = Path(path)
-    rows = _data_lines(path, TRAFFIC_HEADER)
+    text = _read_trace_text(path)
+    rows = _plain_rows(text, TRAFFIC_HEADER, _TRAFFIC_BYTES, _TRAFFIC_ROW, ndmin=1)
+    if rows is not None:
+        t, size = rows["t"], rows["size_bytes"]
+        ul = rows["dir"] == b"UL"
+        if (
+            (ul | (rows["dir"] == b"DL")).all()
+            and (size >= 1).all()
+            and np.isfinite(t).all()
+            and _nondecreasing(t)
+        ):
+            return t.copy(), size.copy(), np.where(ul, DIR_UL, DIR_DL).astype(np.uint8)
+    return _parse_traffic_lines(path, text)
+
+
+def _parse_traffic_lines(path: Path, text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    rows = _data_lines(path, text, TRAFFIC_HEADER)
     ts, sizes, dirs, linenos = [], [], [], []
     for lineno, line in rows:
         parts = line.split(",")
@@ -163,6 +243,10 @@ def parse_traffic_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndar
             ) from None
         if size < 1:
             raise TraceFormatError(f"{path}: line {lineno}: size_bytes must be >= 1, got {size}")
+        if size > _INT64_MAX:
+            raise TraceFormatError(
+                f"{path}: line {lineno}: integer {size_str!r} out of range in column size_bytes"
+            )
         if dir_str not in _DIR_CODES:
             raise TraceFormatError(
                 f"{path}: line {lineno}: dir must be 'UL' or 'DL' (case-sensitive), got {dir_str!r}"
@@ -177,21 +261,28 @@ def parse_traffic_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 
 # ---- writing ----------------------------------------------------------------
+#
+# One %-format per row over Python numbers from .tolist(): '%.6f' % x and
+# f"{x:.6f}" go through the same CPython float formatting, so the bytes are
+# those of formatting each value on its own, for about half the time.
+
+_DIR_ENDINGS = {DIR_UL: ",UL\n", DIR_DL: ",DL\n"}
+
 
 def write_movement_csv(path: str | Path, movement_t: np.ndarray, movement: np.ndarray) -> None:
-    lines = [MOVEMENT_HEADER]
-    for t, row in zip(movement_t, movement):
-        lines.append(f"{t:.6f}," + ",".join(f"{v:.6f}" for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    rows = np.column_stack((movement_t, movement))
+    row_format = ",".join(["%.6f"] * rows.shape[1]) + "\n"
+    body = "".join([row_format % tuple(row) for row in rows.tolist()])
+    atomic_write_text(path, MOVEMENT_HEADER + "\n" + body)
 
 
 def write_traffic_csv(
     path: str | Path, traffic_t: np.ndarray, traffic_size: np.ndarray, traffic_dir: np.ndarray
 ) -> None:
-    lines = [TRAFFIC_HEADER]
-    for t, size, d in zip(traffic_t, traffic_size, traffic_dir):
-        lines.append(f"{t:.6f},{int(size)},{_DIR_NAMES[int(d)]}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    endings = [_DIR_ENDINGS[d] for d in traffic_dir.tolist()]
+    rows = zip(traffic_t.tolist(), traffic_size.tolist(), endings)
+    body = "".join(map("%.6f,%d%s".__mod__, rows))
+    atomic_write_text(path, TRAFFIC_HEADER + "\n" + body)
 
 
 # ---- manifest ---------------------------------------------------------------
@@ -263,8 +354,15 @@ def load_manifest(path: str | Path) -> Manifest:
             raise TraceFormatError(f"{path}: {where}: duplicate trace for {key}")
         seen.add(key)
         dur = item.get("duration_s")
-        if dur is not None and (not isinstance(dur, (int, float)) or dur <= 0):
-            raise TraceFormatError(f"{path}: {where}: duration_s must be a positive number")
+        # json.loads takes NaN and Infinity, and bool is an int subclass
+        if dur is not None and (
+            isinstance(dur, bool)
+            or not isinstance(dur, (int, float))
+            or not 0 < dur <= sys.float_info.max
+        ):
+            raise TraceFormatError(
+                f"{path}: {where}: duration_s must be a positive finite number, got {dur!r}"
+            )
         entries.append(
             ManifestEntry(
                 user_id=str(item["user_id"]),

@@ -429,6 +429,16 @@ def test_write_feature_csv_round_layout(tmp_path):
     assert not list(tmp_path.glob("*.tmp"))
 
 
+def test_feature_csv_values_are_per_value_reprs(tmp_path):
+    vecs = build_features(full_trace(), "combined")
+    out = tmp_path / "feats.csv"
+    write_feature_csv(out, vecs)
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == len(vecs)
+    for v, row in zip(vecs, rows):
+        assert row.split(",", 3)[3] == ",".join(repr(float(x)) for x in v.values)
+
+
 def test_failed_feature_csv_write_keeps_previous_file(tmp_path, monkeypatch):
     vecs = build_features(full_trace(), "traffic")
     out = tmp_path / "feats.csv"

@@ -317,6 +317,28 @@ def test_manifest_rejects_duplicates(tmp_path):
         load_manifest(write_manifest(tmp_path, data))
 
 
+@pytest.mark.parametrize(
+    "raw", ["NaN", "Infinity", "-Infinity", "true", "false", "0", "-1.5", '"60"', "1" + "0" * 400]
+)
+def test_manifest_rejects_bad_duration(tmp_path, raw):
+    text = json.dumps(manifest_dict())
+    p = tmp_path / "manifest.json"
+    p.write_text(text.replace('"t.csv"', f'"t.csv", "duration_s": {raw}'))
+    with pytest.raises(TraceFormatError) as err:
+        load_manifest(p)
+    assert str(err.value).startswith(f"{p}: traces[0]: duration_s must be a positive finite number")
+
+
+def test_parse_traffic_size_beyond_int64_names_line_and_column(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text(TRAFFIC_HEADER + "\n0.5,10,UL\n0.6,99999999999999999999,DL\n")
+    with pytest.raises(TraceFormatError) as err:
+        parse_traffic_csv(p)
+    assert str(err.value) == (
+        f"{p}: line 3: integer '99999999999999999999' out of range in column size_bytes"
+    )
+
+
 def test_manifest_rejects_bad_json(tmp_path):
     p = tmp_path / "manifest.json"
     p.write_text("{nope")
