@@ -107,6 +107,21 @@ class Trace:
             raise TraceFormatError("movement timestamps and rows disagree in length")
         if not (self.traffic_t.shape[0] == self.traffic_size.shape[0] == self.traffic_dir.shape[0]):
             raise TraceFormatError("traffic arrays disagree in length")
+        where = f"trace {self.user_id}/{self.game_id}"
+        if not (math.isfinite(self.duration_s) and self.duration_s >= 0):
+            raise TraceFormatError(
+                f"{where}: duration_s must be a finite number >= 0, got {float(self.duration_s)!r}"
+            )
+        for name in ("movement_t", "traffic_t", "movement"):
+            values = getattr(self, name)
+            finite = np.isfinite(values)
+            if not finite.all():
+                bad = tuple(np.argwhere(~finite)[0])
+                channel = f", channel {MOVEMENT_CHANNELS[bad[1]]}," if values.ndim == 2 else ""
+                raise TraceFormatError(
+                    f"{where}: {name} sample {bad[0]}{channel} is not finite "
+                    f"({float(values[bad])!r})"
+                )
 
     @classmethod
     def assemble(

@@ -11,11 +11,20 @@ Every accumulation window is summarized by the same 7 statistics
 * combined: movement then traffic -> 511.
 
 Feature names are stable and ordered: ``mv.head_py.vel.q75``,
-``tr.ul_count.raw.std``. Quantiles interpolate linearly at rank (n-1)*p;
-std is the population standard deviation.
+``tr.ul_count.raw.std``. std is the population standard deviation.
+
+Quantiles interpolate linearly at rank (n-1)*p (Hyndman & Fan type 7,
+numpy's default). Each column is sorted once; min and max are the ends of
+the sorted copy and each quantile combines its two neighbouring order
+statistics with numpy's own interpolation formula, so every statistic
+equals ``np.quantile`` / ``min`` / ``max`` bit for bit. The one place the
+sorted copy cannot decide the bits is the sign of a zero picked from a
+column holding both +0.0 and -0.0 (they compare equal, so any order of them
+is sorted); such columns take numpy's own values.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,16 +68,8 @@ def summary_stats(values) -> tuple[float, ...]:
     x = np.asarray(values, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:
         raise ValueError(f"summary_stats needs a non-empty 1-D series, got shape {x.shape}")
-    q25, q50, q75 = np.quantile(x, (0.25, 0.5, 0.75))
-    return (
-        float(x.mean()),
-        float(x.min()),
-        float(x.max()),
-        float(q25),
-        float(q50),
-        float(q75),
-        float(x.std()),
-    )
+    lo, hi, q25, q50, q75 = _order_stats(x[:, None])[0].tolist()
+    return (float(x.mean()), lo, hi, q25, q50, q75, float(x.std()))
 
 
 def differential(values, dt: float = 1.0 / SAMPLE_RATE_HZ) -> np.ndarray:
@@ -83,13 +84,51 @@ def differential(values, dt: float = 1.0 / SAMPLE_RATE_HZ) -> np.ndarray:
     return np.diff(x, axis=0) / dt
 
 
+_QUANTILES = (0.25, 0.5, 0.75)
+
+
+def _order_stats(m: np.ndarray) -> np.ndarray:
+    """(min, max, q25, q50, q75) of each column of an (n, k) matrix, as (k, 5).
+
+    One sort per column. Quantile q interpolates the order statistics a and b
+    at floor(v) and floor(v)+1, v = (n-1)*q, by weight t = v - floor(v), with
+    numpy's ``_lerp`` formula: b - (b-a)*(1-t) when t >= 0.5, else a + (b-a)*t.
+    For n == 1 numpy reads rank -1 with weight 1, and so does this.
+    """
+    n, k = m.shape
+    s = m.T.copy()  # C order: each column becomes one contiguous lane
+    s.sort(axis=1)
+    lo = [min(math.floor((n - 1) * q), n - 2) for q in _QUANTILES]
+    t = np.array([(n - 1) * q - i for q, i in zip(_QUANTILES, lo)])
+    ends_ab = s[:, [0, n - 1, *lo, *(i + 1 for i in lo)]]
+    a, b = ends_ab[:, 2:5], ends_ab[:, 5:]
+    out = np.empty((k, 5))
+    out[:, :2] = ends_ab[:, :2]
+    out[:, 2:] = np.where(t >= 0.5, b - (b - a) * (1.0 - t), a + (b - a) * t)
+    # Only a zero result can depend on the signs of equal zeros. In a column
+    # holding both, the sort may even turn one sign into the other (its
+    # min/max network returns either operand of a tie), and numpy's values
+    # follow its own partition, so such columns take those.
+    cand = np.flatnonzero((out == 0.0).any(axis=1))
+    if cand.size:
+        cols = m[:, cand]
+        zeros = cols == 0.0
+        neg_zeros = zeros & np.signbit(cols)
+        if neg_zeros.any():
+            mixed = cand[neg_zeros.any(axis=0) & (zeros & ~neg_zeros).any(axis=0)]
+            if mixed.size:
+                qs = np.quantile(m, _QUANTILES, axis=0)
+                out[mixed] = np.stack([m.min(axis=0), m.max(axis=0), *qs], axis=1)[mixed]
+    return out
+
+
 def _stats_columns(m: np.ndarray) -> np.ndarray:
     """Per-column summary stats of an (n, k) matrix, returned as (k, 7)."""
-    qs = np.quantile(m, (0.25, 0.5, 0.75), axis=0)
-    return np.stack(
-        [m.mean(axis=0), m.min(axis=0), m.max(axis=0), qs[0], qs[1], qs[2], m.std(axis=0)],
-        axis=1,
-    )
+    out = np.empty((m.shape[1], 7))
+    out[:, 0] = m.mean(axis=0)
+    out[:, 1:6] = _order_stats(m)
+    out[:, 6] = m.std(axis=0)
+    return out
 
 
 # ---- derived geometry -------------------------------------------------------
@@ -102,12 +141,13 @@ def geometry_channels(movement: np.ndarray) -> np.ndarray:
     rotation of the local forward axis) for the same pairs, in [0, pi].
     """
     pos = {dev: movement[:, POSITION_SLICES[dev]] for dev in ("head", "left", "right")}
-    fwd = {dev: forward_vectors(movement[:, QUATERNION_SLICES[dev]]) for dev in pos}
+    unit = {}
+    for dev in pos:
+        fwd = forward_vectors(movement[:, QUATERNION_SLICES[dev]])
+        unit[dev] = fwd / np.linalg.norm(fwd, axis=1, keepdims=True)
     cols = [np.linalg.norm(pos[a] - pos[b], axis=1) for a, b in GEOMETRY_PAIRS]
     for a, b in GEOMETRY_PAIRS:
-        ua = fwd[a] / np.linalg.norm(fwd[a], axis=1, keepdims=True)
-        ub = fwd[b] / np.linalg.norm(fwd[b], axis=1, keepdims=True)
-        dots = np.clip(np.einsum("ij,ij->i", ua, ub), -1.0, 1.0)
+        dots = np.clip(np.einsum("ij,ij->i", unit[a], unit[b]), -1.0, 1.0)
         cols.append(np.arccos(dots))
     return np.stack(cols, axis=1)
 
@@ -168,16 +208,24 @@ def movement_features(segment: WindowSegment, y_scale=None) -> np.ndarray:
     second derivative is non-empty (the dropout filter guarantees far more).
     """
     rows = segment.movement
+    scaled = rows if y_scale is None else _scale_heights(rows, y_scale)
+    return _window_movement(segment, scaled, geometry_channels(rows))
+
+
+def _scale_heights(movement: np.ndarray, y_scale) -> np.ndarray:
+    out = movement.copy()
+    for i, dev in enumerate(("head", "left", "right")):
+        out[:, Y_CHANNEL_INDEX[dev]] /= y_scale[i]
+    return out
+
+
+def _window_movement(segment: WindowSegment, rows: np.ndarray, geo: np.ndarray) -> np.ndarray:
+    """Movement features from one window's (scaled) rows and geometry rows."""
     if rows.shape[0] < 3:
         raise ValueError(
             f"window {segment.index} of trace {segment.trace.user_id}/"
             f"{segment.trace.game_id} has {rows.shape[0]} movement samples; need >= 3"
         )
-    geo = geometry_channels(rows)
-    if y_scale is not None:
-        rows = rows.copy()
-        for i, dev in enumerate(("head", "left", "right")):
-            rows[:, Y_CHANNEL_INDEX[dev]] /= y_scale[i]
     vel = np.diff(rows, axis=0) * SAMPLE_RATE_HZ
     acc = np.diff(vel, axis=0) * SAMPLE_RATE_HZ
     # (21, 3, 7): channel-major, derivative, then statistic, matching names.
@@ -258,18 +306,25 @@ def build_features(
 
     Pipeline: canonicalize quaternions, cut full windows, drop (and log)
     windows failing the movement-sample dropout bar, then extract the
-    requested feature set per surviving window.
+    requested feature set per surviving window. Geometry and height scaling
+    are per-row, so they run once on the whole trace and each window takes
+    its rows of the result.
     """
     feature_names(feature_set)  # validates the name
     canon = canonicalize_quaternions(trace)
     segments = filter_windows(window_trace(canon, window_s), rate_hz, min_fraction)
-    y_scale = trace_height_scale(canon) if feature_set in _NORMALIZED_SETS else None
+    if feature_set in _MOVEMENT_SETS:
+        geo = geometry_channels(canon.movement)
+        rows = canon.movement
+        if feature_set in _NORMALIZED_SETS:
+            rows = _scale_heights(rows, trace_height_scale(canon))
 
     out = []
     for seg in segments:
         parts = []
         if feature_set in _MOVEMENT_SETS:
-            parts.append(movement_features(seg, y_scale))
+            window = slice(seg.m_lo, seg.m_hi)
+            parts.append(_window_movement(seg, rows[window], geo[window]))
         if feature_set in _TRAFFIC_SETS:
             parts.append(traffic_features(seg, bin_s))
         out.append(

@@ -387,9 +387,31 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
     return Dataset(records=records, game_categories=dict(man.games))
 
 
+def _refuse_non_finite(path: Path, header: str, *columns: np.ndarray) -> None:
+    """Raise, naming row and column, when ``columns`` (blocks in ``header``
+    order) hold a value the reader would refuse."""
+    if all(np.isfinite(c).all() for c in columns):
+        return
+    rows = np.column_stack(columns)
+    row, col = np.argwhere(~np.isfinite(rows))[0]
+    raise TraceFormatError(
+        f"{path}: data row {row + 1}: non-finite value {float(rows[row, col])!r} "
+        f"in column {header.split(',')[col]}; nothing was written"
+    )
+
+
 def write_cohort(dataset: Dataset, out_dir: str | Path) -> Path:
-    """Write every trace as CSV pairs plus a manifest.json; returns its path."""
+    """Write every trace as CSV pairs plus a manifest.json; returns its path.
+
+    A non-finite movement value or timestamp, which the reader would refuse,
+    is refused before any file is written.
+    """
     out = Path(out_dir)
+    for rec in dataset.records:
+        stem, tr = f"{rec.user_id}_{rec.game_id}", rec.trace
+        movement_csv = out / f"{stem}_movement.csv"
+        _refuse_non_finite(movement_csv, MOVEMENT_HEADER, tr.movement_t, tr.movement)
+        _refuse_non_finite(out / f"{stem}_traffic.csv", TRAFFIC_HEADER, tr.traffic_t)
     out.mkdir(parents=True, exist_ok=True)
     traces = []
     for rec in dataset.records:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from vrident.core import (
     QUATERNION_SLICES,
     SplitError,
     Trace,
+    TraceFormatError,
     TraceQualityError,
     TraceRecord,
     canonicalize_quaternions,
@@ -373,6 +375,35 @@ def test_assemble_rebases_rows_and_packets():
     assert (tr.traffic_t.tolist(), tr.traffic_size.tolist(), tr.traffic_dir.tolist()) == (
         [0.0], [1200], [1]
     )
+
+
+@pytest.mark.parametrize("duration_s", [float("nan"), float("inf"), -float("inf"), -1.0])
+def test_trace_rejects_bad_duration(duration_s):
+    tr = make_trace(10.0)
+    with pytest.raises(TraceFormatError, match=r"trace u0/g: duration_s must be a finite number"):
+        replace(tr, duration_s=duration_s)
+
+
+def test_trace_accepts_zero_duration():
+    assert replace(make_trace(10.0), duration_s=0.0).duration_s == 0.0
+
+
+@pytest.mark.parametrize(
+    "field,index,value,expected",
+    [
+        ("movement", (7, 12), float("nan"), r"movement sample 7, channel left_qy, is not finite"),
+        ("movement", (0, 0), float("inf"), r"movement sample 0, channel head_px, is not finite"),
+        ("movement_t", 3, -float("inf"), r"movement_t sample 3 is not finite"),
+        ("traffic_t", 1, float("nan"), r"traffic_t sample 1 is not finite"),
+    ],
+)
+def test_trace_rejects_non_finite_samples(field, index, value, expected):
+    tr = make_trace(10.0, packet_times=[0.5, 1.0, 2.0])
+    arr = getattr(tr, field).copy()
+    arr[index] = value
+    arr[-1] = value  # a later bad sample is not the one named
+    with pytest.raises(TraceFormatError, match=rf"trace u0/g: {expected} \({value}\)"):
+        replace(tr, **{field: arr})
 
 
 def test_dataset_duplicate_and_missing_game():

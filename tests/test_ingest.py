@@ -259,6 +259,27 @@ def test_synthetic_cohort_round_trip(tmp_path):
         assert second.read_bytes() == (tmp_path / f"{a.user_id}_{a.game_id}_movement.csv").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "kind,index,stream,row,column",
+    [
+        ("movement", (4, 8), "movement", 5, "left_py"),
+        ("movement_t", 2, "movement", 3, "t"),
+        ("traffic_t", 6, "traffic", 7, "t"),
+    ],
+)
+def test_write_cohort_refuses_non_finite_before_writing(tmp_path, kind, index, stream, row, column):
+    ds = generate_synthetic_cohort(2, minutes=0.5, seed=13)
+    getattr(ds.records[1].trace, kind)[index] = np.nan  # in place, past Trace's own checks
+    out = tmp_path / "cohort"
+    expected = (
+        rf"user01_game_a_{stream}\.csv: data row {row}: "
+        rf"non-finite value nan in column {column}; nothing was written"
+    )
+    with pytest.raises(TraceFormatError, match=expected):
+        write_cohort(ds, out)
+    assert not out.exists()
+
+
 # ---- manifest ----
 
 def manifest_dict():
