@@ -24,14 +24,16 @@ class QuadraticDiscriminant(Classifier):
             raise ValueError(f"ridge must be positive, got {ridge}")
         self.ridge = float(ridge)
         self.means_: np.ndarray | None = None  # (k, d)
-        self.precisions_: np.ndarray | None = None  # (k, d, d)
+        # one (d, d) inverse per class, kept as np.linalg.inv returns it: a
+        # single (k, d, d) block would need k*d*d contiguous floats at once
+        self.precisions_: list[np.ndarray] | None = None
         self.logdets_: np.ndarray | None = None  # (k,)
 
     def _fit(self, X: np.ndarray, y_idx: np.ndarray) -> None:
         k = self.labels_.shape[0]
         d = X.shape[1]
         self.means_ = np.zeros((k, d))
-        self.precisions_ = np.zeros((k, d, d))
+        self.precisions_ = []
         self.logdets_ = np.zeros(k)
         for c in range(k):
             rows = X[y_idx == c]
@@ -52,7 +54,7 @@ class QuadraticDiscriminant(Classifier):
                     f"covariance for user {self.labels_[c]!r} is not positive definite"
                 )
             self.means_[c] = mu
-            self.precisions_[c] = np.linalg.inv(cov)
+            self.precisions_.append(np.linalg.inv(cov))
             self.logdets_[c] = logdet
 
     def log_densities(self, X) -> np.ndarray:
@@ -78,7 +80,7 @@ class QuadraticDiscriminant(Classifier):
     def fitted_state(self) -> dict:
         return {
             "means": self.means_.tolist(),
-            "precisions": self.precisions_.tolist(),
+            "precisions": [p.tolist() for p in self.precisions_],
             "logdets": self.logdets_.tolist(),
         }
 
@@ -86,7 +88,7 @@ class QuadraticDiscriminant(Classifier):
         k, d = self.labels_.shape[0], self.n_features_
         where = "qda model file"
         self.means_ = saved_array(where, "means", state["means"], np.float64, (k, d))
-        self.precisions_ = saved_array(
-            where, "precisions", state["precisions"], np.float64, (k, d, d)
+        self.precisions_ = list(
+            saved_array(where, "precisions", state["precisions"], np.float64, (k, d, d))
         )
         self.logdets_ = saved_array(where, "logdets", state["logdets"], np.float64, (k,))

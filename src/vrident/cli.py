@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import __version__
 from .classifiers import MODEL_KINDS, make_model
-from .core import DEFAULT_WINDOW_S
+from .core import DEFAULT_WINDOW_S, whole_windows
 from .evaluation import (
     ExperimentSpec,
     cell_matrices,
@@ -46,6 +46,10 @@ from .ingest import atomic_write_text, generate_synthetic_cohort, load_dataset, 
 
 class UsageError(ValueError):
     """Bad flags, config, or input files; maps to exit code 2."""
+
+
+#: Users per unit of the subset curve; ``subset_sizes`` are multiples of it.
+SUBSET_UNIT = 5
 
 
 # ---- run config ----------------------------------------------------------------
@@ -83,11 +87,20 @@ _REQUIRED_KEYS = {
 }
 
 
+def _no_repeats(val: list, key: str, where: str) -> tuple:
+    seen = set()
+    for x in val:
+        if x in seen:
+            raise UsageError(f"{where}: {key!r} lists {x!r} more than once")
+        seen.add(x)
+    return tuple(val)
+
+
 def _str_tuple(obj: dict, key: str, where: str) -> tuple[str, ...]:
     val = obj[key]
     if not isinstance(val, list) or not val or not all(isinstance(x, str) for x in val):
         raise UsageError(f"{where}: {key!r} must be a non-empty list of strings")
-    return tuple(val)
+    return _no_repeats(val, key, where)
 
 
 def _int_tuple(obj: dict, key: str, where: str, minimum: int = 0) -> tuple[int, ...]:
@@ -97,7 +110,7 @@ def _int_tuple(obj: dict, key: str, where: str, minimum: int = 0) -> tuple[int, 
     )
     if not ok:
         raise UsageError(f"{where}: {key!r} must be a non-empty list of integers >= {minimum}")
-    return tuple(val)
+    return _no_repeats(val, key, where)
 
 
 def _positive_number(obj: dict, key: str, where: str) -> float:
@@ -172,7 +185,13 @@ def load_run_config(path: str) -> RunConfig:
             raise UsageError(f"{where}: 'vote_k' entries must be odd, got {bad}")
         kwargs["vote_k"] = ks
     if "subset_sizes" in obj:
-        kwargs["subset_sizes"] = _int_tuple(obj, "subset_sizes", where, minimum=1)
+        sizes = _int_tuple(obj, "subset_sizes", where, minimum=1)
+        bad = [s for s in sizes if s % SUBSET_UNIT]
+        if bad:
+            raise UsageError(
+                f"{where}: 'subset_sizes' entries must be multiples of {SUBSET_UNIT}, got {bad}"
+            )
+        kwargs["subset_sizes"] = sizes
     if "model_params" in obj:
         params = obj["model_params"]
         if not isinstance(params, dict):
@@ -225,6 +244,30 @@ def _config_games(config: RunConfig, dataset) -> list[str]:
     return list(config.games)
 
 
+def _check_curves(config: RunConfig, dataset, games: list[str]) -> None:
+    """Reject subset sizes and vote windows that no cell could evaluate."""
+    n_test = whole_windows(config.test_s, config.window_s)
+    if max(config.vote_k) > n_test:
+        raise UsageError(
+            f"vote_k {max(config.vote_k)} exceeds the {n_test} test windows of "
+            f"test_s={config.test_s} at window_s={config.window_s}"
+        )
+    if not config.subset_sizes:
+        return
+    largest = max(config.subset_sizes)
+    for game in games:
+        n_users = len(dataset.for_game(game))
+        if n_users % SUBSET_UNIT:
+            raise UsageError(
+                f"game {game!r} has {n_users} users, not divisible by the subset unit "
+                f"{SUBSET_UNIT}"
+            )
+        if n_users < largest:
+            raise UsageError(
+                f"game {game!r} has {n_users} users, fewer than subset size {largest}"
+            )
+
+
 def _cell_slug(spec: ExperimentSpec) -> str:
     return f"{spec.game_id}.{spec.feature_set}.{spec.model_kind}.s{spec.seed}"
 
@@ -275,7 +318,9 @@ def _run_cell(spec: ExperimentSpec, dataset, vote_ks, subset_sizes):
     report = run_identification(spec, dataset)
     curve = [(k, majority_vote_eval(report.streams, k)) for k in vote_ks]
     subsets = (
-        user_subset_experiment(spec, dataset, subset_sizes) if subset_sizes else None
+        user_subset_experiment(spec, dataset, subset_sizes, SUBSET_UNIT, full_report=report)
+        if subset_sizes
+        else None
     )
     return report, curve, subsets
 
@@ -285,6 +330,7 @@ def cmd_evaluate(args) -> int:
     jobs = _resolve_jobs(args.jobs)
     dataset = load_dataset(config.manifest)
     games = _config_games(config, dataset)
+    _check_curves(config, dataset, games)
     out_dir = _resolve_out_dir(None, config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

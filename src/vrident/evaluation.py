@@ -323,6 +323,7 @@ def user_subset_experiment(
     dataset: Dataset,
     sizes=DEFAULT_SUBSET_SIZES,
     unit: int = 5,
+    full_report: EvaluationReport | None = None,
 ) -> SubsetResult:
     """Mean identification accuracy as the user count grows.
 
@@ -330,11 +331,23 @@ def user_subset_experiment(
     cyclically contiguous unit groups (g, g+1, ..., g+m-1 mod n_units) for
     every starting unit g, so each size reports n_units groups. Duplicate
     user sets (the full-size group) are trained once and reported per group.
+
+    ``full_report``, the :func:`run_identification` report of the same spec
+    on the same dataset, supplies the all-users group's accuracy, which is
+    then not fitted again.
     """
     entries = _identification_entries(spec, dataset)
     users = [user for user, _, _ in entries]
     if unit < 1 or len(users) % unit != 0:
         raise ValueError(f"user count {len(users)} is not divisible by unit {unit}")
+    eval_cache: dict[tuple[str, ...], float] = {}
+    if full_report is not None:
+        if full_report.spec != spec or full_report.labels != tuple(users):
+            raise ValueError(
+                f"full_report is for {full_report.spec} with users {full_report.labels}, "
+                f"not for {spec} with users {tuple(users)}"
+            )
+        eval_cache[tuple(users)] = full_report.accuracy
     n_units = len(users) // unit
     units = [tuple(users[i * unit : (i + 1) * unit]) for i in range(n_units)]
     split_cache = {user: (train, test) for user, train, test in entries}
@@ -342,7 +355,6 @@ def user_subset_experiment(
     group_users: dict[int, list[tuple[str, ...]]] = {}
     group_accuracy: dict[int, list[float]] = {}
     mean_accuracy: dict[int, float] = {}
-    eval_cache: dict[tuple[str, ...], float] = {}
     for size in sizes:
         m, rem = divmod(size, unit)
         if rem or m < 1 or m > n_units:

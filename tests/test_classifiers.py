@@ -280,6 +280,18 @@ def test_qda_constant_features_survive_loading():
     assert proba[0, 0] > 0.99
 
 
+def test_qda_restore_of_fitted_state_keeps_log_densities():
+    rng = np.random.default_rng(31)
+    X = np.vstack([rng.normal(loc=c, scale=1.0, size=(12, 6)) for c in (0.0, 2.0, 4.0)])
+    y = np.repeat(["a", "b", "c"], 12)
+    model = QuadraticDiscriminant().fit(X, y)
+    restored = QuadraticDiscriminant()
+    restored.labels_, restored.n_features_ = model.labels_, model.n_features_
+    restored.restore(json.loads(json.dumps(model.fitted_state())))
+    Xq = rng.normal(size=(25, 6), scale=3.0)
+    assert np.array_equal(restored.log_densities(Xq), model.log_densities(Xq))
+
+
 # ---------------------------------------------------------------- trees
 
 

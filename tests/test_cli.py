@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from vrident.classifiers import Classifier
 from vrident.cli import UsageError, load_run_config, main
 from vrident.features import TRAFFIC_FEATURE_NAMES
 
@@ -161,6 +162,13 @@ def test_config_validates_values(tmp_path, cohort_dir):
         ({"model_params": {"svm": {}}}, "unknown model kind"),
         ({"model_params": {"logistic": 3}}, "must be an object"),
         ({"shapley_permutations": 0}, "positive integer"),
+        ({"subset_sizes": [5, 7]}, r"multiples of 5, got \[7\]"),
+        ({"subset_sizes": [5, 5]}, "'subset_sizes' lists 5 more than once"),
+        ({"vote_k": [1, 1]}, "'vote_k' lists 1 more than once"),
+        ({"seeds": [0, 1, 0]}, "'seeds' lists 0 more than once"),
+        ({"feature_sets": ["traffic", "traffic"]}, "'feature_sets' lists 'traffic' more"),
+        ({"model_kinds": ["qda", "logistic", "qda"]}, "'model_kinds' lists 'qda' more"),
+        ({"games": ["game_a", "game_a"]}, "'games' lists 'game_a' more"),
     ]
     for overrides, match in cases:
         path = write_config(tmp_path / "cfg.json", cohort_dir, **overrides)
@@ -267,11 +275,43 @@ def test_evaluate_bad_jobs_env_is_exit_two(cohort_dir, tmp_path, monkeypatch, ca
     assert "VRIDENT_JOBS" in capsys.readouterr().err
 
 
-def test_evaluate_runs_subset_curves_when_configured(tmp_path):
-    cohort = tmp_path / "big"
-    assert run_cli("synth", "--users", 10, "--minutes", 3, "--seed", 4, "--out", cohort) == 0
-    cfg = write_config(tmp_path / "cfg.json", cohort, subset_sizes=[5, 10])
+@pytest.fixture(scope="module")
+def ten_user_cohort(tmp_path_factory) -> Path:
+    out = tmp_path_factory.mktemp("ten")
+    assert run_cli("synth", "--users", 10, "--minutes", 3, "--seed", 4, "--out", out) == 0
+    return out
+
+
+@pytest.mark.parametrize(
+    "users, overrides, message",
+    [
+        (4, {"subset_sizes": [5]}, "game 'game_a' has 4 users, not divisible by the subset unit 5"),
+        (10, {"subset_sizes": [5, 15]}, "game 'game_a' has 10 users, fewer than subset size 15"),
+        (4, {"vote_k": [1, 3], "test_s": 10}, "vote_k 3 exceeds the 1 test windows of test_s=10.0"),
+    ],
+)
+def test_evaluate_rejects_unusable_curves_before_fitting(
+    cohort_dir, ten_user_cohort, tmp_path, monkeypatch, capsys, users, overrides, message
+):
+    fits = []
+    monkeypatch.setattr(Classifier, "fit", lambda self, X, y: fits.append(self))
+    cohort = cohort_dir if users == 4 else ten_user_cohort
+    cfg = write_config(tmp_path / "cfg.json", cohort, **overrides)
+    assert run_cli("evaluate", "--config", cfg) == 2
+    assert message in capsys.readouterr().err
+    assert not fits
+    assert not (tmp_path / "reports").exists()
+
+
+def test_evaluate_runs_subset_curves_when_configured(ten_user_cohort, tmp_path, monkeypatch):
+    fits = []
+    fit = Classifier.fit
+    monkeypatch.setattr(Classifier, "fit", lambda self, X, y: fits.append(len(y)) or fit(self, X, y))
+    monkeypatch.delenv("VRIDENT_JOBS", raising=False)
+    cfg = write_config(tmp_path / "cfg.json", ten_user_cohort, subset_sizes=[5, 10])
     assert run_cli("evaluate", "--config", cfg) == 0
+    # the all-users group reuses the identification fit: 10 users, then 5 + 5
+    assert fits == [10 * 12, 5 * 12, 5 * 12]
     out = tmp_path / "reports"
     curve = (out / "subsets_game_a.traffic.logistic.s0.csv").read_text().splitlines()
     assert curve[0] == "users,accuracy"

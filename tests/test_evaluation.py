@@ -332,6 +332,17 @@ def test_subset_rejects_bad_size(cohort):
         user_subset_experiment(spec, cohort, sizes=(6,), unit=2)
 
 
+def test_subset_rejects_report_of_another_cell(cohort):
+    spec = ExperimentSpec(game_id="game_a", model_kind="logistic", **SHORT)
+    other_seed = run_identification(dataclasses.replace(spec, seed=1), cohort)
+    with pytest.raises(ValueError, match="seed=1.*seed=0"):
+        user_subset_experiment(spec, cohort, sizes=(2,), unit=2, full_report=other_seed)
+    three = cohort.restrict_users(["user00", "user01", "user02"])
+    other_users = run_identification(spec, three)
+    with pytest.raises(ValueError, match=r"\('user00', 'user01', 'user02'\).*'user03'\)"):
+        user_subset_experiment(spec, cohort, sizes=(2,), unit=2, full_report=other_users)
+
+
 def test_default_subset_sizes_cover_thirty():
     assert DEFAULT_SUBSET_SIZES == (5, 10, 15, 20, 25, 30)
 
