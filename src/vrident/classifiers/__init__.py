@@ -15,17 +15,13 @@ MODEL_KINDS = (*MODEL_CLASSES, "ensemble")
 def make_model(kind: str, seed: int = 0, **params):
     """Build an unfitted model by kind name.
 
-    "ensemble" assembles one of each other kind sharing the seed unless
-    ``members`` passes an explicit list. Extra keyword arguments go to the
-    model constructor.
+    Keyword arguments go to the model constructor. "ensemble" takes none: it
+    is one model of each other kind, all with ``seed``.
     """
     if kind == "ensemble":
-        members = params.pop("members", None)
         if params:
-            raise ValueError(f"unknown ensemble parameters: {sorted(params)}")
-        if members is None:
-            members = [cls(seed=seed) for cls in MODEL_CLASSES.values()]
-        return SoftVotingEnsemble(members)
+            raise ValueError(f"ensemble takes no parameters, got {sorted(params)}")
+        return SoftVotingEnsemble([cls(seed=seed) for cls in MODEL_CLASSES.values()])
     if kind not in MODEL_CLASSES:
         raise ValueError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
     return MODEL_CLASSES[kind](seed=seed, **params)

@@ -10,7 +10,7 @@ class SoftVotingEnsemble:
     """Averages member predict_proba outputs with equal weight.
 
     Members may arrive unfitted (fit() trains each in order on the same
-    data) or already fitted (pass fitted=True and call predict directly).
+    data) or already fitted (call predict_proba directly).
     Every member must expose labels_, predict_proba, and fit; after
     fitting, all label vectors must be identical or prediction refuses to
     average incompatible columns.

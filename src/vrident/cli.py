@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import inspect
 import json
 import os
 import sys
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .classifiers import MODEL_KINDS, make_model
+from .classifiers import MODEL_CLASSES, MODEL_KINDS, make_model
 from .core import DEFAULT_WINDOW_S, whole_windows
 from .evaluation import (
     ExperimentSpec,
@@ -115,8 +116,10 @@ def _int_tuple(obj: dict, key: str, where: str, minimum: int = 0) -> tuple[int, 
 
 def _positive_number(obj: dict, key: str, where: str) -> float:
     val = obj[key]
-    if not isinstance(val, (int, float)) or isinstance(val, bool) or val <= 0:
-        raise UsageError(f"{where}: {key!r} must be a positive number")
+    # json.loads takes NaN and Infinity, and bool is an int subclass
+    number = isinstance(val, (int, float)) and not isinstance(val, bool)
+    if not number or not 0 < val <= sys.float_info.max:
+        raise UsageError(f"{where}: {key!r} must be a finite positive number, got {val!r}")
     return float(val)
 
 
@@ -201,6 +204,17 @@ def load_run_config(path: str) -> RunConfig:
                 raise UsageError(f"{where}: 'model_params' has unknown model kind {kind!r}")
             if not isinstance(overrides, dict):
                 raise UsageError(f"{where}: 'model_params'[{kind!r}] must be an object")
+            # the seed comes from 'seeds'; an ensemble takes no parameters
+            accepted = set()
+            if kind in MODEL_CLASSES:
+                accepted = set(inspect.signature(MODEL_CLASSES[kind]).parameters) - {"seed"}
+            for key in overrides:
+                if key not in accepted:
+                    takes = ", ".join(sorted(accepted)) or "no parameters"
+                    raise UsageError(
+                        f"{where}: 'model_params'[{kind!r}] has unknown parameter {key!r}; "
+                        f"{kind} takes {takes}"
+                    )
         kwargs["model_params"] = params
     if "shapley_permutations" in obj:
         kwargs["shapley_permutations"] = _positive_int(obj, "shapley_permutations", where)
@@ -288,6 +302,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_featurize(args) -> int:
+    for flag, value in (("--window", args.window), ("--bin", args.bin_s)):
+        if not 0 < value <= sys.float_info.max:
+            raise UsageError(f"{flag} must be a finite positive number, got {value}")
     feature_set = args.feature_set
     if args.normalize_height:
         mapped = {

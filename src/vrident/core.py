@@ -24,7 +24,6 @@ import numpy as np
 log = logging.getLogger(__name__)
 
 SAMPLE_RATE_HZ = 60.0
-NOMINAL_DT = 1.0 / SAMPLE_RATE_HZ
 DEFAULT_WINDOW_S = 10.0
 DEFAULT_TRAIN_S = 480.0
 DEFAULT_TEST_S = 120.0
@@ -166,10 +165,6 @@ class Trace:
     def n_movement(self) -> int:
         return self.movement.shape[0]
 
-    @property
-    def n_packets(self) -> int:
-        return self.traffic_t.shape[0]
-
 
 @dataclass(frozen=True)
 class TraceRecord:
@@ -207,15 +202,6 @@ class Dataset:
             raise ValueError(f"no traces for game {game_id!r}")
         return recs
 
-    def restrict_users(self, users: Iterable[str]) -> "Dataset":
-        keep = set(users)
-        missing = keep - set(self.users())
-        if missing:
-            raise ValueError(f"unknown users: {sorted(missing)}")
-        recs = [r for r in self.records if r.user_id in keep]
-        games = {g: c for g, c in self.game_categories.items() if any(r.game_id == g for r in recs)}
-        return Dataset(records=recs, game_categories=games)
-
 
 def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Rotate vector(s) ``v`` by unit quaternion(s) ``q`` (wxyz order).
@@ -237,7 +223,7 @@ def forward_vectors(quats: np.ndarray) -> np.ndarray:
     return quat_rotate(quats, FORWARD_AXIS)
 
 
-def _canonical_signs(quats: np.ndarray, device: str) -> np.ndarray:
+def _canonical_signs(quats: np.ndarray) -> np.ndarray:
     """Sign flips giving a temporally continuous, first-sample-positive stream.
 
     The first sample must have w >= 0 (tie broken by qx >= 0, then qy, qz);
@@ -289,7 +275,7 @@ def canonicalize_quaternions(trace: Trace) -> Trace:
             )
         scale = np.where(np.abs(norms - 1.0) <= _UNIT_NORM_TOL, 1.0, norms)
         quats = quats / scale[:, None]
-        quats *= _canonical_signs(quats, dev)[:, None]
+        quats *= _canonical_signs(quats)[:, None]
         movement[:, sl] = quats
     return replace(trace, movement=movement)
 
@@ -364,28 +350,21 @@ def window_trace(trace: Trace, window_s: float = DEFAULT_WINDOW_S) -> list[Windo
     ]
 
 
-def passes_dropout(
-    segment: WindowSegment,
-    rate_hz: float = SAMPLE_RATE_HZ,
-    min_fraction: float = DROPOUT_MIN_FRACTION,
-) -> bool:
+def passes_dropout(segment: WindowSegment) -> bool:
     """Whether a window holds enough movement samples to be trusted.
 
-    The bar is min_fraction of the nominal count rate_hz * window_s
-    (300 for a 10 s window at 60 Hz); windows at or above it pass.
+    The bar is DROPOUT_MIN_FRACTION of the nominal count
+    SAMPLE_RATE_HZ * window_s (300 for a 10 s window); windows at or above
+    it pass.
     """
-    return segment.n_movement >= min_fraction * rate_hz * segment.window_s
+    return segment.n_movement >= DROPOUT_MIN_FRACTION * SAMPLE_RATE_HZ * segment.window_s
 
 
-def filter_windows(
-    segments: Iterable[WindowSegment],
-    rate_hz: float = SAMPLE_RATE_HZ,
-    min_fraction: float = DROPOUT_MIN_FRACTION,
-) -> list[WindowSegment]:
+def filter_windows(segments: Iterable[WindowSegment]) -> list[WindowSegment]:
     """Drop windows failing the dropout bar, logging each discard."""
     kept = []
     for seg in segments:
-        if passes_dropout(seg, rate_hz, min_fraction):
+        if passes_dropout(seg):
             kept.append(seg)
         else:
             log.warning(
@@ -394,7 +373,7 @@ def filter_windows(
                 seg.trace.user_id,
                 seg.trace.game_id,
                 seg.n_movement,
-                math.ceil(min_fraction * rate_hz * seg.window_s),
+                math.ceil(DROPOUT_MIN_FRACTION * SAMPLE_RATE_HZ * seg.window_s),
             )
     return kept
 

@@ -398,28 +398,19 @@ def cross_game_eval(
         ).accuracy
     train_recs = sorted(dataset.for_game(train_game), key=lambda r: r.user_id)
     test_recs = sorted(dataset.for_game(test_game), key=lambda r: r.user_id)
-    train_users = [r.user_id for r in train_recs]
-    if train_users != [r.user_id for r in test_recs]:
+    users = [r.user_id for r in train_recs]
+    if users != [r.user_id for r in test_recs]:
         raise ValueError(
             f"games {train_game!r} and {test_game!r} cover different user sets"
         )
-    if len(train_users) < 2:
-        raise ValueError(f"cross-game evaluation needs at least 2 users, got {len(train_users)}")
+    if len(users) < 2:
+        raise ValueError(f"cross-game evaluation needs at least 2 users, got {len(users)}")
 
-    def all_rows(recs):
-        rows, labels = [], []
-        for rec in recs:
-            vectors = build_features(rec.trace, spec.feature_set, spec.window_s, spec.bin_s)
-            rows.extend(v.values for v in vectors)
-            labels.extend([rec.user_id] * len(vectors))
-        return np.vstack(rows), np.array(labels)
+    def windows(rec):
+        return build_features(rec.trace, spec.feature_set, spec.window_s, spec.bin_s)
 
-    X_train, y_train = all_rows(train_recs)
-    X_test, y_test = all_rows(test_recs)
-    scaler = MinMaxScaler().fit(X_train)
-    model = make_model(spec.model_kind, seed=spec.seed, **spec.model_params)
-    model.fit(scaler.transform(X_train), y_train)
-    return accuracy(y_test, model.predict(scaler.transform(X_test)))
+    entries = [(a.user_id, windows(a), windows(b)) for a, b in zip(train_recs, test_recs)]
+    return _evaluate(dataclasses.replace(spec, vote_k=1), entries).accuracy
 
 
 def game_recognition_eval(spec: ExperimentSpec, dataset: Dataset) -> float:
@@ -434,20 +425,6 @@ def game_recognition_eval(spec: ExperimentSpec, dataset: Dataset) -> float:
 
 
 # ---- experiment matrices -------------------------------------------------------
-
-def experiment_cells(
-    games, feature_sets, model_kinds, seed: int = 0, **spec_kwargs
-) -> list[ExperimentSpec]:
-    """Cartesian product of games, feature sets, and model kinds."""
-    return [
-        ExperimentSpec(
-            game_id=g, feature_set=fs, model_kind=mk, seed=seed, **spec_kwargs
-        )
-        for g in games
-        for fs in feature_sets
-        for mk in model_kinds
-    ]
-
 
 #: (cell, dataset) of a pool worker, set once per worker process by
 #: _init_worker so the dataset is pickled per worker rather than per cell.

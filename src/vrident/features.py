@@ -32,7 +32,6 @@ import numpy as np
 from .core import (
     DEFAULT_WINDOW_S,
     DIR_UL,
-    DROPOUT_MIN_FRACTION,
     GEOMETRY_PAIRS,
     MOVEMENT_CHANNELS,
     POSITION_SLICES,
@@ -56,32 +55,6 @@ DEFAULT_BIN_S = 1.0
 GEOMETRY_CHANNELS = tuple(f"dist_{a}_{b}" for a, b in GEOMETRY_PAIRS) + tuple(
     f"ang_{a}_{b}" for a, b in GEOMETRY_PAIRS
 )
-
-
-def summary_stats(values) -> tuple[float, ...]:
-    """(mean, min, max, q25, q50, q75, std) of a non-empty 1-D series.
-
-    Quantiles use linear interpolation at rank (n-1)*p on the sorted values;
-    std is the population (not sample) standard deviation. Values are
-    assumed finite.
-    """
-    x = np.asarray(values, dtype=np.float64)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError(f"summary_stats needs a non-empty 1-D series, got shape {x.shape}")
-    lo, hi, q25, q50, q75 = _order_stats(x[:, None])[0].tolist()
-    return (float(x.mean()), lo, hi, q25, q50, q75, float(x.std()))
-
-
-def differential(values, dt: float = 1.0 / SAMPLE_RATE_HZ) -> np.ndarray:
-    """Forward difference (x[i+1] - x[i]) / dt; output is one shorter.
-
-    The step is the nominal sample period, not per-sample timestamp deltas.
-    Apply twice for the second derivative.
-    """
-    x = np.asarray(values, dtype=np.float64)
-    if x.shape[0] < 2:
-        raise ValueError("differential needs at least 2 samples")
-    return np.diff(x, axis=0) / dt
 
 
 _QUANTILES = (0.25, 0.5, 0.75)
@@ -199,19 +172,6 @@ def feature_names(feature_set: str) -> tuple[str, ...]:
 
 # ---- per-window extraction --------------------------------------------------
 
-def movement_features(segment: WindowSegment, y_scale=None) -> np.ndarray:
-    """483 movement features of one window, in MOVEMENT_FEATURE_NAMES order.
-
-    ``y_scale``, when given, is the per-device (head, left, right) divisor
-    applied to the vertical position channels before statistics; derived
-    geometry always uses the unscaled positions. Needs >= 3 samples so the
-    second derivative is non-empty (the dropout filter guarantees far more).
-    """
-    rows = segment.movement
-    scaled = rows if y_scale is None else _scale_heights(rows, y_scale)
-    return _window_movement(segment, scaled, geometry_channels(rows))
-
-
 def _scale_heights(movement: np.ndarray, y_scale) -> np.ndarray:
     out = movement.copy()
     for i, dev in enumerate(("head", "left", "right")):
@@ -220,7 +180,10 @@ def _scale_heights(movement: np.ndarray, y_scale) -> np.ndarray:
 
 
 def _window_movement(segment: WindowSegment, rows: np.ndarray, geo: np.ndarray) -> np.ndarray:
-    """Movement features from one window's (scaled) rows and geometry rows."""
+    """483 movement features of one window, in MOVEMENT_FEATURE_NAMES order,
+    from its (height-scaled) rows and its geometry rows. Needs >= 3 samples
+    so the second derivative is non-empty (the dropout filter guarantees far
+    more at the default window)."""
     if rows.shape[0] < 3:
         raise ValueError(
             f"window {segment.index} of trace {segment.trace.user_id}/"
@@ -299,8 +262,6 @@ def build_features(
     feature_set: str = "combined",
     window_s: float = DEFAULT_WINDOW_S,
     bin_s: float = DEFAULT_BIN_S,
-    rate_hz: float = SAMPLE_RATE_HZ,
-    min_fraction: float = DROPOUT_MIN_FRACTION,
 ) -> list[FeatureVector]:
     """Feature vectors for every usable window of a trace.
 
@@ -312,7 +273,7 @@ def build_features(
     """
     feature_names(feature_set)  # validates the name
     canon = canonicalize_quaternions(trace)
-    segments = filter_windows(window_trace(canon, window_s), rate_hz, min_fraction)
+    segments = filter_windows(window_trace(canon, window_s))
     if feature_set in _MOVEMENT_SETS:
         geo = geometry_channels(canon.movement)
         rows = canon.movement
@@ -373,9 +334,6 @@ class MinMaxScaler:
         out = (X - self.mins_) / np.where(span > 0, span, 1.0)
         out[:, span == 0] = 0.0
         return out
-
-    def fit_transform(self, X) -> np.ndarray:
-        return self.fit(X).transform(X)
 
 
 # ---- output -----------------------------------------------------------------

@@ -627,8 +627,8 @@ def generate_synthetic_cohort(
     """
     if n_users < 2:
         raise ValueError(f"a cohort needs at least 2 users, got {n_users}")
-    if minutes <= 0:
-        raise ValueError(f"minutes must be positive, got {minutes}")
+    if not 0 < minutes <= sys.float_info.max:
+        raise ValueError(f"minutes must be a finite positive number, got {minutes}")
     if not games:
         raise ValueError("at least one game profile is required")
     if profiles is None:

@@ -91,7 +91,10 @@ def test_criterion_1_feature_shapes():
 
 
 def test_criterion_2_summary_stats_oracle():
-    from vrident.features import summary_stats
+    from vrident.features import _stats_columns
+
+    def summary_stats(values):
+        return _stats_columns(np.asarray(values, dtype=np.float64)[:, None])[0]
 
     t0 = time.perf_counter()
     assert len(SUMMARY_STAT_CASES) >= 20

@@ -68,6 +68,14 @@ def test_synth_rejects_single_user(tmp_path, capsys):
     assert "at least 2 users" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("minutes", ["inf", "nan"])
+def test_synth_rejects_non_finite_minutes(tmp_path, capsys, minutes):
+    code = run_cli("synth", "--users", 2, "--minutes", minutes, "--out", tmp_path / "x")
+    assert code == 2
+    assert f"minutes must be a finite positive number, got {minutes}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_synth_unwritable_output_is_exit_two(tmp_path, capsys):
     blocker = tmp_path / "file.txt"
     blocker.write_text("x")
@@ -91,6 +99,18 @@ def test_featurize_writes_a_matrix_per_game(cohort_dir, tmp_path, capsys):
     # 4 users x 18 windows of a 3-minute trace
     assert len(lines) == 1 + 4 * 18
     assert "72 rows x (3 id cols + 28 features)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag", ["--window", "--bin"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_featurize_rejects_non_finite_lengths(cohort_dir, tmp_path, capsys, flag, value):
+    out = tmp_path / "feats"
+    code = run_cli(
+        "featurize", "--manifest", cohort_dir / "manifest.json", flag, value, "--out", out
+    )
+    assert code == 2
+    assert f"{flag} must be a finite positive number, got {value}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_featurize_missing_manifest_is_exit_two(tmp_path, capsys):
@@ -169,6 +189,29 @@ def test_config_validates_values(tmp_path, cohort_dir):
         ({"feature_sets": ["traffic", "traffic"]}, "'feature_sets' lists 'traffic' more"),
         ({"model_kinds": ["qda", "logistic", "qda"]}, "'model_kinds' lists 'qda' more"),
         ({"games": ["game_a", "game_a"]}, "'games' lists 'game_a' more"),
+        ({"window_s": float("nan")}, "'window_s' must be a finite positive number, got nan"),
+        ({"bin_s": float("inf")}, "'bin_s' must be a finite positive number, got inf"),
+        ({"train_s": float("-inf")}, "'train_s' must be a finite positive number, got -inf"),
+        ({"test_s": float("inf")}, "'test_s' must be a finite positive number, got inf"),
+        ({"test_s": 10**400}, "'test_s' must be a finite positive number"),
+        (
+            {"model_params": {"logistic": {"bogus": 1}}},
+            r"'model_params'\['logistic'\] has unknown parameter 'bogus'; "
+            "logistic takes lam, max_iter, tol",
+        ),
+        (
+            {"model_params": {"extra_trees": {"bootstrap": True}}},
+            r"'model_params'\['extra_trees'\] has unknown parameter 'bootstrap'",
+        ),
+        (
+            {"model_params": {"qda": {"seed": 3}}},
+            r"'model_params'\['qda'\] has unknown parameter 'seed'; qda takes ridge",
+        ),
+        (
+            {"model_params": {"ensemble": {"members": [1, 2]}}},
+            r"'model_params'\['ensemble'\] has unknown parameter 'members'; "
+            "ensemble takes no parameters",
+        ),
     ]
     for overrides, match in cases:
         path = write_config(tmp_path / "cfg.json", cohort_dir, **overrides)
@@ -222,12 +265,41 @@ def test_evaluate_malformed_config_does_no_work(cohort_dir, tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["evaluate", "importance"])
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"test_s": float("inf")}, "'test_s' must be a finite positive number, got inf"),
+        ({"window_s": float("nan")}, "'window_s' must be a finite positive number, got nan"),
+        (
+            {"model_params": {"logistic": {"bogus": 1}}},
+            "'model_params'['logistic'] has unknown parameter 'bogus'",
+        ),
+        (
+            {"model_params": {"ensemble": {"members": [1, 2]}}},
+            "'model_params'['ensemble'] has unknown parameter 'members'",
+        ),
+    ],
+    ids=["test_s_inf", "window_s_nan", "logistic_bogus", "ensemble_members"],
+)
+def test_bad_config_numbers_and_params_stop_before_loading(
+    cohort_dir, tmp_path, monkeypatch, capsys, command, overrides, message
+):
+    loads = []
+    monkeypatch.setattr("vrident.cli.load_dataset", lambda path: loads.append(path))
+    cfg = write_config(tmp_path / "cfg.json", cohort_dir, **overrides)
+    assert run_cli(command, "--config", cfg) == 2
+    assert message in capsys.readouterr().err
+    assert not loads
+    assert not (tmp_path / "reports").exists()
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_evaluate_cell_failure_exits_one_but_finishes_the_rest(cohort_dir, tmp_path, capsys, jobs):
     cfg = write_config(
         tmp_path / "cfg.json", cohort_dir,
         model_kinds=["logistic", "qda"],
-        model_params={"qda": {"bogus_param": 1}},
+        model_params={"qda": {"ridge": -1.0}},
     )
     assert run_cli("evaluate", "--config", cfg, "--jobs", jobs) == 1
     captured = capsys.readouterr()

@@ -413,12 +413,3 @@ def test_dataset_duplicate_and_missing_game():
         Dataset(records=[rec, rec], game_categories={"g": "fast"})
     with pytest.raises(ValueError, match="category"):
         Dataset(records=[rec], game_categories={})
-
-
-def test_dataset_restrict_users():
-    recs = [TraceRecord(f"u{i}", "g", make_trace(10.0, user_id=f"u{i}")) for i in range(4)]
-    ds = Dataset(records=recs, game_categories={"g": "fast"})
-    sub = ds.restrict_users(["u1", "u3"])
-    assert sub.users() == ["u1", "u3"]
-    with pytest.raises(ValueError, match="unknown users"):
-        ds.restrict_users(["u9"])

@@ -8,6 +8,7 @@ import json
 import numpy as np
 import pytest
 
+from vrident.classifiers import make_model
 from vrident.core import Dataset, SplitError, TraceRecord
 from vrident.evaluation import (
     DEFAULT_SUBSET_SIZES,
@@ -17,7 +18,6 @@ from vrident.evaluation import (
     accuracy,
     confusion_matrix,
     cross_game_eval,
-    experiment_cells,
     game_recognition_eval,
     macro_f1,
     majority_vote_eval,
@@ -32,9 +32,25 @@ from vrident.evaluation import (
     write_table_csv,
 )
 from vrident.evaluation import _trace_split
+from vrident.features import MinMaxScaler, build_features
 from vrident.ingest import GameProfile, generate_synthetic_cohort
 
 SHORT = dict(train_s=120.0, test_s=60.0)  # fits the 3-minute test cohorts
+
+
+def only_users(dataset, users):
+    return Dataset(
+        records=[r for r in dataset.records if r.user_id in users],
+        game_categories=dataset.game_categories,
+    )
+
+
+def game_a_specs(feature_sets, model_kinds, **spec_kwargs):
+    return [
+        ExperimentSpec(game_id="game_a", feature_set=fs, model_kind=mk, **spec_kwargs, **SHORT)
+        for fs in feature_sets
+        for mk in model_kinds
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -168,7 +184,7 @@ def test_report_is_byte_deterministic(cohort):
 
 
 def test_identification_rejects_single_user(cohort):
-    solo = cohort.restrict_users(["user00"])
+    solo = only_users(cohort, ["user00"])
     spec = ExperimentSpec(game_id="game_a", **SHORT)
     with pytest.raises(ValueError, match="at least 2 users"):
         run_identification(spec, solo)
@@ -337,7 +353,7 @@ def test_subset_rejects_report_of_another_cell(cohort):
     other_seed = run_identification(dataclasses.replace(spec, seed=1), cohort)
     with pytest.raises(ValueError, match="seed=1.*seed=0"):
         user_subset_experiment(spec, cohort, sizes=(2,), unit=2, full_report=other_seed)
-    three = cohort.restrict_users(["user00", "user01", "user02"])
+    three = only_users(cohort, ["user00", "user01", "user02"])
     other_users = run_identification(spec, three)
     with pytest.raises(ValueError, match=r"\('user00', 'user01', 'user02'\).*'user03'\)"):
         user_subset_experiment(spec, cohort, sizes=(2,), unit=2, full_report=other_users)
@@ -376,10 +392,39 @@ def test_cross_game_rejects_user_mismatch(two_games):
 
 
 def test_cross_game_rejects_single_user(two_games):
-    solo = two_games.restrict_users(["user01"])
+    solo = only_users(two_games, ["user01"])
     spec = ExperimentSpec(game_id="ga", **SHORT)
     with pytest.raises(ValueError, match="at least 2 users"):
         cross_game_eval(spec, solo, "ga", "gb")
+
+
+def reference_cross_game(spec, dataset, train_game, test_game):
+    """Cross-game accuracy as its own scale/fit/predict over every window."""
+
+    def all_rows(game):
+        rows, labels = [], []
+        for rec in sorted(dataset.for_game(game), key=lambda r: r.user_id):
+            vectors = build_features(rec.trace, spec.feature_set, spec.window_s, spec.bin_s)
+            rows.extend(v.values for v in vectors)
+            labels.extend([rec.user_id] * len(vectors))
+        return np.vstack(rows), np.array(labels)
+
+    X_train, y_train = all_rows(train_game)
+    X_test, y_test = all_rows(test_game)
+    scaler = MinMaxScaler().fit(X_train)
+    model = make_model(spec.model_kind, seed=spec.seed, **spec.model_params)
+    model.fit(scaler.transform(X_train), y_train)
+    return accuracy(y_test, model.predict(scaler.transform(X_test)))
+
+
+@pytest.mark.parametrize(
+    "kind,params", [("logistic", {}), ("random_forest", {"n_trees": 15})]
+)
+@pytest.mark.parametrize("train_game,test_game", [("ga", "gb"), ("gb", "ga")])
+def test_cross_game_equals_all_rows_reference(two_games, kind, params, train_game, test_game):
+    spec = ExperimentSpec(game_id=train_game, model_kind=kind, model_params=params, **SHORT)
+    got = cross_game_eval(spec, two_games, train_game, test_game)
+    assert got == reference_cross_game(spec, two_games, train_game, test_game)
 
 
 def test_cross_game_permuted_channels_near_chance():
@@ -428,9 +473,7 @@ def test_game_recognition_identical_games_near_chance():
 
 
 def test_matrix_covers_every_cell_once(cohort):
-    specs = experiment_cells(
-        ["game_a"], ["movement", "traffic"], ["logistic", "qda"], seed=3, **SHORT
-    )
+    specs = game_a_specs(["movement", "traffic"], ["logistic", "qda"], seed=3)
     reports = run_matrix(specs, cohort)
     seen = [(r.spec.game_id, r.spec.feature_set, r.spec.model_kind) for r in reports]
     expected = [
@@ -442,7 +485,7 @@ def test_matrix_covers_every_cell_once(cohort):
 
 
 def test_matrix_parallel_matches_serial(cohort):
-    specs = experiment_cells(["game_a"], ["movement"], ["logistic", "qda"], **SHORT)
+    specs = game_a_specs(["movement"], ["logistic", "qda"])
     serial = run_matrix(specs, cohort, jobs=1)
     parallel = run_matrix(specs, cohort, jobs=2)
     for a, b in zip(serial, parallel):
@@ -487,7 +530,7 @@ def test_write_confusion_csv(tmp_path, base_report):
 
 
 def test_write_table_csv(tmp_path, cohort):
-    specs = experiment_cells(["game_a"], ["movement", "traffic"], ["logistic"], **SHORT)
+    specs = game_a_specs(["movement", "traffic"], ["logistic"])
     reports = run_matrix(specs, cohort)
     path = str(tmp_path / "table.csv")
     write_table_csv(path, reports)

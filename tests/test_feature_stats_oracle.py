@@ -32,8 +32,6 @@ from vrident.features import (
     _stats_columns,
     build_features,
     geometry_channels,
-    movement_features,
-    summary_stats,
     trace_height_scale,
 )
 from vrident.ingest import generate_synthetic_cohort
@@ -138,7 +136,7 @@ def test_stats_columns_match_quantile_reference(n, k, pool, seed, fortran):
     before = m.copy()
     assert _same_bits(_stats_columns(m), reference_stats_columns(m))
     column = m[:, 0]
-    assert _same_bits(summary_stats(column), reference_summary_stats(column))
+    assert _same_bits(_stats_columns(column[:, None])[0], reference_summary_stats(column))
     assert _same_bits(m, before)  # the sort works on a copy, even of one lane
 
 
@@ -166,7 +164,7 @@ def test_stats_columns_match_on_continuous_values(n, k, scale, seed):
 def test_stats_columns_edge_columns(column):
     m = np.array(column)[:, None]
     assert _same_bits(_stats_columns(m), reference_stats_columns(m))
-    assert _same_bits(summary_stats(column), reference_summary_stats(column))
+    assert _same_bits(_stats_columns(m)[0], reference_summary_stats(column))
 
 
 # ---- whole traces ---------------------------------------------------------------
@@ -233,16 +231,6 @@ def test_build_features_matches_reference(
         assert [(v.window_index, v.t_start) for v in got] == [(i, t) for i, t, _ in want]
         for v, (_, _, values) in zip(got, want):
             assert _same_bits(v.values, values), (feature_set, v.window_index)
-
-
-def test_movement_features_matches_reference():
-    trace = _jittered_trace(np.random.default_rng(4), 20, 0.45, 0.1, False, True, 0.3, set())
-    canon = canonicalize_quaternions(trace)
-    scale = trace_height_scale(canon)
-    for seg in window_trace(canon, 10.0):
-        for y_scale in (None, scale):
-            want = reference_movement_features(seg, y_scale)
-            assert _same_bits(movement_features(seg, y_scale), want)
 
 
 def test_jittered_traces_reach_the_cases_they_are_meant_to_cover():

@@ -18,12 +18,10 @@ from vrident.features import (
     MOVEMENT_FEATURE_NAMES,
     MinMaxScaler,
     TRAFFIC_FEATURE_NAMES,
+    _stats_columns,
     build_features,
-    differential,
     feature_names,
     geometry_channels,
-    movement_features,
-    summary_stats,
     trace_height_scale,
     traffic_features,
     write_feature_csv,
@@ -34,17 +32,18 @@ from stats_fixtures import SUMMARY_STAT_CASES
 
 # ---- summary statistics ----
 
+def summary_stats(values) -> np.ndarray:
+    """(mean, min, max, q25, q50, q75, std) of one series, as the loop
+    computes them for every feature column."""
+    return _stats_columns(np.asarray(values, dtype=np.float64)[:, None])[0]
+
+
 @pytest.mark.parametrize("values,expected", SUMMARY_STAT_CASES)
 def test_summary_stats_fixtures(values, expected):
     got = summary_stats(values)
     assert len(got) == 7
     for g, e in zip(got, expected):
         assert g == pytest.approx(e, abs=1e-9)
-
-
-def test_summary_stats_rejects_empty():
-    with pytest.raises(ValueError):
-        summary_stats([])
 
 
 def test_summary_stats_population_std_not_sample():
@@ -54,21 +53,44 @@ def test_summary_stats_population_std_not_sample():
 
 # ---- differentials ----
 
+def ramp_trace(head_px) -> Trace:
+    """A 10 s, 60 Hz trace whose head_px channel repeats ``head_px``; every
+    other channel holds still."""
+    n = 600
+    movement = np.zeros((n, 21))
+    movement[:, [3, 10, 17]] = 1.0
+    movement[:, 0] = np.resize(np.asarray(head_px, dtype=np.float64), n)
+    return Trace("u", "g", 10.0, np.arange(n) / 60.0, movement, [], [], [])
+
+
 def test_differential_spec_example():
-    vel = differential([0.0, 1.0, 0.0], dt=1.0)
-    assert vel.tolist() == [1.0, -1.0]
-    acc = differential(vel, dt=1.0)
-    assert acc.tolist() == [-2.0]
+    # x = 0, 1, 0, 1, ... per sample: velocity alternates +-60 per second and
+    # acceleration +-7200, the forward differences scaled by the 60 Hz rate
+    feats = build_features(ramp_trace([0.0, 1.0]), "movement")[0].values
+    by_name = dict(zip(MOVEMENT_FEATURE_NAMES, feats))
+    assert (by_name["mv.head_px.vel.min"], by_name["mv.head_px.vel.max"]) == (-60.0, 60.0)
+    assert (by_name["mv.head_px.acc.min"], by_name["mv.head_px.acc.max"]) == (-7200.0, 7200.0)
 
 
 def test_differential_nominal_rate():
-    vel = differential([0.0, 1.0], dt=1.0 / 60.0)
-    assert vel.tolist() == [60.0]
+    # one unit per sample is 60 units per second at the nominal rate, whatever
+    # the timestamps say
+    tr = ramp_trace(np.arange(600.0))
+    tr = Trace("u", "g", 10.0, tr.movement_t * 1.01, tr.movement, [], [], [])
+    feats = build_features(tr, "movement")[0].values
+    by_name = dict(zip(MOVEMENT_FEATURE_NAMES, feats))
+    assert by_name["mv.head_px.vel.min"] == by_name["mv.head_px.vel.max"] == 60.0
+    assert by_name["mv.head_px.acc.max"] == 0.0
 
 
 def test_differential_needs_two():
-    with pytest.raises(ValueError):
-        differential([1.0])
+    # a 1/30 s window needs one movement sample to pass the dropout bar,
+    # which gives no velocity at all
+    movement = np.zeros((1, 21))
+    movement[:, [3, 10, 17]] = 1.0
+    tr = Trace("u", "g", 1 / 30, [0.0], movement, [], [], [])
+    with pytest.raises(ValueError, match="has 1 movement samples; need >= 3"):
+        build_features(tr, "movement", window_s=1 / 30)
 
 
 # ---- derived geometry ----
@@ -185,7 +207,7 @@ def synth_window(duration=10.0, rate=60.0, packets=None, seed=5):
 
 def test_movement_features_shape_and_layout():
     seg = synth_window()
-    feats = movement_features(seg)
+    feats = build_features(seg.trace, "movement")[0].values
     assert feats.shape == (483,)
     rows = seg.movement
     # spot-check: raw mean of head_px is feature 0, vel std of head_px is index 13
@@ -206,7 +228,7 @@ def test_movement_features_stationary_user():
     movement[:, 1] = 1.7
     movement[:, [3, 10, 17]] = 1.0
     tr = Trace("u", "g", 10.0, t, movement, np.array([]), np.array([]), np.array([]))
-    feats = movement_features(window_trace(tr, 10.0)[0])
+    feats = build_features(tr, "movement")[0].values
     names = MOVEMENT_FEATURE_NAMES
     by_name = dict(zip(names, feats))
     assert by_name["mv.head_py.raw.mean"] == pytest.approx(1.7, abs=1e-12)
@@ -218,23 +240,24 @@ def test_movement_features_stationary_user():
 
 
 def test_movement_features_needs_three_samples():
-    t = np.array([0.0, 0.1])
+    # at 0.05 s the dropout bar is 1.5 samples, so a 2-sample window passes it
+    t = np.array([0.0, 0.02])
     movement = np.zeros((2, 21))
     movement[:, [3, 10, 17]] = 1.0
-    tr = Trace("u", "g", 10.0, t, movement, np.array([]), np.array([]), np.array([]))
+    tr = Trace("u", "g", 0.05, t, movement, np.array([]), np.array([]), np.array([]))
     with pytest.raises(ValueError, match="need >= 3"):
-        movement_features(window_trace(tr, 10.0)[0])
+        build_features(tr, "movement", window_s=0.05)
 
 
 def test_height_normalization_divides_y_only():
-    seg = synth_window(seed=9)
-    scale = np.array([2.0, 4.0, 0.5])
-    plain = movement_features(seg)
-    normed = movement_features(seg, y_scale=scale)
+    tr = synth_window(seed=9).trace
+    scale = trace_height_scale(tr)
+    plain = build_features(tr, "movement")[0].values
+    normed = build_features(tr, "movement_norm_height")[0].values
     by_plain = dict(zip(MOVEMENT_FEATURE_NAMES, plain))
     by_norm = dict(zip(MOVEMENT_FEATURE_NAMES, normed))
-    assert by_norm["mv.head_py.raw.mean"] == pytest.approx(by_plain["mv.head_py.raw.mean"] / 2.0)
-    assert by_norm["mv.left_py.raw.max"] == pytest.approx(by_plain["mv.left_py.raw.max"] / 4.0)
+    assert by_norm["mv.head_py.raw.mean"] == pytest.approx(by_plain["mv.head_py.raw.mean"] / scale[0])
+    assert by_norm["mv.left_py.raw.max"] == pytest.approx(by_plain["mv.left_py.raw.max"] / scale[1])
     assert by_norm["mv.head_px.raw.mean"] == by_plain["mv.head_px.raw.mean"]
     # geometry still uses unscaled positions
     assert by_norm["mv.dist_left_head.raw.mean"] == by_plain["mv.dist_left_head.raw.mean"]

@@ -327,8 +327,8 @@ def test_traffic_feature_ranks_first_when_only_download_rate_differs():
             else:
                 test_rows.append(fv.values)
                 test_y.append(record.user_id)
-    scaler = MinMaxScaler()
-    X_train = scaler.fit_transform(np.array(train_rows))
+    scaler = MinMaxScaler().fit(np.array(train_rows))
+    X_train = scaler.transform(np.array(train_rows))
     X_test = scaler.transform(np.array(test_rows))
 
     model = make_model("logistic").fit(X_train, np.array(train_y))

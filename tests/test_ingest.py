@@ -414,7 +414,7 @@ def test_synthetic_clone_mode_same_profiles_different_noise():
     heads = [t.movement[:, 1].mean() for t in traces]
     assert np.allclose(heads, heads[0], atol=2e-3)  # identical profile heights
     assert not np.array_equal(traces[0].movement, traces[1].movement)  # independent noise
-    rates = [t.n_packets for t in traces]
+    rates = [t.traffic_t.shape[0] for t in traces]
     assert max(rates) - min(rates) < 0.1 * max(rates)
 
 
