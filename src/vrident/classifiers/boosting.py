@@ -18,9 +18,10 @@ a split hands them to the children by a stable partition of the parent's
 order. A stable partition of a stable sort is the stable sort of the
 subset, so every node sees its rows in the same order, ties included, as
 a fresh stable argsort of those rows would give. The cumulative sums, the
-gains, the tie-break (lowest feature, then lowest boundary) and the
-thresholds are therefore bit-for-bit those of a per-node sort, and so are
-the trees.
+gains, the tie-break and the thresholds are therefore bit-for-bit those of
+a per-node sort, and so are the trees. The boundary rule (no split between
+equal values, first best boundary: lowest feature, then lowest boundary,
+midpoint threshold) is the forests' ``trees._best_boundary``.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ import heapq
 import numpy as np
 
 from .base import Classifier
-from .trees import FlatTree, _TreeBuffers
+from .trees import FlatTree, _TreeBuffers, _best_boundary
 
 _EPS = 1e-16
 
@@ -60,9 +61,8 @@ def _best_reg_split(order, xs, g, h, g_tot, h_tot, min_leaf):
 
     ``order`` and ``xs`` are the node's presorted rows and values per
     feature, (d, n); ``g_tot``/``h_tot`` its gradient and hessian sums.
-    Boundary b puts the first b + 1 sorted rows on the left. Ties go to the
-    lowest feature, then the lowest boundary: the first argmax in row-major
-    order.
+    Boundary b puts the first b + 1 sorted rows on the left; the boundary
+    rule is ``trees._best_boundary``.
     """
     n = order.shape[1]
     if n < 2 * min_leaf:
@@ -73,14 +73,8 @@ def _best_reg_split(order, xs, g, h, g_tot, h_tot, min_leaf):
     gr = g_tot - gl
     hr = h_tot - hl
     gain = gl**2 / (hl + _EPS) + gr**2 / (hr + _EPS) - g_tot**2 / (h_tot + _EPS)
-    gain[xs[:, lo + 1 : hi + 1] <= xs[:, lo:hi]] = -np.inf
-    feat, j = np.unravel_index(np.argmax(gain), gain.shape)
-    best = gain[feat, j]
-    if not (best > 0):
-        return None
-    boundary = lo + j
-    thr = 0.5 * (xs[feat, boundary] + xs[feat, boundary + 1])
-    return float(best), int(feat), float(thr)
+    best, feat, thr = _best_boundary(gain, xs, lo)
+    return (float(best), feat, thr) if best > 0 else None
 
 
 def _grow_regression_tree(X, order, xs, g, h, max_leaves, min_leaf) -> FlatTree:
@@ -107,12 +101,7 @@ def _grow_regression_tree(X, order, xs, g, h, max_leaves, min_leaf) -> FlatTree:
     while heap and len(leaves) < max_leaves:
         _, _, nid, idx, order, xs, feat, thr = heapq.heappop(heap)
         mask = X[idx, feat] <= thr
-        buf.feature[nid] = feat
-        buf.threshold[nid] = thr
-        lid = buf.alloc()
-        rid = buf.alloc()
-        buf.left[nid] = lid
-        buf.right[nid] = rid
+        lid, rid = buf.split(nid, feat, thr)
         del leaves[nid]
         lidx, ridx = idx[mask], idx[~mask]
         leaves[lid] = lidx

@@ -1,14 +1,19 @@
-"""Random forest and extremely randomized trees.
+"""Random forest and extremely randomized trees, and the split rule that
+every tree learner here shares.
 
-Both grow unpruned classification trees until nodes are pure (or below
-min-samples-split) using Gini impurity over a random subset of ceil(sqrt(d))
-candidate features per node. The forest searches all midpoints between
-consecutive distinct values of each candidate; the extra-trees variant draws
-a single uniform threshold in [min, max) per candidate instead, and trains
-on the full sample (no bootstrap). Left branches take values <= threshold.
-Equal-impurity ties resolve to the lowest feature index, then the lowest
-threshold, so training is deterministic given the seed: tree t uses an
-independent Philox stream keyed by SeedSequence(entropy=seed, spawn_key=(t,)).
+Both forests grow unpruned Gini trees until nodes are pure, over a random
+subset of ceil(sqrt(d)) candidate features per node. The forest searches
+all midpoints between consecutive distinct values of each candidate; extra
+trees draw one uniform threshold in [min, max) per candidate instead and
+train on the full sample (no bootstrap). Left branches take values <=
+threshold. Tree t uses an independent Philox stream keyed by
+SeedSequence(entropy=seed, spawn_key=(t,)), so training is deterministic.
+
+One boundary rule, ``_best_boundary``, serves the forest search and
+gradient boosting: no split between equal values, a midpoint threshold,
+and ties to the lowest candidate feature, then the lowest boundary (extra
+trees also take the first minimum over candidates). ``_gini_cost`` scores
+both forest searches.
 """
 from __future__ import annotations
 
@@ -149,6 +154,15 @@ class _TreeBuffers:
         self.right.append(-1)
         return len(self.feature) - 1
 
+    def split(self, nid: int, feat: int, thr: float) -> tuple[int, int]:
+        """Turn leaf ``nid`` into a split on ``feat <= thr``; returns the new
+        (left, right) children."""
+        self.feature[nid] = feat
+        self.threshold[nid] = thr
+        self.left[nid] = lid = self.alloc()
+        self.right[nid] = rid = self.alloc()
+        return lid, rid
+
     def pack(self, value_width: int) -> FlatTree:
         n = len(self.feature)
         value = np.zeros((n, value_width))
@@ -163,69 +177,72 @@ class _TreeBuffers:
         )
 
 
-def _best_split_exhaustive(Xn, yn, n_classes, feats):
-    """Lowest weighted child Gini over all midpoints of the candidates.
+def _best_boundary(score, xs, lo=0):
+    """The boundary rule shared by every tree learner.
 
-    Returns (original feature, threshold, left mask over node rows) or None
-    when every candidate is constant within the node.
+    ``score[f, j]`` (higher is better) scores the boundary after sorted
+    position ``lo + j`` of candidate f, whose sorted values are ``xs[f]``.
+    No split falls between equal values: those boundaries score -inf (in
+    place). The first argmax wins, i.e. the lowest candidate, then the
+    lowest boundary. Returns (score, candidate row, midpoint threshold).
     """
-    n = Xn.shape[0]
-    Xs = Xn[:, feats]
-    order = np.argsort(Xs, axis=0, kind="stable")
-    Xsorted = np.take_along_axis(Xs, order, axis=0)
-    counts_sorted = yn[order][:, :, None] == np.arange(n_classes)
-    cum = np.cumsum(counts_sorted, axis=0, dtype=np.float64)
-    left_counts = cum[:-1]
-    right_counts = cum[-1][None, :, :] - left_counts
-    n_left = np.arange(1, n, dtype=np.float64)[:, None]
+    m = score.shape[1]
+    score[xs[:, lo + 1 : lo + m + 1] <= xs[:, lo : lo + m]] = -np.inf
+    f, j = np.unravel_index(np.argmax(score), score.shape)
+    b = lo + j
+    return score[f, j], int(f), float(0.5 * (xs[f, b] + xs[f, b + 1]))
+
+
+def _gini_cost(left_counts, totals, n_left, n):
+    """Weighted child Gini n_side * (1 - sum p^2) = n_side - sq/n_side,
+    summed over both sides, from the class counts left of each split and
+    the node's class totals; an empty side costs 0."""
     n_right = n - n_left
-    sq_left = np.einsum("ikc,ikc->ik", left_counts, left_counts)
-    sq_right = np.einsum("ikc,ikc->ik", right_counts, right_counts)
-    # weighted Gini: n_side * (1 - sum p^2) = n_side - sq/n_side
-    w = (n_left - sq_left / n_left) + (n_right - sq_right / n_right)
-    w[Xsorted[1:] <= Xsorted[:-1]] = np.inf
-    best = w.min()
-    if not np.isfinite(best):
-        return None
-    cand = np.argwhere(w == best)
-    # ties: lowest feature index (feats ascending), then lowest threshold
-    boundary, j = cand[np.lexsort((cand[:, 0], cand[:, 1]))][0]
-    thr = 0.5 * (Xsorted[boundary, j] + Xsorted[boundary + 1, j])
-    feat = int(feats[j])
-    return feat, float(thr), Xn[:, feat] <= thr
+    right_counts = totals - left_counts
+    sq_left = np.einsum("...c,...c->...", left_counts, left_counts)
+    sq_right = np.einsum("...c,...c->...", right_counts, right_counts)
+    return (n_left - sq_left / np.maximum(n_left, 1.0)) + (
+        n_right - sq_right / np.maximum(n_right, 1.0)
+    )
 
 
-def _best_split_random(Xn, yn, n_classes, feats, rng):
-    """One uniform threshold in [min, max) per candidate, best by Gini."""
-    Xs = Xn[:, feats]
-    lo = Xs.min(axis=0)
-    hi = Xs.max(axis=0)
+def _best_split_exhaustive(Xc, yn, counts, rng):
+    """Lowest weighted child Gini over all midpoints of the candidate
+    columns ``Xc`` (node rows, candidates); (column, threshold) or None
+    when every candidate is constant within the node. ``rng`` is unused:
+    both searches take the same arguments."""
+    n = Xc.shape[0]
+    order = np.argsort(Xc.T, axis=1, kind="stable")
+    xs = np.take_along_axis(Xc.T, order, axis=1)
+    onehot = yn[order][:, :, None] == np.arange(counts.shape[0])
+    left_counts = np.cumsum(onehot, axis=1, dtype=np.float64)[:, :-1]
+    n_left = np.arange(1, n, dtype=np.float64)
+    best, j, thr = _best_boundary(-_gini_cost(left_counts, counts, n_left, n), xs)
+    return (j, thr) if np.isfinite(best) else None
+
+
+def _best_split_random(Xc, yn, counts, rng):
+    """One uniform threshold in [min, max) per candidate column, best by
+    Gini (first minimum: lowest candidate)."""
+    lo, hi = Xc.min(axis=0), Xc.max(axis=0)
     spread = hi > lo
     if not spread.any():
         return None
     thr = rng.uniform(lo, hi)
-    mask = Xs <= thr
-    onehot = (yn[:, None] == np.arange(n_classes)).astype(np.float64)
-    c_left = mask.T.astype(np.float64) @ onehot
-    c_right = onehot.sum(axis=0)[None, :] - c_left
+    onehot = (yn[:, None] == np.arange(counts.shape[0])).astype(np.float64)
+    c_left = (Xc <= thr).T.astype(np.float64) @ onehot
     n_left = c_left.sum(axis=1)
-    n_right = c_right.sum(axis=1)
-    valid = spread & (n_left > 0) & (n_right > 0)
+    valid = spread & (n_left > 0) & (n_left < yn.shape[0])
     if not valid.any():
         return None
-    safe_l = np.maximum(n_left, 1.0)
-    safe_r = np.maximum(n_right, 1.0)
-    w = (n_left - (c_left**2).sum(axis=1) / safe_l) + (
-        n_right - (c_right**2).sum(axis=1) / safe_r
-    )
-    w = np.where(valid, w, np.inf)
-    j = int(np.argmin(w))  # first minimum: lowest feature index
-    return int(feats[j]), float(thr[j]), mask[:, j]
+    w = np.where(valid, _gini_cost(c_left, counts, n_left, yn.shape[0]), np.inf)
+    j = int(np.argmin(w))
+    return j, float(thr[j])
 
 
-def _grow_classification_tree(
-    X, y_idx, n_classes, rng, sample_idx, max_features, randomized, min_samples_split=2
-):
+def _grow_classification_tree(X, y_idx, n_classes, rng, sample_idx, max_features, search):
+    """Depth-first Gini tree on rows ``sample_idx``; each impure node draws
+    ``max_features`` candidates and splits where ``search`` says."""
     buf = _TreeBuffers()
     stack = [(buf.alloc(), sample_idx)]
     d = X.shape[1]
@@ -234,25 +251,17 @@ def _grow_classification_tree(
         nid, idx = stack.pop()
         yn = y_idx[idx]
         counts = np.bincount(yn, minlength=n_classes).astype(np.float64)
-        if idx.size < min_samples_split or counts.max() == idx.size:
-            buf.value[nid] = counts / idx.size
-            continue
-        feats = np.sort(rng.choice(d, size=k, replace=False))
-        Xn = X[idx]
-        if randomized:
-            split = _best_split_random(Xn, yn, n_classes, feats, rng)
-        else:
-            split = _best_split_exhaustive(Xn, yn, n_classes, feats)
+        split = None
+        if counts.max() < idx.size:
+            feats = np.sort(rng.choice(d, size=k, replace=False))
+            split = search(X[np.ix_(idx, feats)], yn, counts, rng)
         if split is None:
             buf.value[nid] = counts / idx.size
             continue
-        feat, thr, mask = split
-        buf.feature[nid] = feat
-        buf.threshold[nid] = thr
-        lid = buf.alloc()
-        rid = buf.alloc()
-        buf.left[nid] = lid
-        buf.right[nid] = rid
+        j, thr = split
+        feat = int(feats[j])
+        mask = X[idx, feat] <= thr
+        lid, rid = buf.split(nid, feat, thr)
         stack.append((rid, idx[~mask]))
         stack.append((lid, idx[mask]))
     return buf.pack(n_classes)
@@ -269,6 +278,7 @@ class RandomForest(Classifier):
 
     kind = "random_forest"
     param_names = ("n_trees", "bootstrap", "max_features")
+    _search = staticmethod(_best_split_exhaustive)
 
     def __init__(
         self,
@@ -280,12 +290,13 @@ class RandomForest(Classifier):
         super().__init__(seed)
         if n_trees < 1:
             raise ValueError(f"n_trees must be >= 1, got {n_trees}")
+        whole = isinstance(max_features, (int, np.integer)) and not isinstance(max_features, bool)
+        if not (max_features is None or whole and max_features >= 1):
+            raise ValueError(f"max_features must be an integer >= 1 or None, got {max_features!r}")
         self.n_trees = int(n_trees)
         self.bootstrap = bool(bootstrap)
         self.max_features = max_features
         self.trees_: list[FlatTree] = []
-
-    _randomized = False
 
     def _fit(self, X: np.ndarray, y_idx: np.ndarray) -> None:
         n, d = X.shape
@@ -296,9 +307,7 @@ class RandomForest(Classifier):
             rng = _tree_rng(self.seed, t)
             idx = rng.integers(0, n, size=n) if self.bootstrap else np.arange(n)
             self.trees_.append(
-                _grow_classification_tree(
-                    X, y_idx, n_classes, rng, idx, k, randomized=self._randomized
-                )
+                _grow_classification_tree(X, y_idx, n_classes, rng, idx, k, self._search)
             )
 
     def _proba(self, X: np.ndarray) -> np.ndarray:
@@ -338,7 +347,7 @@ class ExtraTrees(RandomForest):
     """No bootstrap; a single uniform-random threshold per candidate feature."""
 
     kind = "extra_trees"
-    _randomized = True
+    _search = staticmethod(_best_split_random)
 
     def __init__(self, n_trees: int = 800, seed: int = 0, max_features: int | None = None) -> None:
         super().__init__(n_trees=n_trees, seed=seed, bootstrap=False, max_features=max_features)

@@ -11,10 +11,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import inspect
 import json
 import os
 import sys
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -130,6 +130,26 @@ def _positive_int(obj: dict, key: str, where: str) -> int:
     return val
 
 
+def _check_param_type(val, hint, what: str) -> None:
+    """Refuse a JSON value that does not fit the constructor's type hint:
+    a bool for bool, an integer (not a bool) for int, a finite number for
+    float, and null too where the hint allows None. Ranges are the
+    constructor's to check."""
+    allowed = typing.get_args(hint) or (hint,)
+    if val is None and type(None) in allowed:
+        return
+    if bool in allowed:
+        ok, expected = isinstance(val, bool), "true or false"
+    elif int in allowed:
+        ok, expected = isinstance(val, int) and not isinstance(val, bool), "an integer"
+    else:
+        number = isinstance(val, (int, float)) and not isinstance(val, bool)
+        ok, expected = number and abs(val) <= sys.float_info.max, "a finite number"
+    if not ok:
+        or_null = " or null" if type(None) in allowed else ""
+        raise UsageError(f"{what} must be {expected}{or_null}, got {val!r}")
+
+
 def load_run_config(path: str) -> RunConfig:
     """Parse and strictly validate a config file before any work starts."""
     where = str(path)
@@ -205,16 +225,18 @@ def load_run_config(path: str) -> RunConfig:
             if not isinstance(overrides, dict):
                 raise UsageError(f"{where}: 'model_params'[{kind!r}] must be an object")
             # the seed comes from 'seeds'; an ensemble takes no parameters
-            accepted = set()
+            hints = {}
             if kind in MODEL_CLASSES:
-                accepted = set(inspect.signature(MODEL_CLASSES[kind]).parameters) - {"seed"}
-            for key in overrides:
-                if key not in accepted:
-                    takes = ", ".join(sorted(accepted)) or "no parameters"
+                hints = typing.get_type_hints(MODEL_CLASSES[kind].__init__)
+                hints = {k: v for k, v in hints.items() if k not in ("seed", "return")}
+            for key, val in overrides.items():
+                if key not in hints:
+                    takes = ", ".join(sorted(hints)) or "no parameters"
                     raise UsageError(
                         f"{where}: 'model_params'[{kind!r}] has unknown parameter {key!r}; "
                         f"{kind} takes {takes}"
                     )
+                _check_param_type(val, hints[key], f"{where}: 'model_params'[{kind!r}][{key!r}]")
         kwargs["model_params"] = params
     if "shapley_permutations" in obj:
         kwargs["shapley_permutations"] = _positive_int(obj, "shapley_permutations", where)

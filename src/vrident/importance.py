@@ -21,6 +21,7 @@ from .classifiers import RandomForest
 from .ingest import atomic_write_text
 
 _EXACT_LIMIT = 5040  # 7!
+_CHUNK_ROWS = 8192  # rows a model without a tree walk scores at once
 
 
 @dataclass
@@ -107,7 +108,6 @@ def shapley_attribution(
     method: str = "sampling",
     max_per_label: int = 50,
     feature_names=None,
-    chunk_rows: int = 8192,
 ) -> AttributionResult:
     """Per-feature Shapley values of ``model`` over the test instances.
 
@@ -118,7 +118,7 @@ def shapley_attribution(
 
     Random forests and extra trees walk each tree without building the
     masked rows (``RandomForest.walk_proba``); every other model scores the
-    rows, and ``chunk_rows`` bounds how many it scores at once. Neither
+    rows, and ``_CHUNK_ROWS`` bounds how many it scores at once. Neither
     choice changes a bit of the result. A non-finite baseline value or
     value in a walked test row is reported, by row and feature name,
     before any walk starts.
@@ -175,7 +175,7 @@ def shapley_attribution(
         raise ValueError(
             f"test row {row}, feature {feature_names[f]!r}, is not finite ({float(X[row, f])!r})"
         )
-    chunk_perms = max(1, chunk_rows // max(d, 1))
+    chunk_perms = max(1, _CHUNK_ROWS // max(d, 1))
     base_probas = model.predict_proba(baseline[None, :])[0]
 
     per_instance = np.zeros((keep.shape[0], d))

@@ -449,6 +449,17 @@ def test_gbm_rejects_bad_parameters():
             GradientBoosting(min_leaf=min_leaf)
 
 
+@pytest.mark.parametrize("cls", [RandomForest, ExtraTrees])
+def test_forests_reject_bad_parameters(cls):
+    with pytest.raises(ValueError, match="n_trees must be >= 1, got 0"):
+        cls(n_trees=0)
+    for bad in (0, -1, 1.5, True, "2"):
+        message = f"max_features must be an integer >= 1 or None, got {bad!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cls(max_features=bad)
+    assert cls(max_features=np.int64(3)).max_features == 3
+
+
 # ---------------------------------------------------------------- ensemble
 
 

@@ -212,11 +212,34 @@ def test_config_validates_values(tmp_path, cohort_dir):
             r"'model_params'\['ensemble'\] has unknown parameter 'members'; "
             "ensemble takes no parameters",
         ),
+        (
+            {"model_params": {"gbm": {"learning_rate": float("inf")}}},
+            r"'model_params'\['gbm'\]\['learning_rate'\] must be a finite number, got inf",
+        ),
+        (
+            {"model_params": {"qda": {"ridge": 10**400}}},
+            r"'model_params'\['qda'\]\['ridge'\] must be a finite number",
+        ),
+        (
+            {"model_params": {"random_forest": {"max_features": False}}},
+            r"'max_features'\] must be an integer or null, got False",
+        ),
     ]
     for overrides, match in cases:
         path = write_config(tmp_path / "cfg.json", cohort_dir, **overrides)
         with pytest.raises(UsageError, match=match):
             load_run_config(str(path))
+
+
+def test_config_model_params_of_the_hinted_types_load(tmp_path, cohort_dir):
+    params = {
+        "logistic": {"lam": 1, "tol": 1e-4, "max_iter": 5},
+        "random_forest": {"n_trees": 3, "bootstrap": False, "max_features": None},
+        "extra_trees": {"max_features": 2},
+        "gbm": {"learning_rate": 0.5, "min_leaf": 2},
+    }
+    path = write_config(tmp_path / "cfg.json", cohort_dir, model_params=params)
+    assert load_run_config(str(path)).model_params == params
 
 
 def test_config_invalid_json_names_the_file(tmp_path):
@@ -279,8 +302,36 @@ def test_evaluate_malformed_config_does_no_work(cohort_dir, tmp_path, capsys):
             {"model_params": {"ensemble": {"members": [1, 2]}}},
             "'model_params'['ensemble'] has unknown parameter 'members'",
         ),
+        (
+            {"model_params": {"random_forest": {"n_trees": "10"}}},
+            "'model_params'['random_forest']['n_trees'] must be an integer, got '10'",
+        ),
+        (
+            {"model_params": {"gbm": {"max_leaves": True}}},
+            "'model_params'['gbm']['max_leaves'] must be an integer, got True",
+        ),
+        (
+            {"model_params": {"logistic": {"lam": float("nan")}}},
+            "'model_params'['logistic']['lam'] must be a finite number, got nan",
+        ),
+        (
+            {"model_params": {"logistic": {"max_iter": 1.5}}},
+            "'model_params'['logistic']['max_iter'] must be an integer, got 1.5",
+        ),
+        (
+            {"model_params": {"random_forest": {"bootstrap": "no"}}},
+            "'model_params'['random_forest']['bootstrap'] must be true or false, got 'no'",
+        ),
+        (
+            {"model_params": {"extra_trees": {"max_features": 2.0}}},
+            "'model_params'['extra_trees']['max_features'] must be an integer or null, got 2.0",
+        ),
     ],
-    ids=["test_s_inf", "window_s_nan", "logistic_bogus", "ensemble_members"],
+    ids=[
+        "test_s_inf", "window_s_nan", "logistic_bogus", "ensemble_members",
+        "n_trees_string", "max_leaves_bool", "lam_nan", "max_iter_float", "bootstrap_string",
+        "max_features_float",
+    ],
 )
 def test_bad_config_numbers_and_params_stop_before_loading(
     cohort_dir, tmp_path, monkeypatch, capsys, command, overrides, message

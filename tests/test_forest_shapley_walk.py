@@ -154,16 +154,17 @@ def _result_arrays(result):
     )
 
 
-def test_forest_attribution_is_byte_identical_to_row_walk():
+def test_forest_attribution_is_byte_identical_to_row_walk(monkeypatch):
     rng = np.random.default_rng(11)
     X = rng.normal(size=(60, 24))
     y = np.repeat(["u1", "u2", "u3"], 20)
     X[y == "u2", :4] += 1.5
     X_test = X[::3] + rng.normal(scale=0.3, size=(20, 24))
     y_test = y[::3]
+    monkeypatch.setattr("vrident.importance._CHUNK_ROWS", 100)
     for model in (RandomForest(n_trees=15, seed=4), ExtraTrees(n_trees=25, seed=4)):
         model.fit(X, y)
-        kwargs = dict(n_permutations=9, seed=2, max_per_label=3, chunk_rows=100)
+        kwargs = dict(n_permutations=9, seed=2, max_per_label=3)
         fast = shapley_attribution(model, X_test, y_test, X.mean(axis=0), **kwargs)
         slow = shapley_attribution(RowsOnly(model), X_test, y_test, X.mean(axis=0), **kwargs)
         for a, b in zip(_result_arrays(fast), _result_arrays(slow), strict=True):

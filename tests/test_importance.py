@@ -169,14 +169,13 @@ def test_same_seed_reproduces_and_other_seed_differs():
     assert not np.array_equal(a.values, c.values)
 
 
-def test_permutation_chunking_does_not_change_the_result():
+def test_permutation_chunking_does_not_change_the_result(monkeypatch):
     model = CurvyToy()
     X = np.array([[0.9, -0.6, 0.7, 1.2]])
     y = np.array(["b"])
     wide = shapley_attribution(model, X, y, np.zeros(4), n_permutations=16, seed=4)
-    narrow = shapley_attribution(
-        model, X, y, np.zeros(4), n_permutations=16, seed=4, chunk_rows=8
-    )
+    monkeypatch.setattr("vrident.importance._CHUNK_ROWS", 8)
+    narrow = shapley_attribution(model, X, y, np.zeros(4), n_permutations=16, seed=4)
     assert np.array_equal(wide.values, narrow.values)
     assert np.array_equal(wide.stderr, narrow.stderr)
 
