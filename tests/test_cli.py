@@ -101,6 +101,35 @@ def test_featurize_writes_a_matrix_per_game(cohort_dir, tmp_path, capsys):
     assert "72 rows x (3 id cols + 28 features)" in capsys.readouterr().out
 
 
+@pytest.fixture(scope="module")
+def small_cohort_dir(tmp_path_factory) -> Path:
+    out = tmp_path_factory.mktemp("small_cohort")
+    assert run_cli("synth", "--users", 3, "--minutes", 1, "--seed", 13, "--out", out) == 0
+    return out
+
+
+@pytest.mark.parametrize(
+    "feature_set, sha256",
+    [
+        ("combined", "864f951a21d94055de09f3aef34f1c552faf2a55641fe1731fbca1cd6e2428eb"),
+        (
+            "movement_norm_height",
+            "715cd02f3a44b1fa9441da725834695d4ab18337a337f57db00d074847357976",
+        ),
+        ("traffic", "38dd1621551dd4f094ea0d004b39ee8d096caeff617bdd36800e6c9a277e5fdc"),
+    ],
+)
+def test_featurize_csv_bytes_are_pinned(small_cohort_dir, tmp_path, feature_set, sha256):
+    out = tmp_path / "feats"
+    code = run_cli(
+        "featurize", "--manifest", small_cohort_dir / "manifest.json",
+        "--feature-set", feature_set, "--out", out,
+    )
+    assert code == 0
+    data = (out / "features_game_a.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == sha256
+
+
 @pytest.mark.parametrize("flag", ["--window", "--bin"])
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_featurize_rejects_non_finite_lengths(cohort_dir, tmp_path, capsys, flag, value):
