@@ -1,6 +1,10 @@
 """Shared classifier plumbing: label encoding, validation, prediction."""
 from __future__ import annotations
 
+import numbers
+import sys
+import typing
+
 import numpy as np
 
 
@@ -25,6 +29,35 @@ def saved_array(where: str, key: str, values, dtype, shape=None) -> np.ndarray:
     if shape is not None and arr.shape != shape:
         raise ValueError(f"{where}: {key!r} has shape {arr.shape}, expected {shape}")
     return arr
+
+
+def check_param_type(val, hint, what: str) -> None:
+    """Refuse a value that does not fit a constructor's type hint: a bool
+    for bool, an integer (not a bool) for int, a finite number for float,
+    and None (JSON null) too where the hint allows it. Ranges are the
+    constructor's to check."""
+    allowed = typing.get_args(hint) or (hint,)
+    if val is None and type(None) in allowed:
+        return
+    is_bool = isinstance(val, (bool, np.bool_))
+    if bool in allowed:
+        ok, expected = is_bool, "true or false"
+    elif int in allowed:
+        ok, expected = isinstance(val, numbers.Integral) and not is_bool, "an integer"
+    else:
+        number = isinstance(val, numbers.Real) and not is_bool
+        ok, expected = number and abs(val) <= sys.float_info.max, "a finite number"
+    if not ok:
+        or_null = " or null" if type(None) in allowed else ""
+        raise ValueError(f"{what} must be {expected}{or_null}, got {val!r}")
+
+
+def check_params(init, args: dict) -> None:
+    """Check a constructor's arguments (its ``locals()`` on entry) against
+    the type hints of ``init``, so that no value is silently coerced."""
+    for name, hint in typing.get_type_hints(init).items():
+        if name != "return":
+            check_param_type(args[name], hint, name)
 
 
 class Classifier:

@@ -29,7 +29,7 @@ import heapq
 
 import numpy as np
 
-from .base import Classifier
+from .base import Classifier, check_params
 from .trees import FlatTree, _TreeBuffers, _best_boundary
 
 _EPS = 1e-16
@@ -133,6 +133,7 @@ class GradientBoosting(Classifier):
         min_leaf: int = 5,
         seed: int = 0,
     ) -> None:
+        check_params(GradientBoosting.__init__, locals())
         super().__init__(seed)
         if n_rounds < 0:
             raise ValueError(f"n_rounds must be >= 0, got {n_rounds}")

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from .base import Classifier, saved_array
+from .base import Classifier, check_params, saved_array
 
 
 class QuadraticDiscriminant(Classifier):
@@ -19,6 +19,7 @@ class QuadraticDiscriminant(Classifier):
     param_names = ("ridge",)
 
     def __init__(self, ridge: float = 1e-6, seed: int = 0) -> None:
+        check_params(QuadraticDiscriminant.__init__, locals())
         super().__init__(seed)
         if ridge <= 0:
             raise ValueError(f"ridge must be positive, got {ridge}")

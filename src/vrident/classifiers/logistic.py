@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import Classifier, saved_array
+from .base import Classifier, check_params, saved_array
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -74,6 +74,7 @@ class LogisticOneVsRest(Classifier):
     def __init__(
         self, lam: float = 1.0, tol: float = 1e-6, max_iter: int = 100, seed: int = 0
     ) -> None:
+        check_params(LogisticOneVsRest.__init__, locals())
         super().__init__(seed)
         if lam < 0:
             raise ValueError(f"lam must be >= 0, got {lam}")

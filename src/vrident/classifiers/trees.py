@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import Classifier, check_matrix, saved_array
+from .base import Classifier, check_matrix, check_params, saved_array
 
 
 @dataclass
@@ -287,12 +287,15 @@ class RandomForest(Classifier):
         bootstrap: bool = True,
         max_features: int | None = None,
     ) -> None:
-        super().__init__(seed)
-        if n_trees < 1:
-            raise ValueError(f"n_trees must be >= 1, got {n_trees}")
+        # before the type check, so that a bad max_features gets the message
+        # that also states its range
         whole = isinstance(max_features, (int, np.integer)) and not isinstance(max_features, bool)
         if not (max_features is None or whole and max_features >= 1):
             raise ValueError(f"max_features must be an integer >= 1 or None, got {max_features!r}")
+        check_params(RandomForest.__init__, locals())
+        super().__init__(seed)
+        if n_trees < 1:
+            raise ValueError(f"n_trees must be >= 1, got {n_trees}")
         self.n_trees = int(n_trees)
         self.bootstrap = bool(bootstrap)
         self.max_features = max_features

@@ -20,6 +20,7 @@ from pathlib import Path
 
 from . import __version__
 from .classifiers import MODEL_CLASSES, MODEL_KINDS, make_model
+from .classifiers.base import check_param_type
 from .core import DEFAULT_WINDOW_S, whole_windows
 from .evaluation import (
     ExperimentSpec,
@@ -130,26 +131,6 @@ def _positive_int(obj: dict, key: str, where: str) -> int:
     return val
 
 
-def _check_param_type(val, hint, what: str) -> None:
-    """Refuse a JSON value that does not fit the constructor's type hint:
-    a bool for bool, an integer (not a bool) for int, a finite number for
-    float, and null too where the hint allows None. Ranges are the
-    constructor's to check."""
-    allowed = typing.get_args(hint) or (hint,)
-    if val is None and type(None) in allowed:
-        return
-    if bool in allowed:
-        ok, expected = isinstance(val, bool), "true or false"
-    elif int in allowed:
-        ok, expected = isinstance(val, int) and not isinstance(val, bool), "an integer"
-    else:
-        number = isinstance(val, (int, float)) and not isinstance(val, bool)
-        ok, expected = number and abs(val) <= sys.float_info.max, "a finite number"
-    if not ok:
-        or_null = " or null" if type(None) in allowed else ""
-        raise UsageError(f"{what} must be {expected}{or_null}, got {val!r}")
-
-
 def load_run_config(path: str) -> RunConfig:
     """Parse and strictly validate a config file before any work starts."""
     where = str(path)
@@ -236,7 +217,10 @@ def load_run_config(path: str) -> RunConfig:
                         f"{where}: 'model_params'[{kind!r}] has unknown parameter {key!r}; "
                         f"{kind} takes {takes}"
                     )
-                _check_param_type(val, hints[key], f"{where}: 'model_params'[{kind!r}][{key!r}]")
+                try:
+                    check_param_type(val, hints[key], f"{where}: 'model_params'[{kind!r}][{key!r}]")
+                except ValueError as exc:
+                    raise UsageError(str(exc)) from None
         kwargs["model_params"] = params
     if "shapley_permutations" in obj:
         kwargs["shapley_permutations"] = _positive_int(obj, "shapley_permutations", where)
@@ -342,14 +326,14 @@ def cmd_featurize(args) -> int:
     n_features = len(feature_names(feature_set))
     for game in dataset.game_ids():
         records = sorted(dataset.for_game(game), key=lambda r: r.user_id)
-        vectors = []
-        for record in records:
-            vectors.extend(
-                build_features(record.trace, feature_set, args.window, args.bin_s)
-            )
+        traces = [
+            build_features(record.trace, feature_set, args.window, args.bin_s)
+            for record in records
+        ]
         path = out_dir / f"features_{game}.csv"
-        write_feature_csv(str(path), vectors)
-        print(f"{game}: {len(vectors)} rows x (3 id cols + {n_features} features) -> {path}")
+        write_feature_csv(str(path), traces)
+        n_rows = sum(map(len, traces))
+        print(f"{game}: {n_rows} rows x (3 id cols + {n_features} features) -> {path}")
     return 0
 
 

@@ -413,15 +413,16 @@ def split_train_test(
     [train_s, train_s + test_s).
 
     Both spans must be positive multiples of the window length, and the
-    trace must actually cover them. Callers keep a window when its number
-    (``WindowSegment.index``, ``FeatureVector.window_index``) is in a range;
-    comparing float start times instead would, for spans such as 0.9 s of
-    0.3 s windows, put a boundary window on the wrong side.
+    trace must hold that many whole windows. Callers keep a window when its
+    number (``WindowSegment.index``, an entry of
+    ``TraceFeatures.window_index``) is in a range; comparing float start
+    times instead would, for spans such as 0.9 s of 0.3 s windows, put a
+    boundary window on the wrong side.
     """
     n_train = windows_in_span("train_s", train_s, window_s)
     n_test = windows_in_span("test_s", test_s, window_s)
-    needed = train_s + test_s
-    if needed > trace.duration_s:
+    if n_train + n_test > whole_windows(trace.duration_s, window_s):
+        needed = train_s + test_s
         raise SplitError(
             f"trace {trace.user_id}/{trace.game_id} lasts {trace.duration_s:.3f} s; "
             f"train+test needs {needed:.3f} s ({needed - trace.duration_s:.3f} s short)"

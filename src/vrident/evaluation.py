@@ -172,17 +172,17 @@ class EvaluationReport:
 # ---- core evaluation ---------------------------------------------------------
 
 def _trace_split(spec: ExperimentSpec, record: TraceRecord):
-    train, test = split_train_test(record.trace, spec.train_s, spec.test_s, spec.window_s)
-    vectors = build_features(record.trace, spec.feature_set, spec.window_s, spec.bin_s)
-    return (
-        [v for v in vectors if v.window_index in train],
-        [v for v in vectors if v.window_index in test],
-    )
+    """(train rows, test rows) of one trace's feature matrix, each in window
+    order: the kept windows whose numbers fall in the split's ranges."""
+    spans = split_train_test(record.trace, spec.train_s, spec.test_s, spec.window_s)
+    feats = build_features(record.trace, spec.feature_set, spec.window_s, spec.bin_s)
+    index = feats.window_index
+    return tuple(feats.values[(index >= r.start) & (index < r.stop)] for r in spans)
 
 
 def _identification_entries(spec: ExperimentSpec, dataset: Dataset):
-    """(user id, train feature vectors, test feature vectors) for every trace
-    of the spec's game, sorted by user id."""
+    """(user id, train rows, test rows) for every trace of the spec's game,
+    sorted by user id."""
     records = sorted(dataset.for_game(spec.game_id), key=lambda r: r.user_id)
     if len(records) < 2:
         raise ValueError(f"identification needs at least 2 users, got {len(records)}")
@@ -190,15 +190,15 @@ def _identification_entries(spec: ExperimentSpec, dataset: Dataset):
 
 
 def _scaled_matrices(entries) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Scaled (X_train, y_train, X_test, y_test) of (label, train feature
-    vectors, test feature vectors) entries, rows in entry order. The label is
-    a user id for identification and a game id for game recognition; the
-    scaler is fitted on the training rows only."""
+    """Scaled (X_train, y_train, X_test, y_test) of (label, train rows, test
+    rows) entries, rows in entry order. The label is a user id for
+    identification and a game id for game recognition; the scaler is fitted
+    on the training rows only."""
     distinct = sorted({label for label, _, _ in entries})
     if len(distinct) < 2:
         raise ValueError(f"evaluation needs at least 2 distinct labels, got {len(distinct)}")
-    y_train = np.array([label for label, train_vecs, _ in entries for _ in train_vecs])
-    y_test = np.array([label for label, _, test_vecs in entries for _ in test_vecs])
+    y_train = np.array([label for label, rows, _ in entries for _ in range(len(rows))])
+    y_test = np.array([label for label, _, rows in entries for _ in range(len(rows))])
     untrained = sorted(set(y_test.tolist()) - set(y_train.tolist()))
     if untrained:
         raise ValueError(
@@ -209,8 +209,8 @@ def _scaled_matrices(entries) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
         raise ValueError("no training windows survived windowing")
     if not y_test.size:
         raise ValueError("no test windows survived windowing")
-    train = np.vstack([v.values for _, train_vecs, _ in entries for v in train_vecs])
-    test = np.vstack([v.values for _, _, test_vecs in entries for v in test_vecs])
+    train = np.vstack([rows for _, rows, _ in entries])
+    test = np.vstack([rows for _, _, rows in entries])
     scaler = MinMaxScaler().fit(train)
     return scaler.transform(train), y_train, scaler.transform(test), y_test
 
@@ -227,10 +227,10 @@ def _evaluate(spec: ExperimentSpec, entries) -> EvaluationReport:
     test_counts: dict[str, int] = {}
     streams = []
     stop = 0
-    for label, train_vecs, test_vecs in entries:
-        train_counts[label] = train_counts.get(label, 0) + len(train_vecs)
-        test_counts[label] = test_counts.get(label, 0) + len(test_vecs)
-        start, stop = stop, stop + len(test_vecs)
+    for label, train, test in entries:
+        train_counts[label] = train_counts.get(label, 0) + len(train)
+        test_counts[label] = test_counts.get(label, 0) + len(test)
+        start, stop = stop, stop + len(test)
         if stop > start:
             streams.append(
                 PredictionStream(
@@ -407,7 +407,7 @@ def cross_game_eval(
         raise ValueError(f"cross-game evaluation needs at least 2 users, got {len(users)}")
 
     def windows(rec):
-        return build_features(rec.trace, spec.feature_set, spec.window_s, spec.bin_s)
+        return build_features(rec.trace, spec.feature_set, spec.window_s, spec.bin_s).values
 
     entries = [(a.user_id, windows(a), windows(b)) for a, b in zip(train_recs, test_recs)]
     return _evaluate(dataclasses.replace(spec, vote_k=1), entries).accuracy

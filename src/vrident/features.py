@@ -198,6 +198,16 @@ def _window_movement(segment: WindowSegment, rows: np.ndarray, geo: np.ndarray) 
     return np.concatenate([per_channel.ravel(), _stats_columns(geo).ravel()])
 
 
+def _bin_count(window_s: float, bin_s: float) -> int:
+    """Traffic bins per window: window_s / bin_s, which must be a whole
+    number of at least 1."""
+    ratio = window_s / bin_s if bin_s > 0 else 0.0
+    n_bins = int(round(ratio)) if math.isfinite(ratio) else 0
+    if n_bins < 1 or abs(ratio - n_bins) > 1e-9:
+        raise ValueError(f"bin_s={bin_s} does not evenly divide window_s={window_s}")
+    return n_bins
+
+
 def traffic_features(segment: WindowSegment, bin_s: float = DEFAULT_BIN_S) -> np.ndarray:
     """28 traffic features of one window, in TRAFFIC_FEATURE_NAMES order.
 
@@ -207,10 +217,7 @@ def traffic_features(segment: WindowSegment, bin_s: float = DEFAULT_BIN_S) -> np
     count, downlink count; each series is then summarized by the 7 stats.
     A window with no packets yields all zeros.
     """
-    ratio = segment.window_s / bin_s
-    n_bins = int(round(ratio))
-    if bin_s <= 0 or n_bins < 1 or abs(ratio - n_bins) > 1e-9:
-        raise ValueError(f"bin_s={bin_s} does not evenly divide window_s={segment.window_s}")
+    n_bins = _bin_count(segment.window_s, bin_s)
     rel = segment.traffic_t - segment.t_start
     idx = np.clip(np.floor(rel / bin_s).astype(np.int64), 0, n_bins - 1)
     sizes = segment.traffic_size.astype(np.float64)
@@ -242,19 +249,18 @@ def trace_height_scale(trace: Trace) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class FeatureVector:
-    """One window's features plus provenance."""
+class TraceFeatures:
+    """The features of one trace's kept windows: row i of ``values`` holds
+    window ``window_index[i]``, which starts at ``window_index[i] * window_s``."""
 
     user_id: str
     game_id: str
-    window_index: int
-    t_start: float
     feature_set: str
-    values: np.ndarray
+    window_index: np.ndarray  # (windows,) int64, ascending
+    values: np.ndarray  # (windows, d) float64, columns in feature_names order
 
-    @property
-    def names(self) -> tuple[str, ...]:
-        return feature_names(self.feature_set)
+    def __len__(self) -> int:
+        return self.window_index.shape[0]
 
 
 def build_features(
@@ -262,16 +268,19 @@ def build_features(
     feature_set: str = "combined",
     window_s: float = DEFAULT_WINDOW_S,
     bin_s: float = DEFAULT_BIN_S,
-) -> list[FeatureVector]:
-    """Feature vectors for every usable window of a trace.
+) -> TraceFeatures:
+    """Features of every usable window of a trace, one row per window.
 
     Pipeline: canonicalize quaternions, cut full windows, drop (and log)
     windows failing the movement-sample dropout bar, then extract the
-    requested feature set per surviving window. Geometry and height scaling
-    are per-row, so they run once on the whole trace and each window takes
-    its rows of the result.
+    requested feature set per surviving window: movement in the first 483
+    columns, traffic in the last 28. Geometry and height scaling are
+    per-row, so they run once on the whole trace and each window takes its
+    rows of the result.
     """
-    feature_names(feature_set)  # validates the name
+    n_features = len(feature_names(feature_set))  # validates the name
+    if feature_set in _TRAFFIC_SETS:
+        _bin_count(window_s, bin_s)
     canon = canonicalize_quaternions(trace)
     segments = filter_windows(window_trace(canon, window_s))
     if feature_set in _MOVEMENT_SETS:
@@ -280,25 +289,20 @@ def build_features(
         if feature_set in _NORMALIZED_SETS:
             rows = _scale_heights(rows, trace_height_scale(canon))
 
-    out = []
-    for seg in segments:
-        parts = []
+    values = np.empty((len(segments), n_features))
+    for out, seg in zip(values, segments):
         if feature_set in _MOVEMENT_SETS:
             window = slice(seg.m_lo, seg.m_hi)
-            parts.append(_window_movement(seg, rows[window], geo[window]))
+            out[: len(MOVEMENT_FEATURE_NAMES)] = _window_movement(seg, rows[window], geo[window])
         if feature_set in _TRAFFIC_SETS:
-            parts.append(traffic_features(seg, bin_s))
-        out.append(
-            FeatureVector(
-                user_id=trace.user_id,
-                game_id=trace.game_id,
-                window_index=seg.index,
-                t_start=seg.t_start,
-                feature_set=feature_set,
-                values=np.concatenate(parts) if len(parts) > 1 else parts[0],
-            )
-        )
-    return out
+            out[-len(TRAFFIC_FEATURE_NAMES) :] = traffic_features(seg, bin_s)
+    return TraceFeatures(
+        user_id=trace.user_id,
+        game_id=trace.game_id,
+        feature_set=feature_set,
+        window_index=np.array([seg.index for seg in segments], dtype=np.int64),
+        values=values,
+    )
 
 
 # ---- scaling ----------------------------------------------------------------
@@ -338,19 +342,20 @@ class MinMaxScaler:
 
 # ---- output -----------------------------------------------------------------
 
-def write_feature_csv(path: str, vectors: list[FeatureVector]) -> None:
-    """Write a feature matrix as CSV: provenance columns then feature columns.
+def write_feature_csv(path: str, traces: list[TraceFeatures]) -> None:
+    """Write a feature matrix as CSV: provenance columns then feature columns,
+    one row per window of each trace in turn.
 
-    All vectors must come from the same feature set. The write is atomic
+    All traces must come from the same feature set. The write is atomic
     (temp file + rename).
     """
-    if not vectors:
-        raise ValueError("no feature vectors to write")
-    sets = {v.feature_set for v in vectors}
+    if not any(len(t) for t in traces):
+        raise ValueError("no feature rows to write")
+    sets = {t.feature_set for t in traces}
     if len(sets) > 1:
         raise ValueError(f"mixed feature sets in one matrix: {sorted(sets)}")
-    lines = ["user_id,game_id,window_index," + ",".join(vectors[0].names)]
-    for v in vectors:
-        vals = ",".join(map(repr, v.values.tolist()))
-        lines.append(f"{v.user_id},{v.game_id},{v.window_index},{vals}")
+    lines = ["user_id,game_id,window_index," + ",".join(feature_names(sets.pop()))]
+    for t in traces:
+        for index, row in zip(t.window_index.tolist(), t.values.tolist()):
+            lines.append(f"{t.user_id},{t.game_id},{index}," + ",".join(map(repr, row)))
     atomic_write_text(path, "\n".join(lines) + "\n")

@@ -74,9 +74,9 @@ def test_criterion_1_feature_shapes():
     t0 = time.perf_counter()
     lengths = {}
     for fs, expected in (("movement", 483), ("traffic", 28), ("combined", 511)):
-        vectors = build_features(trace, fs)
-        assert vectors, f"no windows for {fs}"
-        assert vectors[0].values.shape == (expected,)
+        feats = build_features(trace, fs)
+        assert len(feats), f"no windows for {fs}"
+        assert feats.values.shape == (len(feats), expected)
         assert len(feature_names(fs)) == expected
         lengths[fs] = expected
     assert feature_names("combined") == MOVEMENT_FEATURE_NAMES + TRAFFIC_FEATURE_NAMES
@@ -380,14 +380,14 @@ def test_criterion_8_normalization():
     y_cols = [1, 8, 15]  # vertical position channel of head, left, right
     scaled_mv[:, y_cols] *= 2.0  # power of two keeps the arithmetic exact
     scaled = replace(trace, movement=scaled_mv)
-    original = np.vstack([v.values for v in build_features(trace, "movement_norm_height")])
-    rescaled = np.vstack([v.values for v in build_features(scaled, "movement_norm_height")])
+    original = build_features(trace, "movement_norm_height").values
+    rescaled = build_features(scaled, "movement_norm_height").values
     # pairwise-distance geometry is defined over unnormalized positions, so
     # only the mv.dist_* columns may respond to the scaling
     dist_mask = np.array([n.startswith("mv.dist_") for n in MOVEMENT_FEATURE_NAMES])
     assert np.array_equal(original[:, ~dist_mask], rescaled[:, ~dist_mask])
-    plain_a = np.vstack([v.values for v in build_features(trace, "movement")])
-    plain_b = np.vstack([v.values for v in build_features(scaled, "movement")])
+    plain_a = build_features(trace, "movement").values
+    plain_b = build_features(scaled, "movement").values
     assert not np.allclose(plain_a, plain_b)
     took = time.perf_counter() - t0
     assert took < 60.0, f"took {took:.1f}s"

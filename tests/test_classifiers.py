@@ -460,6 +460,22 @@ def test_forests_reject_bad_parameters(cls):
     assert cls(max_features=np.int64(3)).max_features == 3
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: GradientBoosting(n_rounds=2.5), "n_rounds must be an integer, got 2.5"),
+        (lambda: RandomForest(n_trees=1.5), "n_trees must be an integer, got 1.5"),
+        (lambda: LogisticOneVsRest(max_iter=1.5), "max_iter must be an integer, got 1.5"),
+        (lambda: RandomForest(bootstrap="no"), "bootstrap must be true or false, got 'no'"),
+        (lambda: LogisticOneVsRest(lam=float("nan")), "lam must be a finite number, got nan"),
+    ],
+    ids=["gbm_n_rounds", "forest_n_trees", "logistic_max_iter", "forest_bootstrap", "logistic_lam"],
+)
+def test_constructors_refuse_values_they_would_coerce(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
+
+
 # ---------------------------------------------------------------- ensemble
 
 

@@ -315,6 +315,15 @@ def test_split_insufficient_duration():
         split_train_test(make_trace(590.0), 480.0, 120.0)
 
 
+def test_split_counts_windows_not_float_sums():
+    # 0.1 + 0.2 is 0.30000000000000004 and 0.4 + 0.2 is 0.6000000000000001,
+    # yet a 0.3 s (0.6 s) trace holds the three (six) 0.1 s windows they span
+    assert split_train_test(make_trace(0.3), 0.1, 0.2, window_s=0.1) == (range(1), range(1, 3))
+    assert split_train_test(make_trace(0.6), 0.4, 0.2, window_s=0.1) == (range(4), range(4, 6))
+    with pytest.raises(SplitError, match="0.100 s short"):
+        split_train_test(make_trace(0.6), 0.4, 0.3, window_s=0.1)
+
+
 def test_split_rejects_non_multiples():
     tr = make_trace(600.0)
     with pytest.raises(ValueError, match="train_s"):

@@ -218,7 +218,7 @@ def test_identification_names_user_without_training_windows(cohort):
         run_identification(spec, dataset)
 
 
-def test_identification_accepts_inexact_float_multiples(cohort):
+def test_identification_accepts_inexact_float_multiples(cohort, monkeypatch):
     # 0.3 / 0.1 == 2.9999999999999996 must count as three 0.1 s windows, and a
     # 1.0 s trace must hold ten of them although 1.0 // 0.1 == 9.0
     rec = cohort.for_game("game_a")[0]
@@ -226,12 +226,27 @@ def test_identification_accepts_inexact_float_multiples(cohort):
     spec = ExperimentSpec(
         game_id="game_a", feature_set="traffic", train_s=0.3, test_s=0.7, window_s=0.1, bin_s=0.1
     )
+
+    def window_numbers(*args):
+        # each row holds its own window number, so the split rows show which
+        # windows they are
+        feats = build_features(*args)
+        return dataclasses.replace(feats, values=feats.window_index[:, None].astype(float))
+
+    monkeypatch.setattr("vrident.evaluation.build_features", window_numbers)
     train, test = _trace_split(spec, rec)
-    assert [v.window_index for v in train] == [0, 1, 2]
-    assert [v.window_index for v in test] == [3, 4, 5, 6, 7, 8, 9]
+    assert train[:, 0].tolist() == [0, 1, 2]
+    assert test[:, 0].tolist() == [3, 4, 5, 6, 7, 8, 9]
     bad = dataclasses.replace(spec, train_s=0.25)
     with pytest.raises(ValueError, match="train_s=0.25"):
         _trace_split(bad, rec)
+
+
+@pytest.mark.parametrize("bin_s", [0.0, float("nan")])
+def test_identification_rejects_bad_bin(cohort, bin_s):
+    spec = ExperimentSpec(game_id="game_a", feature_set="traffic", bin_s=bin_s, **SHORT)
+    with pytest.raises(ValueError, match=f"bin_s={bin_s} does not evenly divide window_s=10.0"):
+        run_identification(spec, cohort)
 
 
 def test_vote_k_beyond_test_windows_fails(cohort):
@@ -404,9 +419,9 @@ def reference_cross_game(spec, dataset, train_game, test_game):
     def all_rows(game):
         rows, labels = [], []
         for rec in sorted(dataset.for_game(game), key=lambda r: r.user_id):
-            vectors = build_features(rec.trace, spec.feature_set, spec.window_s, spec.bin_s)
-            rows.extend(v.values for v in vectors)
-            labels.extend([rec.user_id] * len(vectors))
+            feats = build_features(rec.trace, spec.feature_set, spec.window_s, spec.bin_s)
+            rows.extend(feats.values)
+            labels.extend([rec.user_id] * len(feats))
         return np.vstack(rows), np.array(labels)
 
     X_train, y_train = all_rows(train_game)

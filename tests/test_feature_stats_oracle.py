@@ -31,6 +31,7 @@ from vrident.features import (
     FEATURE_SET_NAMES,
     _stats_columns,
     build_features,
+    feature_names,
     geometry_channels,
     trace_height_scale,
 )
@@ -228,14 +229,16 @@ def test_build_features_matches_reference(
     for feature_set in FEATURE_SET_NAMES:
         got = build_features(trace, feature_set, bin_s=bin_s)
         want = reference_build_features(trace, feature_set, 10.0, bin_s)
-        assert [(v.window_index, v.t_start) for v in got] == [(i, t) for i, t, _ in want]
-        for v, (_, _, values) in zip(got, want):
-            assert _same_bits(v.values, values), (feature_set, v.window_index)
+        starts = got.window_index * 10.0
+        assert list(zip(got.window_index.tolist(), starts.tolist())) == [(i, t) for i, t, _ in want]
+        assert got.values.shape == (len(want), len(feature_names(feature_set)))
+        for index, row, (_, _, values) in zip(got.window_index, got.values, want):
+            assert _same_bits(row, values), (feature_set, index)
 
 
 def test_jittered_traces_reach_the_cases_they_are_meant_to_cover():
     trace = _jittered_trace(np.random.default_rng(1), 40, 0.45, 0.0, True, True, 0.0, {2})
-    kept = [v.window_index for v in build_features(trace, "traffic")]
+    kept = build_features(trace, "traffic").window_index.tolist()
     assert kept == [0, 2, 3]
     assert not trace.traffic_t[(trace.traffic_t >= 20.0) & (trace.traffic_t < 30.0)].size
     head_px = trace.movement[:600, 0]
@@ -253,6 +256,6 @@ PINNED_MATRICES = {
 @pytest.mark.parametrize("feature_set", sorted(PINNED_MATRICES))
 def test_feature_matrix_bytes_are_pinned(feature_set):
     ds = generate_synthetic_cohort(3, minutes=1.0, seed=13)
-    X = np.stack([v.values for rec in ds.records for v in build_features(rec.trace, feature_set)])
+    X = np.vstack([build_features(rec.trace, feature_set).values for rec in ds.records])
     assert X.shape == (18, 511)
     assert hashlib.sha256(X.tobytes()).hexdigest() == PINNED_MATRICES[feature_set]

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -14,10 +15,10 @@ from vrident.core import (
 )
 from vrident.features import (
     COMBINED_FEATURE_NAMES,
-    FeatureVector,
     MOVEMENT_FEATURE_NAMES,
     MinMaxScaler,
     TRAFFIC_FEATURE_NAMES,
+    TraceFeatures,
     _stats_columns,
     build_features,
     feature_names,
@@ -66,7 +67,7 @@ def ramp_trace(head_px) -> Trace:
 def test_differential_spec_example():
     # x = 0, 1, 0, 1, ... per sample: velocity alternates +-60 per second and
     # acceleration +-7200, the forward differences scaled by the 60 Hz rate
-    feats = build_features(ramp_trace([0.0, 1.0]), "movement")[0].values
+    feats = build_features(ramp_trace([0.0, 1.0]), "movement").values[0]
     by_name = dict(zip(MOVEMENT_FEATURE_NAMES, feats))
     assert (by_name["mv.head_px.vel.min"], by_name["mv.head_px.vel.max"]) == (-60.0, 60.0)
     assert (by_name["mv.head_px.acc.min"], by_name["mv.head_px.acc.max"]) == (-7200.0, 7200.0)
@@ -77,7 +78,7 @@ def test_differential_nominal_rate():
     # the timestamps say
     tr = ramp_trace(np.arange(600.0))
     tr = Trace("u", "g", 10.0, tr.movement_t * 1.01, tr.movement, [], [], [])
-    feats = build_features(tr, "movement")[0].values
+    feats = build_features(tr, "movement").values[0]
     by_name = dict(zip(MOVEMENT_FEATURE_NAMES, feats))
     assert by_name["mv.head_px.vel.min"] == by_name["mv.head_px.vel.max"] == 60.0
     assert by_name["mv.head_px.acc.max"] == 0.0
@@ -207,7 +208,7 @@ def synth_window(duration=10.0, rate=60.0, packets=None, seed=5):
 
 def test_movement_features_shape_and_layout():
     seg = synth_window()
-    feats = build_features(seg.trace, "movement")[0].values
+    feats = build_features(seg.trace, "movement").values[0]
     assert feats.shape == (483,)
     rows = seg.movement
     # spot-check: raw mean of head_px is feature 0, vel std of head_px is index 13
@@ -228,7 +229,7 @@ def test_movement_features_stationary_user():
     movement[:, 1] = 1.7
     movement[:, [3, 10, 17]] = 1.0
     tr = Trace("u", "g", 10.0, t, movement, np.array([]), np.array([]), np.array([]))
-    feats = build_features(tr, "movement")[0].values
+    feats = build_features(tr, "movement").values[0]
     names = MOVEMENT_FEATURE_NAMES
     by_name = dict(zip(names, feats))
     assert by_name["mv.head_py.raw.mean"] == pytest.approx(1.7, abs=1e-12)
@@ -252,8 +253,8 @@ def test_movement_features_needs_three_samples():
 def test_height_normalization_divides_y_only():
     tr = synth_window(seed=9).trace
     scale = trace_height_scale(tr)
-    plain = build_features(tr, "movement")[0].values
-    normed = build_features(tr, "movement_norm_height")[0].values
+    plain = build_features(tr, "movement").values[0]
+    normed = build_features(tr, "movement_norm_height").values[0]
     by_plain = dict(zip(MOVEMENT_FEATURE_NAMES, plain))
     by_norm = dict(zip(MOVEMENT_FEATURE_NAMES, normed))
     assert by_norm["mv.head_py.raw.mean"] == pytest.approx(by_plain["mv.head_py.raw.mean"] / scale[0])
@@ -282,8 +283,8 @@ def test_height_normalized_features_invariant_to_global_y_scaling():
     scaled_mv[:, [1, 8, 15]] *= 2.0  # power of two keeps float ops exact
     tr2 = Trace("u", "g", tr.duration_s, tr.movement_t, scaled_mv,
                 tr.traffic_t, tr.traffic_size, tr.traffic_dir)
-    f1 = build_features(tr, "movement_norm_height")[0].values
-    f2 = build_features(tr2, "movement_norm_height")[0].values
+    f1 = build_features(tr, "movement_norm_height").values[0]
+    f2 = build_features(tr2, "movement_norm_height").values[0]
     geo_mask = np.array([n.startswith(("mv.dist", "mv.ang")) for n in MOVEMENT_FEATURE_NAMES])
     assert np.array_equal(f1[~geo_mask], f2[~geo_mask])
     # an arbitrary scale is invariant to rounding error
@@ -291,11 +292,11 @@ def test_height_normalized_features_invariant_to_global_y_scaling():
     scaled_mv3[:, [1, 8, 15]] *= 1.3
     tr3 = Trace("u", "g", tr.duration_s, tr.movement_t, scaled_mv3,
                 tr.traffic_t, tr.traffic_size, tr.traffic_dir)
-    f3 = build_features(tr3, "movement_norm_height")[0].values
+    f3 = build_features(tr3, "movement_norm_height").values[0]
     assert np.allclose(f1[~geo_mask], f3[~geo_mask], rtol=1e-9, atol=1e-9)
     # without normalization the same scaling shifts the features
-    p1 = build_features(tr, "movement")[0].values
-    p2 = build_features(tr2, "movement")[0].values
+    p1 = build_features(tr, "movement").values[0]
+    p2 = build_features(tr2, "movement").values[0]
     assert not np.allclose(p1, p2)
 
 
@@ -367,6 +368,22 @@ def test_traffic_features_rejects_uneven_bin():
         traffic_features(seg, bin_s=3.0)
 
 
+@pytest.mark.parametrize("bin_s", [0.0, -1.0, math.nan, math.inf, 3.0])
+@pytest.mark.parametrize("feature_set", ["traffic", "combined"])
+def test_build_features_rejects_bad_bin_before_windowing(monkeypatch, feature_set, bin_s):
+    def cut(*args):
+        raise AssertionError("windows were cut before bin_s was checked")
+
+    monkeypatch.setattr("vrident.features.window_trace", cut)
+    message = f"bin_s={bin_s} does not evenly divide window_s=10.0"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build_features(full_trace(), feature_set, 10.0, bin_s)
+
+
+def test_movement_features_ignore_bin():
+    assert len(build_features(full_trace(), "movement", 10.0, 0.0)) == 6
+
+
 # ---- scaler ----
 
 def test_minmax_scaler_train_range_and_no_clamp():
@@ -417,21 +434,23 @@ def full_trace(duration=60.0, seed=3):
 
 def test_build_features_counts_and_provenance():
     tr = full_trace()
-    vecs = build_features(tr, "combined")
-    assert len(vecs) == 6
-    assert [v.window_index for v in vecs] == list(range(6))
-    assert all(v.user_id == "u7" and v.game_id == "ga" for v in vecs)
-    assert all(v.values.shape == (511,) for v in vecs)
-    assert vecs[0].names == COMBINED_FEATURE_NAMES
+    feats = build_features(tr, "combined")
+    assert isinstance(feats, TraceFeatures)
+    assert len(feats) == 6
+    assert feats.window_index.tolist() == list(range(6))
+    assert feats.window_index.dtype == np.int64
+    assert feats.user_id == "u7" and feats.game_id == "ga"
+    assert feats.values.shape == (6, 511) and feats.values.dtype == np.float64
+    assert feature_names(feats.feature_set) == COMBINED_FEATURE_NAMES
 
 
 def test_build_features_combined_is_concatenation():
     tr = full_trace(seed=6)
-    mv = build_features(tr, "movement")
-    tf = build_features(tr, "traffic")
-    both = build_features(tr, "combined")
+    mv = build_features(tr, "movement").values
+    tf = build_features(tr, "traffic").values
+    both = build_features(tr, "combined").values
     for m, f, b in zip(mv, tf, both):
-        assert np.array_equal(b.values, np.concatenate([m.values, f.values]))
+        assert np.array_equal(b, np.concatenate([m, f]))
 
 
 def test_build_features_unknown_set():
@@ -440,12 +459,12 @@ def test_build_features_unknown_set():
 
 
 def test_write_feature_csv_round_layout(tmp_path):
-    vecs = build_features(full_trace(), "traffic")
+    feats = build_features(full_trace(), "traffic")
     out = tmp_path / "feats.csv"
-    write_feature_csv(out, vecs)
+    write_feature_csv(out, [feats])
     lines = out.read_text().splitlines()
     assert lines[0] == "user_id,game_id,window_index," + ",".join(TRAFFIC_FEATURE_NAMES)
-    assert len(lines) == 1 + len(vecs)
+    assert len(lines) == 1 + len(feats)
     first = lines[1].split(",")
     assert first[:3] == ["u7", "ga", "0"]
     assert len(first) == 3 + 28
@@ -453,17 +472,17 @@ def test_write_feature_csv_round_layout(tmp_path):
 
 
 def test_feature_csv_values_are_per_value_reprs(tmp_path):
-    vecs = build_features(full_trace(), "combined")
+    feats = build_features(full_trace(), "combined")
     out = tmp_path / "feats.csv"
-    write_feature_csv(out, vecs)
+    write_feature_csv(out, [feats])
     rows = out.read_text().splitlines()[1:]
-    assert len(rows) == len(vecs)
-    for v, row in zip(vecs, rows):
-        assert row.split(",", 3)[3] == ",".join(repr(float(x)) for x in v.values)
+    assert len(rows) == len(feats)
+    for values, row in zip(feats.values, rows):
+        assert row.split(",", 3)[3] == ",".join(repr(float(x)) for x in values)
 
 
 def test_failed_feature_csv_write_keeps_previous_file(tmp_path, monkeypatch):
-    vecs = build_features(full_trace(), "traffic")
+    feats = build_features(full_trace(), "traffic")
     out = tmp_path / "feats.csv"
     out.write_text("previous\n")
 
@@ -472,13 +491,13 @@ def test_failed_feature_csv_write_keeps_previous_file(tmp_path, monkeypatch):
 
     monkeypatch.setattr("os.replace", refuse)
     with pytest.raises(OSError, match="disk full"):
-        write_feature_csv(out, vecs)
+        write_feature_csv(out, [feats])
     assert out.read_text() == "previous\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["feats.csv"]
 
 
 def test_write_feature_csv_rejects_mixed_sets(tmp_path):
     tr = full_trace()
-    vecs = build_features(tr, "movement")[:1] + build_features(tr, "traffic")[:1]
+    traces = [build_features(tr, "movement"), build_features(tr, "traffic")]
     with pytest.raises(ValueError, match="mixed feature sets"):
-        write_feature_csv(tmp_path / "x.csv", vecs)
+        write_feature_csv(tmp_path / "x.csv", traces)

@@ -319,12 +319,13 @@ def test_traffic_feature_ranks_first_when_only_download_rate_differs():
     names = feature_names("combined")
     train_rows, train_y, test_rows, test_y = [], [], [], []
     for record in dataset.records:
-        for fv in build_features(record.trace, "combined"):
-            if fv.t_start < 120.0:
-                train_rows.append(fv.values)
+        feats = build_features(record.trace, "combined")
+        for index, values in zip(feats.window_index, feats.values):
+            if index < 12:
+                train_rows.append(values)
                 train_y.append(record.user_id)
             else:
-                test_rows.append(fv.values)
+                test_rows.append(values)
                 test_y.append(record.user_id)
     scaler = MinMaxScaler().fit(np.array(train_rows))
     X_train = scaler.transform(np.array(train_rows))
