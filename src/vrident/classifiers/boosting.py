@@ -22,10 +22,21 @@ gains, the tie-break and the thresholds are therefore bit-for-bit those of
 a per-node sort, and so are the trees. The boundary rule (no split between
 equal values, first best boundary: lowest feature, then lowest boundary,
 midpoint threshold) is the forests' ``trees._best_boundary``.
+
+The k class trees of a round depend only on that round's softmax, so they
+grow concurrently on up to min(k, CPUs // jobs) threads: CPUs is the
+process's CPU affinity, and jobs the number of processes ``run_matrix``
+fans cells out over. The split search's large gathers, cumulative sums and
+element-wise passes release the interpreter lock. Each tree is a pure
+function of its inputs, and the scores take the trees' leaf values in class
+order afterwards, so trees, losses and saved models do not depend on the
+thread count or on CPU affinity.
 """
 from __future__ import annotations
 
 import heapq
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -33,6 +44,22 @@ from .base import Classifier, check_params
 from .trees import FlatTree, _TreeBuffers, _best_boundary
 
 _EPS = 1e-16
+
+#: Processes sharing this process's CPUs. ``run_matrix``'s worker processes set
+#: it to their job count, so that processes times tree threads fit the CPUs.
+_jobs = 1
+
+
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _tree_threads(k: int) -> int:
+    """Threads growing a round's k class trees: min(k, CPUs // jobs), at least 1."""
+    return max(1, min(k, _available_cpus() // _jobs))
 
 
 def _softmax(F: np.ndarray) -> np.ndarray:
@@ -72,7 +99,17 @@ def _best_reg_split(order, xs, g, h, g_tot, h_tot, min_leaf):
     hl = np.cumsum(h[order], axis=1)[:, lo:hi]
     gr = g_tot - gl
     hr = h_tot - hl
-    gain = gl**2 / (hl + _EPS) + gr**2 / (hr + _EPS) - g_tot**2 / (h_tot + _EPS)
+    # gl**2 / (hl + eps) + gr**2 / (hr + eps) - g_tot**2 / (h_tot + eps), the
+    # same operations in the same order, in place: concurrent searches each
+    # hold four (d, n) buffers, not six
+    gain = np.square(gl, out=gl)
+    hl += _EPS
+    gain /= hl
+    np.square(gr, out=gr)
+    hr += _EPS
+    gr /= hr
+    gain += gr
+    gain -= g_tot**2 / (h_tot + _EPS)
     best, feat, thr = _best_boundary(gain, xs, lo)
     return (float(best), feat, thr) if best > 0 else None
 
@@ -159,19 +196,25 @@ class GradientBoosting(Classifier):
         self.trees_ = []
         self.train_loss_ = [_log_loss(F, y_idx)]
         order, xs = _presort(X)
-        for _ in range(self.n_rounds):
-            P = _softmax(F)
-            grad = P - onehot
-            hess = P * (1.0 - P)
-            round_trees = []
-            for c in range(k):
-                tree = _grow_regression_tree(
-                    X, order, xs, grad[:, c], hess[:, c], self.max_leaves, self.min_leaf
+        with ThreadPoolExecutor(max_workers=_tree_threads(k)) as pool:
+            for _ in range(self.n_rounds):
+                P = _softmax(F)
+                grad = P - onehot
+                hess = P * (1.0 - P)
+                # grad.T[c] is grad[:, c]; the trees come back in class order
+                round_trees = list(
+                    pool.map(
+                        lambda g, h: _grow_regression_tree(
+                            X, order, xs, g, h, self.max_leaves, self.min_leaf
+                        ),
+                        grad.T,
+                        hess.T,
+                    )
                 )
-                round_trees.append(tree)
-                F[:, c] += self.learning_rate * tree.value[tree.apply(X), 0]
-            self.trees_.append(round_trees)
-            self.train_loss_.append(_log_loss(F, y_idx))
+                for c, tree in enumerate(round_trees):
+                    F[:, c] += self.learning_rate * tree.value[tree.apply(X), 0]
+                self.trees_.append(round_trees)
+                self.train_loss_.append(_log_loss(F, y_idx))
 
     def decision_scores(self, X) -> np.ndarray:
         """Accumulated boosting scores before the softmax, shape (n, k)."""

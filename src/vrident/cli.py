@@ -36,8 +36,10 @@ from .evaluation import (
     write_table_csv,
 )
 from .features import (
+    _TRAFFIC_SETS,
     DEFAULT_BIN_S,
     FEATURE_SET_NAMES,
+    _bin_count,
     build_features,
     feature_names,
     write_feature_csv,
@@ -182,6 +184,11 @@ def load_run_config(path: str) -> RunConfig:
     for key in ("window_s", "bin_s", "train_s", "test_s"):
         if key in obj:
             kwargs[key] = _positive_number(obj, key, where)
+    if _TRAFFIC_SETS.intersection(kwargs["feature_sets"]):
+        try:
+            _bin_count(kwargs.get("window_s", DEFAULT_WINDOW_S), kwargs.get("bin_s", DEFAULT_BIN_S))
+        except ValueError as exc:
+            raise UsageError(f"{where}: {exc}") from None
     if "vote_k" in obj:
         ks = _int_tuple(obj, "vote_k", where, minimum=1)
         bad = [k for k in ks if k % 2 == 0]
@@ -320,6 +327,8 @@ def cmd_featurize(args) -> int:
         if feature_set == "traffic":
             raise UsageError("height normalization does not apply to the traffic feature set")
         feature_set = mapped
+    if feature_set in _TRAFFIC_SETS:
+        _bin_count(args.window, args.bin_s)
     dataset = load_dataset(args.manifest)
     out_dir = _resolve_out_dir(args.out, "features")
     out_dir.mkdir(parents=True, exist_ok=True)

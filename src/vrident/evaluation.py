@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classifiers import MODEL_KINDS, make_model
+from .classifiers import MODEL_KINDS, boosting, make_model
 from .core import (
     DEFAULT_TEST_S,
     DEFAULT_TRAIN_S,
@@ -431,9 +431,10 @@ def game_recognition_eval(spec: ExperimentSpec, dataset: Dataset) -> float:
 _WORKER_STATE: tuple = ()
 
 
-def _init_worker(cell, dataset: Dataset) -> None:
+def _init_worker(cell, dataset: Dataset, jobs: int) -> None:
     global _WORKER_STATE
     _WORKER_STATE = (cell, dataset)
+    boosting._jobs = jobs
 
 
 def _run_worker_cell(spec: ExperimentSpec):
@@ -463,7 +464,7 @@ def run_matrix(specs: list[ExperimentSpec], dataset: Dataset, jobs: int = 1, cel
     if jobs == 1 or len(specs) <= 1:
         return [_result_or_exception(cell, spec, dataset) for spec in specs]
     with ProcessPoolExecutor(
-        max_workers=jobs, initializer=_init_worker, initargs=(cell, dataset)
+        max_workers=jobs, initializer=_init_worker, initargs=(cell, dataset, jobs)
     ) as pool:
         futures = [pool.submit(_run_worker_cell, spec) for spec in specs]
         return [future.exception() or future.result() for future in futures]

@@ -142,6 +142,23 @@ def test_featurize_rejects_non_finite_lengths(cohort_dir, tmp_path, capsys, flag
     assert not out.exists()
 
 
+@pytest.mark.parametrize("feature_set", ["traffic", "combined"])
+def test_featurize_rejects_a_bin_that_does_not_divide_the_window(
+    cohort_dir, tmp_path, monkeypatch, capsys, feature_set
+):
+    loads = []
+    monkeypatch.setattr("vrident.cli.load_dataset", lambda path: loads.append(path))
+    out = tmp_path / "feats"
+    code = run_cli(
+        "featurize", "--manifest", cohort_dir / "manifest.json", "--feature-set", feature_set,
+        "--window", 10, "--bin", 3, "--out", out,
+    )
+    assert code == 2
+    assert "bin_s=3.0 does not evenly divide window_s=10.0" in capsys.readouterr().err
+    assert not loads
+    assert not out.exists()
+
+
 def test_featurize_missing_manifest_is_exit_two(tmp_path, capsys):
     code = run_cli("featurize", "--manifest", tmp_path / "nope.json")
     assert code == 2
@@ -220,6 +237,11 @@ def test_config_validates_values(tmp_path, cohort_dir):
         ({"games": ["game_a", "game_a"]}, "'games' lists 'game_a' more"),
         ({"window_s": float("nan")}, "'window_s' must be a finite positive number, got nan"),
         ({"bin_s": float("inf")}, "'bin_s' must be a finite positive number, got inf"),
+        ({"bin_s": 3}, r"bin_s=3\.0 does not evenly divide window_s=10\.0"),
+        (
+            {"feature_sets": ["movement", "combined"], "window_s": 5, "bin_s": 2},
+            r"bin_s=2\.0 does not evenly divide window_s=5\.0",
+        ),
         ({"train_s": float("-inf")}, "'train_s' must be a finite positive number, got -inf"),
         ({"test_s": float("inf")}, "'test_s' must be a finite positive number, got inf"),
         ({"test_s": 10**400}, "'test_s' must be a finite positive number"),
@@ -258,6 +280,11 @@ def test_config_validates_values(tmp_path, cohort_dir):
         path = write_config(tmp_path / "cfg.json", cohort_dir, **overrides)
         with pytest.raises(UsageError, match=match):
             load_run_config(str(path))
+
+
+def test_config_bin_s_is_free_without_traffic(tmp_path, cohort_dir):
+    path = write_config(tmp_path / "cfg.json", cohort_dir, feature_sets=["movement"], bin_s=3)
+    assert load_run_config(str(path)).bin_s == 3.0
 
 
 def test_config_model_params_of_the_hinted_types_load(tmp_path, cohort_dir):
@@ -323,6 +350,7 @@ def test_evaluate_malformed_config_does_no_work(cohort_dir, tmp_path, capsys):
     [
         ({"test_s": float("inf")}, "'test_s' must be a finite positive number, got inf"),
         ({"window_s": float("nan")}, "'window_s' must be a finite positive number, got nan"),
+        ({"bin_s": 3}, "bin_s=3.0 does not evenly divide window_s=10.0"),
         (
             {"model_params": {"logistic": {"bogus": 1}}},
             "'model_params'['logistic'] has unknown parameter 'bogus'",
@@ -357,7 +385,7 @@ def test_evaluate_malformed_config_does_no_work(cohort_dir, tmp_path, capsys):
         ),
     ],
     ids=[
-        "test_s_inf", "window_s_nan", "logistic_bogus", "ensemble_members",
+        "test_s_inf", "window_s_nan", "bin_s_not_dividing", "logistic_bogus", "ensemble_members",
         "n_trees_string", "max_leaves_bool", "lam_nan", "max_iter_float", "bootstrap_string",
         "max_features_float",
     ],

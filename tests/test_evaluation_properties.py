@@ -29,7 +29,11 @@ from vrident.evaluation import (
 from vrident.ingest import generate_synthetic_cohort
 
 LABELS = np.array(["A", "B", "C", "D"])
-SMALL_MODELS = {"random_forest": {"n_trees": 10}, "extra_trees": {"n_trees": 10}}
+SMALL_MODELS = {
+    "random_forest": {"n_trees": 10},
+    "extra_trees": {"n_trees": 10},
+    "gbm": {"n_rounds": 3},
+}
 
 
 @st.composite
@@ -72,7 +76,8 @@ def _outcome(result):
         st.sampled_from(["movement", "traffic", "combined"]), min_size=1, max_size=2, unique=True
     ),
     kinds=st.lists(
-        st.sampled_from(["logistic", "qda", "random_forest"]), min_size=1, max_size=2, unique=True
+        st.sampled_from(["logistic", "qda", "random_forest", "gbm"]),
+        min_size=1, max_size=2, unique=True,
     ),
 )
 def test_matrix_jobs_2_matches_jobs_1(n_users, seed, feature_sets, kinds):
