@@ -228,6 +228,10 @@ def load_run_config(path: str) -> RunConfig:
                     check_param_type(val, hints[key], f"{where}: 'model_params'[{kind!r}][{key!r}]")
                 except ValueError as exc:
                     raise UsageError(str(exc)) from None
+            try:  # the constructors check value ranges
+                make_model(kind, **overrides)
+            except ValueError as exc:
+                raise UsageError(f"{where}: 'model_params'[{kind!r}]: {exc}") from None
         kwargs["model_params"] = params
     if "shapley_permutations" in obj:
         kwargs["shapley_permutations"] = _positive_int(obj, "shapley_permutations", where)

@@ -5,19 +5,20 @@ one game: headset/controller poses sampled at a nominal 60 Hz, and the packet
 stream observed on the network link. Everything downstream works on fixed
 accumulation windows cut from a shared, re-based time axis, so this module
 owns the time handling: re-basing, quaternion canonicalization, windowing,
-the dropout filter, and the chronological train/test split.
+the dropout filter, and the chronological train/test split. A window is a
+slice between two row bounds of ``window_cuts``, not an object.
 
 Array conventions: movement data is stored as an (n, 21) float array whose
 columns follow MOVEMENT_CHANNELS (head, left controller, right controller;
 position xyz then quaternion wxyz for each). Packet data is three parallel
 arrays (time, size, direction) with direction encoded as DIR_UL / DIR_DL.
+Both streams' timestamps are finite and non-decreasing.
 """
 from __future__ import annotations
 
 import logging
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable
 
 import numpy as np
 
@@ -80,7 +81,8 @@ class Trace:
     Timestamps are re-based so t=0 is the earliest event across both streams
     (see :meth:`assemble`). ``duration_s`` is the capture length used for
     windowing; it may exceed the last timestamp (a 600 s capture's final
-    movement sample sits at 599.98333 s).
+    movement sample sits at 599.98333 s). Each stream's timestamps must be
+    non-decreasing; TraceFormatError names the first sample that goes back.
     """
 
     user_id: str
@@ -120,6 +122,13 @@ class Trace:
                 raise TraceFormatError(
                     f"{where}: {name} sample {bad[0]}{channel} is not finite "
                     f"({float(values[bad])!r})"
+                )
+        for name in ("movement_t", "traffic_t"):
+            t = getattr(self, name)
+            back = np.flatnonzero(t[1:] < t[:-1])
+            if back.size:
+                raise TraceFormatError(
+                    f"{where}: {name} goes back in time at sample {int(back[0]) + 1}"
                 )
 
     @classmethod
@@ -280,102 +289,38 @@ def canonicalize_quaternions(trace: Trace) -> Trace:
     return replace(trace, movement=movement)
 
 
-@dataclass(frozen=True)
-class WindowSegment:
-    """One accumulation window of a trace: [t_start, t_start + window_s).
-
-    Holds index ranges into the parent trace's arrays; the array properties
-    return views, not copies.
-    """
-
-    trace: Trace
-    index: int
-    t_start: float
-    window_s: float
-    m_lo: int
-    m_hi: int
-    p_lo: int
-    p_hi: int
-
-    @property
-    def movement_t(self) -> np.ndarray:
-        return self.trace.movement_t[self.m_lo : self.m_hi]
-
-    @property
-    def movement(self) -> np.ndarray:
-        return self.trace.movement[self.m_lo : self.m_hi]
-
-    @property
-    def traffic_t(self) -> np.ndarray:
-        return self.trace.traffic_t[self.p_lo : self.p_hi]
-
-    @property
-    def traffic_size(self) -> np.ndarray:
-        return self.trace.traffic_size[self.p_lo : self.p_hi]
-
-    @property
-    def traffic_dir(self) -> np.ndarray:
-        return self.trace.traffic_dir[self.p_lo : self.p_hi]
-
-    @property
-    def n_movement(self) -> int:
-        return self.m_hi - self.m_lo
-
-
-def window_trace(trace: Trace, window_s: float = DEFAULT_WINDOW_S) -> list[WindowSegment]:
-    """Cut a trace into its whole windows (see :func:`whole_windows`).
+def window_cuts(trace: Trace, window_s: float) -> tuple[np.ndarray, np.ndarray]:
+    """Row bounds of a trace's whole windows (see :func:`whole_windows`), as
+    (m_cuts, p_cuts): window i holds movement rows m_cuts[i]:m_cuts[i+1] and
+    packets p_cuts[i]:p_cuts[i+1].
 
     Window i covers [i*window_s, (i+1)*window_s) on the re-based time axis;
     membership is half-open, so a sample sitting exactly on a boundary
     belongs to the later window. The trailing partial window is dropped.
     """
-    if window_s <= 0:
-        raise ValueError(f"window_s must be positive, got {window_s}")
-    n_windows = whole_windows(trace.duration_s, window_s)
-    edges = np.arange(n_windows + 1, dtype=np.float64) * window_s
-    m_cuts = np.searchsorted(trace.movement_t, edges, side="left")
-    p_cuts = np.searchsorted(trace.traffic_t, edges, side="left")
-    return [
-        WindowSegment(
-            trace=trace,
-            index=i,
-            t_start=float(edges[i]),
-            window_s=float(window_s),
-            m_lo=int(m_cuts[i]),
-            m_hi=int(m_cuts[i + 1]),
-            p_lo=int(p_cuts[i]),
-            p_hi=int(p_cuts[i + 1]),
-        )
-        for i in range(n_windows)
-    ]
+    edges = np.arange(whole_windows(trace.duration_s, window_s) + 1, dtype=np.float64) * window_s
+    return (
+        np.searchsorted(trace.movement_t, edges, side="left"),
+        np.searchsorted(trace.traffic_t, edges, side="left"),
+    )
 
 
-def passes_dropout(segment: WindowSegment) -> bool:
-    """Whether a window holds enough movement samples to be trusted.
+def kept_windows(trace: Trace, m_cuts: np.ndarray, window_s: float) -> np.ndarray:
+    """Ascending numbers of the windows that hold enough movement samples to
+    be trusted, logging each window dropped.
 
     The bar is DROPOUT_MIN_FRACTION of the nominal count
     SAMPLE_RATE_HZ * window_s (300 for a 10 s window); windows at or above
     it pass.
     """
-    return segment.n_movement >= DROPOUT_MIN_FRACTION * SAMPLE_RATE_HZ * segment.window_s
-
-
-def filter_windows(segments: Iterable[WindowSegment]) -> list[WindowSegment]:
-    """Drop windows failing the dropout bar, logging each discard."""
-    kept = []
-    for seg in segments:
-        if passes_dropout(seg):
-            kept.append(seg)
-        else:
-            log.warning(
-                "dropping window %d of trace %s/%s: %d movement samples (< %d required)",
-                seg.index,
-                seg.trace.user_id,
-                seg.trace.game_id,
-                seg.n_movement,
-                math.ceil(DROPOUT_MIN_FRACTION * SAMPLE_RATE_HZ * seg.window_s),
-            )
-    return kept
+    bar = DROPOUT_MIN_FRACTION * SAMPLE_RATE_HZ * window_s
+    counts = np.diff(m_cuts)
+    for i in np.flatnonzero(counts < bar):
+        log.warning(
+            "dropping window %d of trace %s/%s: %d movement samples (< %d required)",
+            i, trace.user_id, trace.game_id, counts[i], math.ceil(bar),
+        )
+    return np.flatnonzero(counts >= bar)
 
 
 #: Relative tolerance within which a span counts as a whole number of windows.
@@ -386,8 +331,11 @@ def whole_windows(span: float, window_s: float) -> int:
     """Number of whole windows in ``span``: floor(span / window_s), except
     that a ratio within a relative 1e-9 of an integer counts as that integer,
     because decimal spans are inexact in binary: 0.3 / 0.1 is
-    2.9999999999999996.
+    2.9999999999999996. A ``window_s`` that is not a finite positive number
+    raises ValueError.
     """
+    if not 0 < window_s < math.inf:  # NaN fails the comparison too
+        raise ValueError(f"window_s must be a finite positive number, got {window_s}")
     ratio = span / window_s
     nearest = round(ratio)
     return nearest if math.isclose(ratio, nearest, rel_tol=_SPAN_REL_TOL) else math.floor(ratio)
@@ -396,8 +344,8 @@ def whole_windows(span: float, window_s: float) -> int:
 def windows_in_span(name: str, span: float, window_s: float) -> int:
     """Number of windows in ``span``, which must be a positive whole multiple
     of ``window_s`` under the tolerance of :func:`whole_windows`."""
-    count = whole_windows(span, window_s)
-    if span <= 0 or count < 1 or not math.isclose(span / window_s, count, rel_tol=_SPAN_REL_TOL):
+    count = whole_windows(span, window_s) if 0 < span < math.inf else 0
+    if count < 1 or not math.isclose(span / window_s, count, rel_tol=_SPAN_REL_TOL):
         raise ValueError(f"{name}={span} is not a positive multiple of window_s={window_s}")
     return count
 
@@ -414,9 +362,8 @@ def split_train_test(
 
     Both spans must be positive multiples of the window length, and the
     trace must hold that many whole windows. Callers keep a window when its
-    number (``WindowSegment.index``, an entry of
-    ``TraceFeatures.window_index``) is in a range; comparing float start
-    times instead would, for spans such as 0.9 s of 0.3 s windows, put a
+    number (an entry of ``TraceFeatures.window_index``) is in a range;
+    comparing float start times instead would, for spans such as 0.9 s of 0.3 s windows, put a
     boundary window on the wrong side.
     """
     n_train = windows_in_span("train_s", train_s, window_s)

@@ -10,6 +10,10 @@ Every accumulation window is summarized by the same 7 statistics
   downlink count over 1 s bins) -> 28 features;
 * combined: movement then traffic -> 511.
 
+``build_features`` works a trace at a time: windows are row bounds from
+``core.window_cuts``, and the traffic bins of every window are counted in
+one pass over the trace's packets.
+
 Feature names are stable and ordered: ``mv.head_py.vel.q75``,
 ``tr.ul_count.raw.std``. std is the population standard deviation.
 
@@ -38,12 +42,12 @@ from .core import (
     QUATERNION_SLICES,
     SAMPLE_RATE_HZ,
     Trace,
-    WindowSegment,
     Y_CHANNEL_INDEX,
     canonicalize_quaternions,
-    filter_windows,
     forward_vectors,
-    window_trace,
+    kept_windows,
+    whole_windows,
+    window_cuts,
 )
 from .ingest import atomic_write_text
 
@@ -170,37 +174,37 @@ def feature_names(feature_set: str) -> tuple[str, ...]:
         raise ValueError(f"unknown feature set {feature_set!r}; expected one of: {known}") from None
 
 
-# ---- per-window extraction --------------------------------------------------
+# ---- per-trace blocks -------------------------------------------------------
 
-def _scale_heights(movement: np.ndarray, y_scale) -> np.ndarray:
-    out = movement.copy()
-    for i, dev in enumerate(("head", "left", "right")):
-        out[:, Y_CHANNEL_INDEX[dev]] /= y_scale[i]
-    return out
-
-
-def _window_movement(segment: WindowSegment, rows: np.ndarray, geo: np.ndarray) -> np.ndarray:
-    """483 movement features of one window, in MOVEMENT_FEATURE_NAMES order,
-    from its (height-scaled) rows and its geometry rows. Needs >= 3 samples
-    so the second derivative is non-empty (the dropout filter guarantees far
-    more at the default window)."""
-    if rows.shape[0] < 3:
-        raise ValueError(
-            f"window {segment.index} of trace {segment.trace.user_id}/"
-            f"{segment.trace.game_id} has {rows.shape[0]} movement samples; need >= 3"
+def _movement_block(trace: Trace, rows, m_cuts, kept) -> np.ndarray:
+    """(kept windows, 483) movement features in MOVEMENT_FEATURE_NAMES order,
+    from ``rows`` (the trace's movement rows, heights scaled or not) and the
+    geometry of its unscaled rows, computed once for all windows. Each window
+    needs >= 3 samples so the second derivative is non-empty (the dropout
+    filter guarantees far more at the default window)."""
+    geo = geometry_channels(trace.movement)
+    out = np.empty((kept.shape[0], len(MOVEMENT_FEATURE_NAMES)))
+    for row, i in zip(out, kept):
+        lo, hi = m_cuts[i], m_cuts[i + 1]
+        if hi - lo < 3:
+            raise ValueError(
+                f"window {i} of trace {trace.user_id}/{trace.game_id} "
+                f"has {hi - lo} movement samples; need >= 3"
+            )
+        vel = np.diff(rows[lo:hi], axis=0) * SAMPLE_RATE_HZ
+        acc = np.diff(vel, axis=0) * SAMPLE_RATE_HZ
+        # (21, 3, 7): channel-major, derivative, then statistic, matching names.
+        per_channel = np.stack(
+            [_stats_columns(rows[lo:hi]), _stats_columns(vel), _stats_columns(acc)], axis=1
         )
-    vel = np.diff(rows, axis=0) * SAMPLE_RATE_HZ
-    acc = np.diff(vel, axis=0) * SAMPLE_RATE_HZ
-    # (21, 3, 7): channel-major, derivative, then statistic, matching names.
-    per_channel = np.stack(
-        [_stats_columns(rows), _stats_columns(vel), _stats_columns(acc)], axis=1
-    )
-    return np.concatenate([per_channel.ravel(), _stats_columns(geo).ravel()])
+        row[:] = np.concatenate([per_channel.ravel(), _stats_columns(geo[lo:hi]).ravel()])
+    return out
 
 
 def _bin_count(window_s: float, bin_s: float) -> int:
     """Traffic bins per window: window_s / bin_s, which must be a whole
-    number of at least 1."""
+    number of at least 1. A bad ``window_s`` gets whole_windows' message."""
+    whole_windows(0.0, window_s)
     ratio = window_s / bin_s if bin_s > 0 else 0.0
     n_bins = int(round(ratio)) if math.isfinite(ratio) else 0
     if n_bins < 1 or abs(ratio - n_bins) > 1e-9:
@@ -208,27 +212,34 @@ def _bin_count(window_s: float, bin_s: float) -> int:
     return n_bins
 
 
-def traffic_features(segment: WindowSegment, bin_s: float = DEFAULT_BIN_S) -> np.ndarray:
-    """28 traffic features of one window, in TRAFFIC_FEATURE_NAMES order.
+def _traffic_block(trace: Trace, p_cuts, kept, window_s, bin_s, n_bins) -> np.ndarray:
+    """(kept windows, 28) traffic features in TRAFFIC_FEATURE_NAMES order.
 
-    The window is cut into window_s / bin_s half-open bins (the ratio must
-    be a whole number). Per bin: mean packet size over both directions
-    (0 when the bin is empty), total bytes over both directions, uplink
-    count, downlink count; each series is then summarized by the 7 stats.
-    A window with no packets yields all zeros.
+    Each window is cut into n_bins = window_s / bin_s half-open bins. Per
+    bin: mean packet size over both directions (0 when the bin is empty),
+    total bytes over both directions, uplink count, downlink count; each
+    series is then summarized by the 7 stats, so a window with no packets
+    yields all zeros. ``np.bincount`` over (window, bin) cells covers every
+    window at once, adding each cell's packets in time order as a count per
+    window would; ``rel`` is t - window * window_s, the same float as
+    t minus the window's start edge.
     """
-    n_bins = _bin_count(segment.window_s, bin_s)
-    rel = segment.traffic_t - segment.t_start
-    idx = np.clip(np.floor(rel / bin_s).astype(np.int64), 0, n_bins - 1)
-    sizes = segment.traffic_size.astype(np.float64)
-    byte_vol = np.bincount(idx, weights=sizes, minlength=n_bins)
-    count = np.bincount(idx, minlength=n_bins).astype(np.float64)
-    ul = np.bincount(idx[segment.traffic_dir == DIR_UL], minlength=n_bins).astype(np.float64)
-    dl = count - ul
+    counts = np.diff(p_cuts)
+    n_windows, lo, hi = counts.shape[0], p_cuts[0], p_cuts[-1]
+    rel = trace.traffic_t[lo:hi] - np.repeat(np.arange(n_windows) * window_s, counts)
+    cell = np.clip(np.floor(rel / bin_s).astype(np.int64), 0, n_bins - 1)
+    cell += np.repeat(np.arange(n_windows) * n_bins, counts)
+    n_cells = n_windows * n_bins
+    byte_vol = np.bincount(cell, weights=trace.traffic_size[lo:hi], minlength=n_cells)
+    # one count over (cell, is downlink) pairs gives both directions
+    pair = 2 * cell + (trace.traffic_dir[lo:hi] != DIR_UL)
+    ul, dl = np.bincount(pair, minlength=2 * n_cells).reshape(n_cells, 2).T.astype(np.float64)
+    count = ul + dl
     with np.errstate(invalid="ignore"):
         mean_size = np.where(count > 0, byte_vol / np.maximum(count, 1.0), 0.0)
-    series = np.stack([mean_size, byte_vol, ul, dl], axis=1)
-    return _stats_columns(series).ravel()
+    series = np.stack([mean_size, byte_vol, ul, dl], axis=1).reshape(-1, n_bins, 4)
+    stats = [_stats_columns(series[i]).ravel() for i in kept]
+    return np.array(stats).reshape(-1, len(TRAFFIC_FEATURE_NAMES))
 
 
 def trace_height_scale(trace: Trace) -> np.ndarray:
@@ -271,37 +282,33 @@ def build_features(
 ) -> TraceFeatures:
     """Features of every usable window of a trace, one row per window.
 
-    Pipeline: canonicalize quaternions, cut full windows, drop (and log)
-    windows failing the movement-sample dropout bar, then extract the
-    requested feature set per surviving window: movement in the first 483
-    columns, traffic in the last 28. Geometry and height scaling are
+    Pipeline: canonicalize quaternions, cut full windows as row bounds,
+    drop (and log) windows failing the movement-sample dropout bar, then
+    build the requested blocks for the kept windows: movement in the first
+    483 columns, traffic in the last 28. Geometry and height scaling are
     per-row, so they run once on the whole trace and each window takes its
     rows of the result.
     """
-    n_features = len(feature_names(feature_set))  # validates the name
-    if feature_set in _TRAFFIC_SETS:
-        _bin_count(window_s, bin_s)
+    feature_names(feature_set)  # validates the name
+    n_bins = _bin_count(window_s, bin_s) if feature_set in _TRAFFIC_SETS else 0
     canon = canonicalize_quaternions(trace)
-    segments = filter_windows(window_trace(canon, window_s))
+    m_cuts, p_cuts = window_cuts(canon, window_s)
+    kept = kept_windows(canon, m_cuts, window_s)
+    blocks = []
     if feature_set in _MOVEMENT_SETS:
-        geo = geometry_channels(canon.movement)
         rows = canon.movement
         if feature_set in _NORMALIZED_SETS:
-            rows = _scale_heights(rows, trace_height_scale(canon))
-
-    values = np.empty((len(segments), n_features))
-    for out, seg in zip(values, segments):
-        if feature_set in _MOVEMENT_SETS:
-            window = slice(seg.m_lo, seg.m_hi)
-            out[: len(MOVEMENT_FEATURE_NAMES)] = _window_movement(seg, rows[window], geo[window])
-        if feature_set in _TRAFFIC_SETS:
-            out[-len(TRAFFIC_FEATURE_NAMES) :] = traffic_features(seg, bin_s)
+            rows = rows.copy()
+            rows[:, list(Y_CHANNEL_INDEX.values())] /= trace_height_scale(canon)
+        blocks.append(_movement_block(canon, rows, m_cuts, kept))
+    if feature_set in _TRAFFIC_SETS:
+        blocks.append(_traffic_block(canon, p_cuts, kept, window_s, bin_s, n_bins))
     return TraceFeatures(
         user_id=trace.user_id,
         game_id=trace.game_id,
         feature_set=feature_set,
-        window_index=np.array([seg.index for seg in segments], dtype=np.int64),
-        values=values,
+        window_index=kept,
+        values=np.concatenate(blocks, axis=1),
     )
 
 

@@ -383,11 +383,27 @@ def test_evaluate_malformed_config_does_no_work(cohort_dir, tmp_path, capsys):
             {"model_params": {"extra_trees": {"max_features": 2.0}}},
             "'model_params'['extra_trees']['max_features'] must be an integer or null, got 2.0",
         ),
+        (
+            {"model_params": {"random_forest": {"n_trees": 0}, "gbm": {"max_leaves": 1}}},
+            "'model_params'['random_forest']: n_trees must be >= 1, got 0",
+        ),
+        (
+            {"model_params": {"gbm": {"max_leaves": 1}}},
+            "'model_params'['gbm']: max_leaves must be >= 2, got 1",
+        ),
+        (
+            {"model_params": {"qda": {"ridge": -1.0}}},
+            "'model_params'['qda']: ridge must be positive, got -1.0",
+        ),
+        (
+            {"model_params": {"logistic": {"lam": -0.5}}},
+            "'model_params'['logistic']: lam must be >= 0, got -0.5",
+        ),
     ],
     ids=[
         "test_s_inf", "window_s_nan", "bin_s_not_dividing", "logistic_bogus", "ensemble_members",
         "n_trees_string", "max_leaves_bool", "lam_nan", "max_iter_float", "bootstrap_string",
-        "max_features_float",
+        "max_features_float", "n_trees_zero", "max_leaves_one", "ridge_negative", "lam_negative",
     ],
 )
 def test_bad_config_numbers_and_params_stop_before_loading(
@@ -404,10 +420,9 @@ def test_bad_config_numbers_and_params_stop_before_loading(
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_evaluate_cell_failure_exits_one_but_finishes_the_rest(cohort_dir, tmp_path, capsys, jobs):
+    # one training window per user: logistic fits it, QDA needs two
     cfg = write_config(
-        tmp_path / "cfg.json", cohort_dir,
-        model_kinds=["logistic", "qda"],
-        model_params={"qda": {"ridge": -1.0}},
+        tmp_path / "cfg.json", cohort_dir, model_kinds=["logistic", "qda"], train_s=10
     )
     assert run_cli("evaluate", "--config", cfg, "--jobs", jobs) == 1
     captured = capsys.readouterr()

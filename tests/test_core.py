@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -18,12 +19,12 @@ from vrident.core import (
     TraceQualityError,
     TraceRecord,
     canonicalize_quaternions,
-    filter_windows,
     forward_vectors,
-    passes_dropout,
+    kept_windows,
     quat_rotate,
     split_train_test,
-    window_trace,
+    whole_windows,
+    window_cuts,
 )
 
 
@@ -168,41 +169,50 @@ def test_canonicalize_rejects_empty_trace():
 
 # ---- windowing ----
 
+def window_rows(cuts):
+    """(lo, hi) row bounds of each window, from an array of cuts."""
+    return list(zip(cuts[:-1].tolist(), cuts[1:].tolist()))
+
+
 def test_window_count_600s():
     tr = make_trace(600.0)
-    wins = window_trace(tr, 10.0)
-    assert len(wins) == 60
-    assert wins[0].t_start == 0.0
-    assert wins[59].t_start == 590.0
+    m_cuts, p_cuts = window_cuts(tr, 10.0)
+    assert m_cuts.shape == p_cuts.shape == (61,)
+    # window i starts at i * window_s, and its first sample sits there
+    assert tr.movement_t[m_cuts[0]] == 0.0
+    assert tr.movement_t[m_cuts[59]] == 590.0
 
 
 def test_last_sample_lands_in_final_window():
     tr = make_trace(600.0)
-    wins = window_trace(tr, 10.0)
+    m_cuts, _ = window_cuts(tr, 10.0)
     # final sample is at t = 599.98333...
-    assert wins[59].m_hi == tr.n_movement
-    assert wins[59].movement_t[-1] == tr.movement_t[-1]
+    assert m_cuts[60] == tr.n_movement
+    assert tr.movement_t[m_cuts[59] : m_cuts[60]][-1] == tr.movement_t[-1]
 
 
 def test_window_membership_half_open():
     # samples exactly on a boundary belong to the later window
     tr = make_trace(30.0, rate_hz=1.0)  # t = 0, 1, ..., 29
-    wins = window_trace(tr, 10.0)
-    assert [w.n_movement for w in wins] == [10, 10, 10]
-    assert wins[1].movement_t[0] == 10.0
+    m_cuts, _ = window_cuts(tr, 10.0)
+    assert np.diff(m_cuts).tolist() == [10, 10, 10]
+    assert tr.movement_t[m_cuts[1]] == 10.0
 
 
 def test_trailing_partial_window_dropped():
-    tr = make_trace(605.0)
-    assert len(window_trace(tr, 10.0)) == 60
+    m_cuts, _ = window_cuts(make_trace(605.0), 10.0)
+    assert m_cuts.shape == (61,)
+    assert m_cuts[-1] == 60 * 600  # the 300 samples after 600 s are in no window
 
 
 @pytest.mark.parametrize("duration_s, n_windows", [(0.3, 3), (0.7, 7), (2.0, 20)])
 def test_window_count_tolerates_inexact_float_spans(duration_s, n_windows):
     # 0.3 / 0.1 == 2.9999999999999996 and 2.0 // 0.1 == 19.0; both count as
     # whole multiples under the relative 1e-9 rule of the train/test spans
-    wins = window_trace(make_trace(duration_s), 0.1)
-    assert [w.index for w in wins] == list(range(n_windows))
+    tr = make_trace(duration_s)
+    m_cuts, p_cuts = window_cuts(tr, 0.1)
+    assert m_cuts.shape == p_cuts.shape == (n_windows + 1,)
+    assert kept_windows(tr, m_cuts, 0.1).tolist() == list(range(n_windows))
 
 
 def test_windowing_partitions_samples():
@@ -211,13 +221,13 @@ def test_windowing_partitions_samples():
     movement = np.zeros((400, 21))
     movement[:, [3, 10, 17]] = 1.0
     tr = Trace("u", "g", 47.0, t, movement, np.array([]), np.array([]), np.array([]))
-    wins = window_trace(tr, 10.0)
-    assert len(wins) == 4
-    covered = np.concatenate([w.movement_t for w in wins])
+    m_cuts, _ = window_cuts(tr, 10.0)
+    assert m_cuts.shape == (5,)
+    covered = np.concatenate([t[lo:hi] for lo, hi in window_rows(m_cuts)])
     in_range = t[t < 40.0]
     assert np.array_equal(covered, in_range)
-    for w in wins:
-        assert ((w.movement_t >= w.t_start) & (w.movement_t < w.t_start + 10.0)).all()
+    for i, (lo, hi) in enumerate(window_rows(m_cuts)):
+        assert ((t[lo:hi] >= 10.0 * i) & (t[lo:hi] < 10.0 * i + 10.0)).all()
 
 
 @settings(max_examples=80, deadline=None)
@@ -243,15 +253,13 @@ def test_windows_partition_the_half_open_span(n_windows, window_s, tail, seed):
     movement = np.zeros((mt.shape[0], 21))
     movement[:, [3, 10, 17]] = 1.0
     tr = Trace("u", "g", duration, mt, movement, pt, np.ones(pt.shape[0]), np.zeros(pt.shape[0]))
-    wins = window_trace(tr, window_s)
-    assert [w.index for w in wins] == list(range(n_windows))
-    for t, lo, hi in ((mt, "m_lo", "m_hi"), (pt, "p_lo", "p_hi")):
+    cuts = window_cuts(tr, window_s)
+    for t, c in zip((mt, pt), cuts):
+        assert c.shape == (n_windows + 1,)
         owner = np.full(t.shape[0], -1)
-        for w in wins:
-            assert w.t_start == edges[w.index]
-            part = slice(getattr(w, lo), getattr(w, hi))
-            assert (owner[part] == -1).all()
-            owner[part] = w.index
+        for i, (lo, hi) in enumerate(window_rows(c)):
+            assert (owner[lo:hi] == -1).all()
+            owner[lo:hi] = i
         inside = t < edges[-1]
         assert (owner[inside] == np.searchsorted(edges, t[inside], side="right") - 1).all()
         assert (owner[~inside] == -1).all()
@@ -261,53 +269,77 @@ def test_windows_partition_the_half_open_span(n_windows, window_s, tail, seed):
 
 def test_window_traffic_slices():
     tr = make_trace(30.0, packet_times=[0.5, 9.999999, 10.0, 15.0, 29.999])
-    wins = window_trace(tr, 10.0)
-    assert [w.traffic_t.tolist() for w in wins] == [[0.5, 9.999999], [10.0, 15.0], [29.999]]
+    _, p_cuts = window_cuts(tr, 10.0)
+    assert [tr.traffic_t[lo:hi].tolist() for lo, hi in window_rows(p_cuts)] == [
+        [0.5, 9.999999], [10.0, 15.0], [29.999]
+    ]
 
 
 def test_window_rejects_bad_width():
     with pytest.raises(ValueError):
-        window_trace(make_trace(10.0), 0.0)
+        window_cuts(make_trace(10.0), 0.0)
+
+
+BAD_WINDOWS = [math.nan, math.inf, -math.inf, 0.0, -10.0]
+
+
+@pytest.mark.parametrize("window_s", BAD_WINDOWS)
+def test_bad_window_is_rejected_by_name(window_s):
+    message = f"window_s must be a finite positive number, got {window_s}"
+    for call in (
+        lambda: whole_windows(600.0, window_s),
+        lambda: window_cuts(make_trace(10.0), window_s),
+        lambda: split_train_test(make_trace(600.0), window_s=window_s),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
+
+
+@pytest.mark.parametrize("span", [math.nan, math.inf])
+def test_split_rejects_non_finite_spans(span):
+    with pytest.raises(ValueError, match=re.escape(f"train_s={span} is not a positive multiple")):
+        split_train_test(make_trace(600.0), span, 120.0)
 
 
 # ---- dropout ----
 
+def kept(trace, window_s=10.0):
+    return kept_windows(trace, window_cuts(trace, window_s)[0], window_s).tolist()
+
+
 def test_dropout_boundary():
-    tr = make_trace(600.0)
-    wins = window_trace(tr)
-    seg_ok = wins[0]
-    assert passes_dropout(seg_ok)
+    assert kept(make_trace(600.0)) == list(range(60))
     # exactly at the bar: 300 of 600 nominal samples passes, 299 fails
     half = make_trace(10.0, rate_hz=30.0)  # 300 samples in one window
-    assert passes_dropout(window_trace(half)[0])
+    assert kept(half) == [0]
     under = make_trace(10.0, rate_hz=29.9)  # 299 samples
-    assert not passes_dropout(window_trace(under)[0])
+    assert kept(under) == []
 
 
-def test_filter_windows_logs_discards(caplog):
+def test_kept_windows_logs_discards(caplog):
     import logging
 
     tr = make_trace(10.0, rate_hz=29.9)
     with caplog.at_level(logging.WARNING, logger="vrident.core"):
-        kept = filter_windows(window_trace(tr))
-    assert kept == []
-    assert "dropping window 0" in caplog.text
+        assert kept(tr) == []
+    assert "dropping window 0 of trace u0/g: 299 movement samples (< 300 required)" in caplog.text
 
 
 # ---- split ----
 
 def split_windows(trace, *spans, window_s=10.0):
-    wins = window_trace(trace, window_s)
+    """The numbers of the trace's cut windows that fall in each split."""
+    numbers = range(window_cuts(trace, window_s)[0].shape[0] - 1)
     train, test = split_train_test(trace, *spans, window_s=window_s)
-    return [w for w in wins if w.index in train], [w for w in wins if w.index in test]
+    return [i for i in numbers if i in train], [i for i in numbers if i in test]
 
 
 def test_split_default_48_12():
     train, test = split_windows(make_trace(600.0))
     assert len(train) == 48 and len(test) == 12
-    assert max(w.t_start for w in train) == 470.0
-    assert min(w.t_start for w in test) == 480.0
-    assert max(w.t_start for w in test) == 590.0
+    assert max(train) * 10.0 == 470.0
+    assert min(test) * 10.0 == 480.0
+    assert max(test) * 10.0 == 590.0
 
 
 def test_split_insufficient_duration():
@@ -336,8 +368,8 @@ def test_split_rejects_non_multiples():
 def test_split_accepts_inexact_float_multiples(train_s, n_train):
     # 0.3 / 0.1 == 2.9999999999999996 and 0.7 / 0.1 == 6.999999999999999
     train, test = split_windows(make_trace(2.0), train_s, 0.1, window_s=0.1)
-    assert [w.index for w in train] == list(range(n_train))
-    assert [w.index for w in test] == [n_train]
+    assert train == list(range(n_train))
+    assert test == [n_train]
 
 
 def test_split_still_rejects_fractional_multiples():
@@ -348,13 +380,13 @@ def test_split_still_rejects_fractional_multiples():
 def test_split_assigns_boundary_window_by_index():
     # window 3 starts at 3 * 0.3 == 0.8999999999999999, just before 0.9
     train, test = split_windows(make_trace(2.0), 0.9, 0.3, window_s=0.3)
-    assert [w.index for w in train] == [0, 1, 2]
-    assert [w.index for w in test] == [3]
+    assert train == [0, 1, 2]
+    assert test == [3]
 
 
 def test_split_exact_cover():
     train, test = split_windows(make_trace(600.0), 480.0, 120.0)
-    starts = sorted(w.t_start for w in train + test)
+    starts = sorted(i * 10.0 for i in train + test)
     assert starts == [10.0 * i for i in range(60)]
 
 
@@ -413,6 +445,18 @@ def test_trace_rejects_non_finite_samples(field, index, value, expected):
     arr[-1] = value  # a later bad sample is not the one named
     with pytest.raises(TraceFormatError, match=rf"trace u0/g: {expected} \({value}\)"):
         replace(tr, **{field: arr})
+
+
+@pytest.mark.parametrize("field", ["movement_t", "traffic_t"])
+def test_trace_rejects_time_going_back(field):
+    # a repeated timestamp is fine; the stream must only not go back
+    tr = make_trace(10.0, packet_times=[0.5, 1.0, 1.0, 2.0, 3.0])
+    arr = getattr(tr, field).copy()
+    arr[[3, 4]] = arr[[4, 3]]
+    with pytest.raises(TraceFormatError, match=rf"^trace u0/g: {field} goes back in time at sample 4$"):
+        replace(tr, **{field: arr})
+    with pytest.raises(TraceFormatError, match=rf"^trace u0/g: {field} goes back in time at sample 1$"):
+        replace(tr, **{field: getattr(tr, field)[::-1]})
 
 
 def test_dataset_duplicate_and_missing_game():

@@ -2,10 +2,9 @@
 
 ``build_features`` keeps one row per window that passes the dropout bar, and
 ``_trace_split`` picks the train and test rows by masking ``window_index``
-with the ``split_train_test`` ranges. Both must agree with the window list
-of ``filter_windows(window_trace(...))``, in ascending window order, for any
-window length, including decimal lengths such as 0.1 s that are inexact in
-binary.
+with the ``split_train_test`` ranges. Both must agree with the windows the
+strategy built to be kept, in ascending window order, for any window length,
+including decimal lengths such as 0.1 s that are inexact in binary.
 """
 from __future__ import annotations
 
@@ -17,9 +16,7 @@ from vrident.core import (
     SAMPLE_RATE_HZ,
     Trace,
     TraceRecord,
-    filter_windows,
     split_train_test,
-    window_trace,
 )
 from vrident.evaluation import ExperimentSpec, _trace_split
 from vrident.features import build_features
@@ -27,9 +24,10 @@ from vrident.features import build_features
 
 @st.composite
 def split_cases(draw):
-    """(trace, window_s, train_s, test_s): a 60 Hz trace whose movement
+    """(trace, window_s, train_s, test_s, kept): a 60 Hz trace whose movement
     samples are removed from the dropped windows, with i + 1 packets in
-    window i so that every window's traffic row differs from the others."""
+    window i so that every window's traffic row differs from the others, and
+    the numbers of the windows it keeps."""
     window_s = draw(st.sampled_from([0.1, 0.3, 0.7, 1.0, 2.5, 10.0]))
     n_windows = draw(st.integers(2, 12))
     # a trace without any movement sample is refused outright, so keep one window
@@ -54,17 +52,17 @@ def split_cases(draw):
     )
     n_train = draw(st.integers(1, n_windows - 1))
     n_test = draw(st.integers(1, n_windows - n_train))
-    return trace, window_s, n_train * window_s, n_test * window_s
+    kept = [i for i in range(n_windows) if i not in dropped]
+    return trace, window_s, n_train * window_s, n_test * window_s, kept
 
 
 @settings(max_examples=60, deadline=None)
 @given(case=split_cases(), feature_set=st.sampled_from(["traffic", "combined"]))
 def test_mask_selects_the_split_rows_in_window_order(case, feature_set):
-    trace, window_s, train_s, test_s = case
-    kept = filter_windows(window_trace(trace, window_s))
+    trace, window_s, train_s, test_s, kept = case
     feats = build_features(trace, feature_set, window_s, window_s)
     assert len(feats) == len(kept)
-    assert feats.window_index.tolist() == [seg.index for seg in kept]
+    assert feats.window_index.tolist() == kept
     assert np.unique(feats.values, axis=0).shape[0] == len(kept)
 
     spec = ExperimentSpec(
@@ -74,6 +72,6 @@ def test_mask_selects_the_split_rows_in_window_order(case, feature_set):
     picked = _trace_split(spec, TraceRecord("u", "g", trace))
     spans = split_train_test(trace, train_s, test_s, window_s)
     for rows, span in zip(picked, spans):
-        want = [row for seg, row in zip(kept, feats.values) if seg.index in span]
+        want = [row for index, row in zip(kept, feats.values) if index in span]
         assert rows.shape == (len(want), feats.values.shape[1])
         assert np.array_equal(rows, np.array(want).reshape(rows.shape))

@@ -2,9 +2,11 @@
 
 ``features._stats_columns`` sorts each column once and reads min, max and
 the type-7 quantiles off the sorted copy; ``build_features`` computes the
-derived geometry once per trace and slices it per window. The references
-below are the kernel as it was before: ``np.quantile`` plus ``min``/``max``
-per matrix, and ``geometry_channels`` recomputed on every window's rows.
+derived geometry once per trace and slices it per window, and bins every
+window's packets in one count. The references below are the kernel as it
+was before: ``np.quantile`` plus ``min``/``max`` per matrix,
+``geometry_channels`` recomputed on every window's rows, and one packet
+count per window, over windows they cut and filter themselves.
 Both must agree byte for byte, on tied columns, signed zeros and extreme
 magnitudes as much as on synthetic traces.
 """
@@ -24,8 +26,6 @@ from vrident.core import (
     Trace,
     Y_CHANNEL_INDEX,
     canonicalize_quaternions,
-    filter_windows,
-    window_trace,
 )
 from vrident.features import (
     FEATURE_SET_NAMES,
@@ -57,8 +57,22 @@ def reference_summary_stats(values):
     return tuple(float(v) for v in (x.mean(), x.min(), x.max(), q25, q50, q75, x.std()))
 
 
-def reference_movement_features(segment, y_scale=None):
-    rows = segment.movement
+def reference_windows(trace, window_s):
+    """(number, start, movement rows, packet rows) of each whole window that
+    holds at least half its nominal 60 Hz samples, cut here rather than by
+    the code under test. The traces below last whole seconds and use 10 s
+    windows, so floor division counts their windows exactly."""
+    edges = np.arange(int(trace.duration_s // window_s) + 1) * window_s
+    m_cuts = np.searchsorted(trace.movement_t, edges)
+    p_cuts = np.searchsorted(trace.traffic_t, edges)
+    return [
+        (i, edges[i], slice(m_cuts[i], m_cuts[i + 1]), slice(p_cuts[i], p_cuts[i + 1]))
+        for i in range(edges.shape[0] - 1)
+        if m_cuts[i + 1] - m_cuts[i] >= 0.5 * SAMPLE_RATE_HZ * window_s
+    ]
+
+
+def reference_movement_features(rows, y_scale=None):
     geo = geometry_channels(rows)
     if y_scale is not None:
         rows = rows.copy()
@@ -73,14 +87,14 @@ def reference_movement_features(segment, y_scale=None):
     return np.concatenate([per_channel.ravel(), reference_stats_columns(geo).ravel()])
 
 
-def reference_traffic_features(segment, bin_s):
-    n_bins = int(round(segment.window_s / bin_s))
-    rel = segment.traffic_t - segment.t_start
+def reference_traffic_features(t, size, direction, t_start, window_s, bin_s):
+    n_bins = int(round(window_s / bin_s))
+    rel = t - t_start
     idx = np.clip(np.floor(rel / bin_s).astype(np.int64), 0, n_bins - 1)
-    sizes = segment.traffic_size.astype(np.float64)
+    sizes = size.astype(np.float64)
     byte_vol = np.bincount(idx, weights=sizes, minlength=n_bins)
     count = np.bincount(idx, minlength=n_bins).astype(np.float64)
-    ul = np.bincount(idx[segment.traffic_dir == DIR_UL], minlength=n_bins).astype(np.float64)
+    ul = np.bincount(idx[direction == DIR_UL], minlength=n_bins).astype(np.float64)
     dl = count - ul
     with np.errstate(invalid="ignore"):
         mean_size = np.where(count > 0, byte_vol / np.maximum(count, 1.0), 0.0)
@@ -90,16 +104,20 @@ def reference_traffic_features(segment, bin_s):
 
 def reference_build_features(trace, feature_set, window_s, bin_s):
     canon = canonicalize_quaternions(trace)
-    segments = filter_windows(window_trace(canon, window_s))
     y_scale = trace_height_scale(canon) if feature_set.endswith("_norm_height") else None
     out = []
-    for seg in segments:
+    for index, t_start, rows, packets in reference_windows(canon, window_s):
         parts = []
         if feature_set != "traffic":
-            parts.append(reference_movement_features(seg, y_scale))
+            parts.append(reference_movement_features(canon.movement[rows], y_scale))
         if feature_set in ("traffic", "combined", "combined_norm_height"):
-            parts.append(reference_traffic_features(seg, bin_s))
-        out.append((seg.index, seg.t_start, np.concatenate(parts)))
+            parts.append(
+                reference_traffic_features(
+                    canon.traffic_t[packets], canon.traffic_size[packets],
+                    canon.traffic_dir[packets], t_start, window_s, bin_s,
+                )
+            )
+        out.append((index, t_start, np.concatenate(parts)))
     return out
 
 

@@ -11,10 +11,10 @@ from vrident.core import (
     MOVEMENT_CHANNELS,
     QUATERNION_SLICES,
     Trace,
-    window_trace,
 )
 from vrident.features import (
     COMBINED_FEATURE_NAMES,
+    FEATURE_SET_NAMES,
     MOVEMENT_FEATURE_NAMES,
     MinMaxScaler,
     TRAFFIC_FEATURE_NAMES,
@@ -24,7 +24,6 @@ from vrident.features import (
     feature_names,
     geometry_channels,
     trace_height_scale,
-    traffic_features,
     write_feature_csv,
 )
 
@@ -189,6 +188,7 @@ def test_feature_names_rejects_unknown_set():
 # ---- movement features over a window ----
 
 def synth_window(duration=10.0, rate=60.0, packets=None, seed=5):
+    """A trace holding one window of random rows, all of them in the window."""
     rng = np.random.default_rng(seed)
     n = int(duration * rate)
     t = np.arange(n) / rate
@@ -202,15 +202,14 @@ def synth_window(duration=10.0, rate=60.0, packets=None, seed=5):
         movement[:, sl] /= np.linalg.norm(movement[:, sl], axis=1, keepdims=True)
     if packets is None:
         packets = (np.array([]), np.array([], dtype=np.int64), np.array([], dtype=np.uint8))
-    tr = Trace("u", "g", duration, t, movement, *packets)
-    return window_trace(tr, duration)[0]
+    return Trace("u", "g", duration, t, movement, *packets)
 
 
 def test_movement_features_shape_and_layout():
-    seg = synth_window()
-    feats = build_features(seg.trace, "movement").values[0]
+    tr = synth_window()
+    feats = build_features(tr, "movement").values[0]
     assert feats.shape == (483,)
-    rows = seg.movement
+    rows = tr.movement
     # spot-check: raw mean of head_px is feature 0, vel std of head_px is index 13
     assert feats[0] == pytest.approx(rows[:, 0].mean())
     vel = np.diff(rows[:, 0]) * 60.0
@@ -251,7 +250,7 @@ def test_movement_features_needs_three_samples():
 
 
 def test_height_normalization_divides_y_only():
-    tr = synth_window(seed=9).trace
+    tr = synth_window(seed=9)
     scale = trace_height_scale(tr)
     plain = build_features(tr, "movement").values[0]
     normed = build_features(tr, "movement_norm_height").values[0]
@@ -265,8 +264,7 @@ def test_height_normalization_divides_y_only():
 
 
 def test_trace_height_scale_and_zero_mean_rejected():
-    seg = synth_window(seed=10)
-    tr = seg.trace
+    tr = synth_window(seed=10)
     scale = trace_height_scale(tr)
     assert scale[0] == pytest.approx(tr.movement[:, 1].mean())
     flat = Trace(
@@ -278,7 +276,7 @@ def test_trace_height_scale_and_zero_mean_rejected():
 
 
 def test_height_normalized_features_invariant_to_global_y_scaling():
-    tr = synth_window(seed=11).trace
+    tr = synth_window(seed=11)
     scaled_mv = tr.movement.copy()
     scaled_mv[:, [1, 8, 15]] *= 2.0  # power of two keeps float ops exact
     tr2 = Trace("u", "g", tr.duration_s, tr.movement_t, scaled_mv,
@@ -309,20 +307,22 @@ def packet_arrays(items):
     return t, size, d
 
 
-def traffic_window(items, duration=10.0):
+def traffic_window(items, duration=10.0, bin_s=1.0):
+    """The 28 traffic features of a trace that is one window of ``items``."""
     n = int(duration * 60)
     t = np.arange(n) / 60.0
     movement = np.zeros((n, 21))
     movement[:, [3, 10, 17]] = 1.0
     tr = Trace("u", "g", duration, t, movement, *packet_arrays(items))
-    return window_trace(tr, duration)[0]
+    feats = build_features(tr, "traffic", duration, bin_s)
+    assert feats.window_index.tolist() == [0]
+    return feats.values[0]
 
 
 def test_traffic_features_hand_binned():
-    seg = traffic_window(
-        [(0.5, 100, "UL"), (0.7, 200, "DL"), (3.2, 50, "UL"), (9.999, 1000, "DL")]
+    feats = traffic_window(
+        [(0.5, 100, "UL"), (0.7, 200, "DL"), (3.2, 50, "UL"), (9.999, 1000, "DL")], bin_s=1.0
     )
-    feats = traffic_features(seg, bin_s=1.0)
     assert feats.shape == (28,)
     mean_size = [150.0, 0, 0, 50.0, 0, 0, 0, 0, 0, 1000.0]
     byte_vol = [300.0, 0, 0, 50.0, 0, 0, 0, 0, 0, 1000.0]
@@ -335,14 +335,12 @@ def test_traffic_features_hand_binned():
 
 
 def test_traffic_features_empty_window_is_zero():
-    seg = traffic_window([])
-    assert np.array_equal(traffic_features(seg), np.zeros(28))
+    assert np.array_equal(traffic_window([]), np.zeros(28))
 
 
 def test_traffic_features_bin_boundary_half_open():
     # a packet exactly on a bin edge belongs to the later bin
-    seg = traffic_window([(1.0, 10, "UL"), (2.0, 20, "UL")])
-    feats = dict(zip(TRAFFIC_FEATURE_NAMES, traffic_features(seg)))
+    feats = dict(zip(TRAFFIC_FEATURE_NAMES, traffic_window([(1.0, 10, "UL"), (2.0, 20, "UL")])))
     assert feats["tr.ul_count.raw.max"] == 1.0
 
 
@@ -356,16 +354,14 @@ def test_traffic_features_byte_conservation():
             rng.uniform(size=500),
         )
     ]
-    seg = traffic_window(items)
-    feats = dict(zip(TRAFFIC_FEATURE_NAMES, traffic_features(seg)))
+    feats = dict(zip(TRAFFIC_FEATURE_NAMES, traffic_window(items)))
     assert feats["tr.bytes.raw.mean"] * 10 == pytest.approx(sum(s for _, s, _ in items), abs=1e-6)
     assert feats["tr.ul_count.raw.mean"] * 10 + feats["tr.dl_count.raw.mean"] * 10 == 500
 
 
 def test_traffic_features_rejects_uneven_bin():
-    seg = traffic_window([])
     with pytest.raises(ValueError, match="does not evenly divide"):
-        traffic_features(seg, bin_s=3.0)
+        traffic_window([], bin_s=3.0)
 
 
 @pytest.mark.parametrize("bin_s", [0.0, -1.0, math.nan, math.inf, 3.0])
@@ -374,7 +370,7 @@ def test_build_features_rejects_bad_bin_before_windowing(monkeypatch, feature_se
     def cut(*args):
         raise AssertionError("windows were cut before bin_s was checked")
 
-    monkeypatch.setattr("vrident.features.window_trace", cut)
+    monkeypatch.setattr("vrident.features.window_cuts", cut)
     message = f"bin_s={bin_s} does not evenly divide window_s=10.0"
     with pytest.raises(ValueError, match=re.escape(message)):
         build_features(full_trace(), feature_set, 10.0, bin_s)
@@ -382,6 +378,14 @@ def test_build_features_rejects_bad_bin_before_windowing(monkeypatch, feature_se
 
 def test_movement_features_ignore_bin():
     assert len(build_features(full_trace(), "movement", 10.0, 0.0)) == 6
+
+
+@pytest.mark.parametrize("window_s", [math.nan, math.inf, -math.inf, 0.0, -10.0])
+@pytest.mark.parametrize("feature_set", sorted(FEATURE_SET_NAMES))
+def test_build_features_rejects_bad_window(feature_set, window_s):
+    message = f"window_s must be a finite positive number, got {window_s}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build_features(full_trace(), feature_set, window_s)
 
 
 # ---- scaler ----
