@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,7 +55,7 @@ FORWARD_AXIS = np.array([0.0, 0.0, -1.0])
 #: Device pairs used for derived distance/angle channels, in feature order.
 GEOMETRY_PAIRS = (("left", "head"), ("right", "head"), ("left", "right"))
 
-# Norm handling in canonicalize_quaternions: norms this close to 1 are
+# Norm handling in canonical_movement: norms this close to 1 are
 # treated as exactly unit (keeps the operation idempotent), norms below the
 # floor are corrupt data.
 _UNIT_NORM_TOL = 1e-12
@@ -74,6 +74,12 @@ class SplitError(ValueError):
     """A trace cannot satisfy the requested train/test layout."""
 
 
+def _read_only(values, dtype) -> np.ndarray:
+    view = np.asarray(values, dtype=dtype).view()
+    view.flags.writeable = False
+    return view
+
+
 @dataclass
 class Trace:
     """One user's paired movement + traffic capture for one game.
@@ -83,6 +89,13 @@ class Trace:
     windowing; it may exceed the last timestamp (a 600 s capture's final
     movement sample sits at 599.98333 s). Each stream's timestamps must be
     non-decreasing; TraceFormatError names the first sample that goes back.
+
+    The arrays are read-only views of the ones given (converted first when
+    their dtype differs); the caller's arrays keep their own write flags,
+    and a caller that writes into one afterwards changes the trace under
+    its memo, so build a new trace instead.
+    ``_features`` is ``features.build_features``' memo of this trace's
+    feature blocks; a ``dataclasses.replace`` copy starts with an empty one.
     """
 
     user_id: str
@@ -93,13 +106,14 @@ class Trace:
     traffic_t: np.ndarray
     traffic_size: np.ndarray
     traffic_dir: np.ndarray
+    _features: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.movement_t = np.asarray(self.movement_t, dtype=np.float64)
-        self.movement = np.asarray(self.movement, dtype=np.float64)
-        self.traffic_t = np.asarray(self.traffic_t, dtype=np.float64)
-        self.traffic_size = np.asarray(self.traffic_size, dtype=np.int64)
-        self.traffic_dir = np.asarray(self.traffic_dir, dtype=np.uint8)
+        self.movement_t = _read_only(self.movement_t, np.float64)
+        self.movement = _read_only(self.movement, np.float64)
+        self.traffic_t = _read_only(self.traffic_t, np.float64)
+        self.traffic_size = _read_only(self.traffic_size, np.int64)
+        self.traffic_dir = _read_only(self.traffic_dir, np.uint8)
         if self.movement.ndim != 2 or self.movement.shape[1] != len(MOVEMENT_CHANNELS):
             raise TraceFormatError(
                 f"movement array must be (n, {len(MOVEMENT_CHANNELS)}), got {self.movement.shape}"
@@ -258,8 +272,8 @@ def _canonical_signs(quats: np.ndarray) -> np.ndarray:
     return signs
 
 
-def canonicalize_quaternions(trace: Trace) -> Trace:
-    """Return a copy of ``trace`` with every quaternion stream canonical.
+def canonical_movement(trace: Trace) -> np.ndarray:
+    """A new copy of ``trace.movement`` with every quaternion stream canonical.
 
     Per device stream: renormalize to unit length (norms already within
     1e-12 of 1 are left bit-identical, which makes the operation exactly
@@ -286,7 +300,7 @@ def canonicalize_quaternions(trace: Trace) -> Trace:
         quats = quats / scale[:, None]
         quats *= _canonical_signs(quats)[:, None]
         movement[:, sl] = quats
-    return replace(trace, movement=movement)
+    return movement
 
 
 def window_cuts(trace: Trace, window_s: float) -> tuple[np.ndarray, np.ndarray]:

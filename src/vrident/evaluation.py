@@ -21,6 +21,7 @@ from .core import (
     Dataset,
     TraceRecord,
     split_train_test,
+    whole_windows,
 )
 from .features import (
     DEFAULT_BIN_S,
@@ -141,8 +142,7 @@ class ExperimentSpec:
             )
         if self.vote_k < 1 or self.vote_k % 2 == 0:
             raise ValueError(f"vote_k must be odd and >= 1, got {self.vote_k}")
-        if not self.window_s > 0:
-            raise ValueError(f"window_s must be positive, got {self.window_s}")
+        whole_windows(0.0, self.window_s)  # raises unless window_s is finite and positive
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,11 @@ Every accumulation window is summarized by the same 7 statistics
 
 ``build_features`` works a trace at a time: windows are row bounds from
 ``core.window_cuts``, and the traffic bins of every window are counted in
-one pass over the trace's packets.
+one pass over the trace's packets. It memoizes on the trace its window
+cuts per ``window_s``, its movement block per (``window_s``, height mode)
+and its traffic block per (``window_s``, ``bin_s``), so each is computed
+once per trace and ``combined`` is the concatenation of the two blocks.
+The memo cannot go stale because a ``Trace`` holds read-only arrays.
 
 Feature names are stable and ordered: ``mv.head_py.vel.q75``,
 ``tr.ul_count.raw.std``. std is the population standard deviation.
@@ -43,7 +47,7 @@ from .core import (
     SAMPLE_RATE_HZ,
     Trace,
     Y_CHANNEL_INDEX,
-    canonicalize_quaternions,
+    canonical_movement,
     forward_vectors,
     kept_windows,
     whole_windows,
@@ -176,13 +180,14 @@ def feature_names(feature_set: str) -> tuple[str, ...]:
 
 # ---- per-trace blocks -------------------------------------------------------
 
-def _movement_block(trace: Trace, rows, m_cuts, kept) -> np.ndarray:
+def _movement_block(trace: Trace, movement, rows, m_cuts, kept) -> np.ndarray:
     """(kept windows, 483) movement features in MOVEMENT_FEATURE_NAMES order,
-    from ``rows`` (the trace's movement rows, heights scaled or not) and the
-    geometry of its unscaled rows, computed once for all windows. Each window
-    needs >= 3 samples so the second derivative is non-empty (the dropout
-    filter guarantees far more at the default window)."""
-    geo = geometry_channels(trace.movement)
+    from ``rows`` (the trace's canonical movement rows, heights scaled or
+    not) and the geometry of ``movement`` (the same rows unscaled), computed
+    once for all windows. Each window needs >= 3 samples so the second
+    derivative is non-empty (the dropout filter guarantees far more at the
+    default window)."""
+    geo = geometry_channels(movement)
     out = np.empty((kept.shape[0], len(MOVEMENT_FEATURE_NAMES)))
     for row, i in zip(out, kept):
         lo, hi = m_cuts[i], m_cuts[i + 1]
@@ -274,6 +279,34 @@ class TraceFeatures:
         return self.window_index.shape[0]
 
 
+def _memo_entries(trace: Trace, keys, n_bins) -> dict:
+    """The memo entries ``keys`` of a trace, those already in its memo
+    included. keys[0] is ("kept", window_s) -> (m_cuts, p_cuts, kept); the
+    rest are ("movement", window_s, normalized) and ("traffic", window_s,
+    bin_s) -> feature block. Quaternions are canonicalized first, whatever
+    the keys, so a corrupt trace raises on every call that misses."""
+    movement = canonical_movement(trace)
+    memo = trace._features
+    entries = {key: memo[key] for key in keys if key in memo}
+    window_s = keys[0][1]
+    if keys[0] not in entries:
+        m_cuts, p_cuts = window_cuts(trace, window_s)
+        entries[keys[0]] = (m_cuts, p_cuts, kept_windows(trace, m_cuts, window_s))
+    m_cuts, p_cuts, kept = entries[keys[0]]
+    for key in keys[1:]:
+        if key in entries:
+            continue
+        if key[0] == "movement":
+            rows = movement
+            if key[2]:
+                rows = rows.copy()
+                rows[:, list(Y_CHANNEL_INDEX.values())] /= trace_height_scale(trace)
+            entries[key] = _movement_block(trace, movement, rows, m_cuts, kept)
+        else:
+            entries[key] = _traffic_block(trace, p_cuts, kept, window_s, key[2], n_bins)
+    return entries
+
+
 def build_features(
     trace: Trace,
     feature_set: str = "combined",
@@ -288,27 +321,27 @@ def build_features(
     483 columns, traffic in the last 28. Geometry and height scaling are
     per-row, so they run once on the whole trace and each window takes its
     rows of the result.
+
+    The cuts and blocks are memoized on the trace (see the module
+    docstring), so a dropped window is logged once per (trace, window_s).
+    Each call returns new ``window_index`` and ``values`` arrays.
     """
     feature_names(feature_set)  # validates the name
     n_bins = _bin_count(window_s, bin_s) if feature_set in _TRAFFIC_SETS else 0
-    canon = canonicalize_quaternions(trace)
-    m_cuts, p_cuts = window_cuts(canon, window_s)
-    kept = kept_windows(canon, m_cuts, window_s)
-    blocks = []
+    keys = [("kept", window_s)]
     if feature_set in _MOVEMENT_SETS:
-        rows = canon.movement
-        if feature_set in _NORMALIZED_SETS:
-            rows = rows.copy()
-            rows[:, list(Y_CHANNEL_INDEX.values())] /= trace_height_scale(canon)
-        blocks.append(_movement_block(canon, rows, m_cuts, kept))
+        keys.append(("movement", window_s, feature_set in _NORMALIZED_SETS))
     if feature_set in _TRAFFIC_SETS:
-        blocks.append(_traffic_block(canon, p_cuts, kept, window_s, bin_s, n_bins))
+        keys.append(("traffic", window_s, bin_s))
+    memo = trace._features
+    if any(key not in memo for key in keys):
+        memo.update(_memo_entries(trace, keys, n_bins))
     return TraceFeatures(
         user_id=trace.user_id,
         game_id=trace.game_id,
         feature_set=feature_set,
-        window_index=kept,
-        values=np.concatenate(blocks, axis=1),
+        window_index=memo[keys[0]][2].copy(),
+        values=np.concatenate([memo[key] for key in keys[1:]], axis=1),
     )
 
 

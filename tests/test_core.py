@@ -18,7 +18,7 @@ from vrident.core import (
     TraceFormatError,
     TraceQualityError,
     TraceRecord,
-    canonicalize_quaternions,
+    canonical_movement,
     forward_vectors,
     kept_windows,
     quat_rotate,
@@ -106,19 +106,19 @@ def quat_trace(quats, user_id="u0") -> Trace:
 
 
 def test_canonicalize_flips_negative_first_w():
-    tr = canonicalize_quaternions(quat_trace([[-1.0, 0.0, 0.0, 0.0]]))
-    got = tr.movement[0, QUATERNION_SLICES["head"]]
+    movement = canonical_movement(quat_trace([[-1.0, 0.0, 0.0, 0.0]]))
+    got = movement[0, QUATERNION_SLICES["head"]]
     assert np.array_equal(got, [1.0, 0.0, 0.0, 0.0])
 
 
 def test_canonicalize_first_sign_tie_uses_qx():
-    tr = canonicalize_quaternions(quat_trace([[0.0, -1.0, 0.0, 0.0]]))
-    assert np.array_equal(tr.movement[0, QUATERNION_SLICES["head"]], [0.0, 1.0, 0.0, 0.0])
+    movement = canonical_movement(quat_trace([[0.0, -1.0, 0.0, 0.0]]))
+    assert np.array_equal(movement[0, QUATERNION_SLICES["head"]], [0.0, 1.0, 0.0, 0.0])
 
 
 def test_canonicalize_renormalizes():
-    tr = canonicalize_quaternions(quat_trace([[2.0, 0.0, 0.0, 0.0]]))
-    assert np.array_equal(tr.movement[0, QUATERNION_SLICES["head"]], [1.0, 0.0, 0.0, 0.0])
+    movement = canonical_movement(quat_trace([[2.0, 0.0, 0.0, 0.0]]))
+    assert np.array_equal(movement[0, QUATERNION_SLICES["head"]], [1.0, 0.0, 0.0, 0.0])
 
 
 def test_canonicalize_enforces_continuity():
@@ -128,8 +128,7 @@ def test_canonicalize_enforces_continuity():
         [-0.999, 0.01, 0.0, 0.0],  # a sign flip of a nearby rotation
         [s, s, 0.0, 0.0],
     ]
-    tr = canonicalize_quaternions(quat_trace(quats))
-    q = tr.movement[:, QUATERNION_SLICES["head"]]
+    q = canonical_movement(quat_trace(quats))[:, QUATERNION_SLICES["head"]]
     dots = np.einsum("ij,ij->i", q[1:], q[:-1])
     assert (dots >= 0).all()
     assert q[1, 0] > 0  # flipped back alongside its neighbor
@@ -138,33 +137,34 @@ def test_canonicalize_enforces_continuity():
 def test_canonicalize_idempotent_exactly():
     rng = np.random.default_rng(3)
     quats = rng.normal(size=(200, 4)) * rng.uniform(0.5, 2.0, size=(200, 1))
-    once = canonicalize_quaternions(quat_trace(quats))
-    twice = canonicalize_quaternions(once)
-    assert np.array_equal(once.movement, twice.movement)
+    tr = quat_trace(quats)
+    once = canonical_movement(tr)
+    twice = canonical_movement(replace(tr, movement=once))
+    assert np.array_equal(once, twice)
 
 
 def test_canonicalize_preserves_rotation():
     rng = np.random.default_rng(4)
     quats = rng.normal(size=(50, 4)) * 3.0
     tr = quat_trace(quats)
-    canon = canonicalize_quaternions(tr)
+    canon = canonical_movement(tr)
     v = np.array([0.3, -1.2, 0.8])
     for i in range(50):
         q_raw = quats[i] / np.linalg.norm(quats[i])
-        q_can = canon.movement[i, QUATERNION_SLICES["left"]]
+        q_can = canon[i, QUATERNION_SLICES["left"]]
         assert np.allclose(rotation_matrix(q_raw) @ v, rotation_matrix(q_can) @ v, atol=1e-9)
 
 
 def test_canonicalize_zero_norm_names_sample():
     quats = [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]
     with pytest.raises(TraceQualityError, match=r"sample 1"):
-        canonicalize_quaternions(quat_trace(quats))
+        canonical_movement(quat_trace(quats))
 
 
 def test_canonicalize_rejects_empty_trace():
     tr = quat_trace(np.empty((0, 4)))
     with pytest.raises(TraceQualityError):
-        canonicalize_quaternions(tr)
+        canonical_movement(tr)
 
 
 # ---- windowing ----
@@ -427,6 +427,19 @@ def test_trace_rejects_bad_duration(duration_s):
 
 def test_trace_accepts_zero_duration():
     assert replace(make_trace(10.0), duration_s=0.0).duration_s == 0.0
+
+
+def test_trace_arrays_are_read_only_views():
+    # the trace keeps no copy and leaves the caller's arrays writable
+    tr = make_trace(10.0, packet_times=[0.5, 1.0])
+    names = ("movement_t", "movement", "traffic_t", "traffic_size", "traffic_dir")
+    given = {name: getattr(tr, name).copy() for name in names}
+    held = replace(tr, **given)
+    for name, array in given.items():
+        assert np.shares_memory(getattr(held, name), array)
+        assert array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(held, name)[0] = 0
 
 
 @pytest.mark.parametrize(

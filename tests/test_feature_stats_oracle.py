@@ -25,7 +25,7 @@ from vrident.core import (
     SAMPLE_RATE_HZ,
     Trace,
     Y_CHANNEL_INDEX,
-    canonicalize_quaternions,
+    canonical_movement,
 )
 from vrident.features import (
     FEATURE_SET_NAMES,
@@ -103,18 +103,18 @@ def reference_traffic_features(t, size, direction, t_start, window_s, bin_s):
 
 
 def reference_build_features(trace, feature_set, window_s, bin_s):
-    canon = canonicalize_quaternions(trace)
-    y_scale = trace_height_scale(canon) if feature_set.endswith("_norm_height") else None
+    movement = canonical_movement(trace)
+    y_scale = trace_height_scale(trace) if feature_set.endswith("_norm_height") else None
     out = []
-    for index, t_start, rows, packets in reference_windows(canon, window_s):
+    for index, t_start, rows, packets in reference_windows(trace, window_s):
         parts = []
         if feature_set != "traffic":
-            parts.append(reference_movement_features(canon.movement[rows], y_scale))
+            parts.append(reference_movement_features(movement[rows], y_scale))
         if feature_set in ("traffic", "combined", "combined_norm_height"):
             parts.append(
                 reference_traffic_features(
-                    canon.traffic_t[packets], canon.traffic_size[packets],
-                    canon.traffic_dir[packets], t_start, window_s, bin_s,
+                    trace.traffic_t[packets], trace.traffic_size[packets],
+                    trace.traffic_dir[packets], t_start, window_s, bin_s,
                 )
             )
         out.append((index, t_start, np.concatenate(parts)))

@@ -1,16 +1,21 @@
 from __future__ import annotations
 
+import logging
 import math
 import os
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vrident.core import (
     MOVEMENT_CHANNELS,
     QUATERNION_SLICES,
     Trace,
+    TraceQualityError,
 )
 from vrident.features import (
     COMBINED_FEATURE_NAMES,
@@ -505,3 +510,72 @@ def test_write_feature_csv_rejects_mixed_sets(tmp_path):
     traces = [build_features(tr, "movement"), build_features(tr, "traffic")]
     with pytest.raises(ValueError, match="mixed feature sets"):
         write_feature_csv(tmp_path / "x.csv", traces)
+
+
+# ---- memo ----
+
+#: (window_s, bin_s) pairs that cut full_trace()'s 60 s differently.
+MEMO_PAIRS = ((10.0, 1.0), (10.0, 2.5), (5.0, 1.0), (20.0, 4.0), (15.0, 0.5))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(sorted(FEATURE_SET_NAMES)), st.sampled_from(MEMO_PAIRS)),
+        min_size=1,
+        max_size=10,
+    )
+)
+def test_memoized_features_equal_cold_calls(calls):
+    tr = full_trace()
+    keys = set()
+    for feature_set, (window_s, bin_s) in calls:
+        feats = build_features(tr, feature_set, window_s, bin_s)
+        cold = build_features(replace(tr), feature_set, window_s, bin_s)
+        assert feats.window_index.tobytes() == cold.window_index.tobytes()
+        assert feats.values.tobytes() == cold.values.tobytes()
+        keys.add(("kept", window_s))
+        if feature_set != "traffic":
+            keys.add(("movement", window_s, feature_set.endswith("_norm_height")))
+        if feature_set in ("traffic", "combined", "combined_norm_height"):
+            keys.add(("traffic", window_s, bin_s))
+    assert set(tr._features) == keys
+    assert replace(tr)._features == {}
+
+
+def test_returned_arrays_do_not_alias_the_memo(monkeypatch):
+    tr = full_trace()
+    first = build_features(tr, "combined")
+    expected = first.values.copy()
+    first.values[:] = np.nan
+    first.window_index[:] = -1
+
+    def refuse(trace):
+        raise AssertionError("a memoized call canonicalized again")
+
+    monkeypatch.setattr("vrident.features.canonical_movement", refuse)
+    again = build_features(tr, "combined")
+    assert again.values.tobytes() == expected.tobytes()
+    assert again.window_index.tolist() == list(range(6))
+
+
+def test_zero_norm_quaternion_raises_on_every_call():
+    tr = full_trace()
+    movement = tr.movement.copy()
+    movement[100, QUATERNION_SLICES["left"]] = 0.0
+    bad = replace(tr, movement=movement)
+    for feature_set in ("traffic", "traffic", "movement", "combined", "combined"):
+        with pytest.raises(TraceQualityError, match="zero-norm left quaternion at sample 100"):
+            build_features(bad, feature_set)
+    assert bad._features == {}
+
+
+def test_dropped_window_is_logged_once_per_trace_and_window(caplog):
+    tr = full_trace()
+    # window 2 keeps 200 of its 600 movement samples, under the 300 bar
+    rows = np.r_[0:1200, 1600:3600]
+    sparse = replace(tr, movement_t=tr.movement_t[rows], movement=tr.movement[rows])
+    with caplog.at_level(logging.WARNING, logger="vrident.core"):
+        for feature_set in ("combined", "movement", "combined"):
+            assert build_features(sparse, feature_set).window_index.tolist() == [0, 1, 3, 4, 5]
+    assert caplog.text.count("dropping window 2 of trace u7/ga") == 1

@@ -269,7 +269,9 @@ def test_synthetic_cohort_round_trip(tmp_path):
 )
 def test_write_cohort_refuses_non_finite_before_writing(tmp_path, kind, index, stream, row, column):
     ds = generate_synthetic_cohort(2, minutes=0.5, seed=13)
-    getattr(ds.records[1].trace, kind)[index] = np.nan  # in place, past Trace's own checks
+    array = getattr(ds.records[1].trace, kind)
+    array.flags.writeable = True  # a trace's arrays are read-only views
+    array[index] = np.nan  # in place, past Trace's own checks
     out = tmp_path / "cohort"
     expected = (
         rf"user01_game_a_{stream}\.csv: data row {row}: "
@@ -456,11 +458,10 @@ def test_synthetic_rejects_bad_args():
 
 def test_synthetic_quaternions_are_canonical_units():
     ds = generate_synthetic_cohort(2, minutes=0.1, seed=3)
-    from vrident.core import QUATERNION_SLICES, canonicalize_quaternions
+    from vrident.core import QUATERNION_SLICES, canonical_movement
 
     tr = ds.records[0].trace
-    canon = canonicalize_quaternions(tr)
-    assert np.array_equal(tr.movement, canon.movement)
+    assert np.array_equal(tr.movement, canonical_movement(tr))
     for dev in ("head", "left", "right"):
         q = tr.movement[:, QUATERNION_SLICES[dev]]
         assert np.allclose(np.linalg.norm(q, axis=1), 1.0, atol=1e-12)
