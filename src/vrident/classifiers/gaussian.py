@@ -45,7 +45,8 @@ class QuadraticDiscriminant(Classifier):
                 )
             mu = rows.mean(axis=0)
             centered = rows - mu
-            cov = centered.T @ centered / rows.shape[0]
+            cov = centered.T @ centered
+            cov /= rows.shape[0]
             tr = float(np.trace(cov))
             alpha = self.ridge * (tr / d) if tr > 0 else self.ridge
             cov[np.diag_indices(d)] += alpha

@@ -37,6 +37,7 @@ def _fit_binary(X_aug, y01, lam, tol, max_iter):
     w = np.zeros(d1)
     reg = np.ones(d1)
     reg[-1] = 0.0
+    diag = np.diag_indices(d1)
     converged = False
     for _ in range(max_iter):
         grad = binary_gradient(w, X_aug, y01, lam)
@@ -45,7 +46,12 @@ def _fit_binary(X_aug, y01, lam, tol, max_iter):
             break
         p = _sigmoid(X_aug @ w)
         curv = p * (1.0 - p)
-        hess = (X_aug * curv[:, None]).T @ X_aug / n + lam * np.diag(reg)
+        hess = (X_aug * curv[:, None]).T @ X_aug
+        hess /= n
+        # adding lam * diag(reg) also added +0.0 off the diagonal, which turns
+        # a -0.0 into +0.0 and leaves every other value as it is
+        hess += 0.0
+        hess[diag] += lam * reg
         try:
             step = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:

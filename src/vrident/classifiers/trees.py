@@ -24,6 +24,12 @@ import numpy as np
 
 from .base import Classifier, check_matrix, check_params, saved_array
 
+#: (tree, walk, count) cells that one block of a forest walk descends at
+#: once, and nodes its pass for parted features stacks at once (see
+#: RandomForest.walk_proba); bounds the walk's memory, and no result
+#: depends on it
+_WALK_CELLS = 1 << 16
+
 
 @dataclass
 class FlatTree:
@@ -47,51 +53,6 @@ class FlatTree:
             pos[active] = np.where(vals <= self.threshold[node], self.left[node], self.right[node])
             active = active[self.feature[pos[active]] >= 0]
         return pos
-
-    def walk_leaves(
-        self, x: np.ndarray, baseline: np.ndarray, rank: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Leaves reached along permutation walks from ``baseline`` to ``x``,
-        without building the walked rows.
-
-        ``rank[p, f]`` is the step at which walk p switches feature f from
-        ``baseline[f]`` to ``x[f]``; after step j the walked row holds x on
-        the features with ``rank[p] <= j`` and the baseline on the rest.
-        Where x and the baseline take the same side of a node, flipping its
-        feature cannot change the path; only the m features of nodes where
-        they part ways can. A walk therefore passes through at most m + 1
-        leaves, one per count of those features flipped, and the tree is
-        descended once per (walk, count).
-
-        Returns ``(leaves, held)``, walk by walk in step order: a walk stays
-        in ``leaves[i]`` for ``held[i]`` consecutive steps, so
-        ``np.repeat(leaves, held).reshape(rank.shape)`` is, at every step,
-        the leaf ``apply`` gives the walked row.
-        """
-        n_walks, d = rank.shape
-        split = self.feature >= 0
-        feat = np.where(split, self.feature, 0)
-        x_left = x[feat] <= self.threshold
-        b_left = baseline[feat] <= self.threshold
-        parted = np.unique(self.feature[split & (x_left != b_left)])
-        # cut[p, c]: the step at which walk p flips the (c+1)-th parted
-        # feature, so exactly c of them are flipped on steps
-        # [cut[p, c-1], cut[p, c]); the last count holds up to step d
-        cut = np.concatenate(
-            [np.sort(rank[:, parted], axis=1), np.full((n_walks, 1), d)], axis=1
-        )
-        held = np.diff(cut, axis=1, prepend=0).ravel()
-        walk = np.repeat(np.arange(n_walks), cut.shape[1])
-        cut = cut.ravel()
-        pos = np.zeros(cut.shape[0], dtype=np.int64)
-        active = np.flatnonzero(split[pos])
-        while active.size:
-            node = pos[active]
-            flipped = rank[walk[active], self.feature[node]] < cut[active]
-            go_left = np.where(flipped, x_left[node], b_left[node])
-            pos[active] = np.where(go_left, self.left[node], self.right[node])
-            active = active[split[pos[active]]]
-        return pos, held
 
     def to_json(self) -> dict:
         return {
@@ -273,6 +234,96 @@ def _tree_rng(seed: int, tree_index: int) -> np.random.Generator:
     )
 
 
+def _runs(counts, bound):
+    """(start, stop) of consecutive runs of items whose ``counts`` sum to at
+    most ``bound``; an item over the bound makes a run of its own."""
+    bounds, total = [0], 0
+    for i, c in enumerate(counts):
+        if total and total + c > bound:
+            bounds.append(i)
+            total = 0
+        total += c
+    bounds.append(len(counts))
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _stacked_sides(block, x, baseline):
+    """The stacked node features of a block of trees, and the side (left or
+    not) that x and the baseline take at each node. A leaf's feature -1
+    reads the last value; callers mask leaves out."""
+    feature = np.concatenate([t.feature for t in block])
+    threshold = np.concatenate([t.threshold for t in block])
+    return feature, x[feature] <= threshold, baseline[feature] <= threshold
+
+
+def _walk_block(acc, block, x, baseline, col, parted, n_parted, ranks):
+    """Add a block of trees' leaf values at every step of the walks into
+    ``acc``, tree by tree (see RandomForest.walk_proba).
+
+    ``parted`` lists each tree's ``n_parted`` parted features in turn, and
+    ``ranks`` is the flattened (walks, d + 1) rank matrix with step d in
+    its last column. A cell is a (tree, walk, count) triple, in that
+    order. Its ``cut`` is the step at which the walk flips the tree's
+    (count+1)-th parted feature (d after the last), so the walk holds that
+    cell's leaf for the ``held`` steps since the previous cut. One sort of
+    rank + (tree, walk) * (d + 1) orders every tree's cuts within each
+    walk, and one descent moves every cell through the block's stacked
+    nodes, from one parted node to the next: the nodes in between send x
+    and the baseline the same way.
+    """
+    n_walks, d = acc.shape
+    feature, x_left, b_left = _stacked_sides(block, x, baseline)
+    split = feature >= 0
+    sizes = [t.feature.shape[0] for t in block]
+    root = np.cumsum(sizes) - sizes
+    off = np.repeat(root, sizes)
+    left = np.concatenate([t.left for t in block]) + off
+    right = np.concatenate([t.right for t in block]) + off
+    value = np.concatenate([t.value[:, col] for t in block])
+    # jump[node]: the first node at or below ``node`` that is a leaf or parts
+    # x and the baseline, following the side both take (pointer doubling)
+    same = split & (x_left == b_left)
+    jump = np.where(same, np.where(x_left, left, right), np.arange(split.size))
+    while True:
+        further = jump[jump]
+        if np.array_equal(further, jump):
+            break
+        jump = further
+    # child[2 * node + flipped]: where the walked row goes from a parted node,
+    # by the side the baseline (not flipped) or x (flipped) takes, jumped
+    sides = np.stack([b_left, x_left], axis=1)
+    child = jump[np.where(sides, left[:, None], right[:, None])].ravel()
+
+    width = n_parted + 1
+    # each tree's parted features, then column d
+    cols = np.insert(parted, np.cumsum(n_parted), d)
+    n_cells = n_walks * width
+    cell_start = np.cumsum(n_cells) - n_cells
+    tree = np.repeat(np.arange(len(block)), n_cells)
+    walk, count = np.divmod(np.arange(n_cells.sum()) - cell_start[tree], width[tree])
+    row = walk * (d + 1)
+    shift = (tree * n_walks + walk) * (d + 1)
+    cut = ranks[row + cols[(np.cumsum(width) - width)[tree] + count]]
+    cut += shift
+    cut.sort()
+    cut -= shift
+    held = np.diff(cut, prepend=0)
+    first = count == 0
+    held[first] = cut[first]
+
+    pos = jump[root][tree]
+    active = np.flatnonzero(split[pos])
+    while active.size:
+        node = pos[active]
+        flipped = ranks[row[active] + feature[node]] < cut[active]
+        pos[active] = child[2 * node + flipped]
+        active = active[split[pos[active]]]
+    leaf_value = value[pos]
+    flat = acc.reshape(-1)
+    for s, e in zip(cell_start.tolist(), (cell_start + n_cells).tolist()):
+        flat += np.repeat(leaf_value[s:e], held[s:e])
+
+
 class RandomForest(Classifier):
     """Bagged Gini trees; probability = mean of leaf class distributions."""
 
@@ -321,17 +372,46 @@ class RandomForest(Classifier):
 
     def walk_proba(self, x, baseline, rank: np.ndarray, col: int) -> np.ndarray:
         """Probability column ``col`` at every step of permutation walks from
-        ``baseline`` to ``x`` (see FlatTree.walk_leaves): entry [p, j] equals,
-        bit for bit, ``predict_proba`` of the walked row at step j, as the
-        same leaf values are summed in the same tree order as in _proba."""
+        ``baseline`` to ``x``, without building the walked rows.
+
+        ``rank[p, f]`` is the step at which walk p switches feature f from
+        ``baseline[f]`` to ``x[f]``; after step j the walked row holds x on
+        the features with ``rank[p] <= j`` and the baseline on the rest.
+        Where x and the baseline take the same side of a node, flipping its
+        feature cannot change the path; only the m features of a tree's
+        nodes where they part ways can. A walk therefore passes through at
+        most m + 1 leaves of that tree, one per count of those features
+        flipped, and the tree is descended once per (walk, count) cell.
+
+        Every tree's parted features come from one pass over the nodes, at
+        most ``_WALK_CELLS`` nodes at a time; then the trees are walked a
+        block at a time (see ``_walk_block``), at most ``_WALK_CELLS`` cells
+        per block unless one tree has more.
+        Entry [p, j] equals, bit for bit, ``predict_proba`` of the walked
+        row at step j, whatever the blocks: the same leaf values are summed
+        in the same tree order as in _proba.
+        """
         if self.labels_ is None:
             raise ValueError(f"{self.kind} model is not fitted")
         x, baseline = check_matrix(np.stack([x, baseline]), self.n_features_)
+        trees = self.trees_
+        n_walks, d = rank.shape
+        sizes = [t.feature.shape[0] for t in trees]
+        keys = []
+        for a, b in _runs(sizes, _WALK_CELLS):
+            feature, x_left, b_left = _stacked_sides(trees[a:b], x, baseline)
+            parts = np.flatnonzero((feature >= 0) & (x_left != b_left))
+            tree = a + np.searchsorted(np.cumsum(sizes[a:b]), parts, side="right")
+            keys.append(tree * d + feature[parts])
+        # every tree's parted features as (tree, feature) keys, tree by tree
+        keys = np.unique(np.concatenate(keys))
+        n_parted = np.bincount(keys // d, minlength=len(trees))
+        ranks = np.hstack([rank, np.full((n_walks, 1), d)]).reshape(-1)
         acc = np.zeros(rank.shape)
-        for tree in self.trees_:
-            leaves, held = tree.walk_leaves(x, baseline, rank)
-            acc += np.repeat(tree.value[leaves, col], held).reshape(rank.shape)
-        return acc / len(self.trees_)
+        for a, b in _runs((n_walks * (n_parted + 1)).tolist(), _WALK_CELLS):
+            lo, hi = np.searchsorted(keys, [a * d, b * d])
+            _walk_block(acc, trees[a:b], x, baseline, col, keys[lo:hi] % d, n_parted[a:b], ranks)
+        return acc / len(trees)
 
     def fitted_state(self) -> dict:
         return {"trees": [t.to_json() for t in self.trees_]}

@@ -80,6 +80,16 @@ def _read_only(values, dtype) -> np.ndarray:
     return view
 
 
+#: Trace's array fields and their dtypes
+_TRACE_ARRAYS = {
+    "movement_t": np.float64,
+    "movement": np.float64,
+    "traffic_t": np.float64,
+    "traffic_size": np.int64,
+    "traffic_dir": np.uint8,
+}
+
+
 @dataclass
 class Trace:
     """One user's paired movement + traffic capture for one game.
@@ -95,7 +105,9 @@ class Trace:
     and a caller that writes into one afterwards changes the trace under
     its memo, so build a new trace instead.
     ``_features`` is ``features.build_features``' memo of this trace's
-    feature blocks; a ``dataclasses.replace`` copy starts with an empty one.
+    feature blocks; a ``dataclasses.replace`` copy starts with an empty one,
+    and so does an unpickled trace, whose arrays are read-only again
+    (pickle does not keep the flag).
     """
 
     user_id: str
@@ -109,11 +121,8 @@ class Trace:
     _features: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.movement_t = _read_only(self.movement_t, np.float64)
-        self.movement = _read_only(self.movement, np.float64)
-        self.traffic_t = _read_only(self.traffic_t, np.float64)
-        self.traffic_size = _read_only(self.traffic_size, np.int64)
-        self.traffic_dir = _read_only(self.traffic_dir, np.uint8)
+        for name, dtype in _TRACE_ARRAYS.items():
+            setattr(self, name, _read_only(getattr(self, name), dtype))
         if self.movement.ndim != 2 or self.movement.shape[1] != len(MOVEMENT_CHANNELS):
             raise TraceFormatError(
                 f"movement array must be (n, {len(MOVEMENT_CHANNELS)}), got {self.movement.shape}"
@@ -144,6 +153,14 @@ class Trace:
                 raise TraceFormatError(
                     f"{where}: {name} goes back in time at sample {int(back[0]) + 1}"
                 )
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_features": {}}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        for name, dtype in _TRACE_ARRAYS.items():
+            setattr(self, name, _read_only(state[name], dtype))
 
     @classmethod
     def assemble(

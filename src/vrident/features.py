@@ -13,9 +13,10 @@ Every accumulation window is summarized by the same 7 statistics
 ``build_features`` works a trace at a time: windows are row bounds from
 ``core.window_cuts``, and the traffic bins of every window are counted in
 one pass over the trace's packets. It memoizes on the trace its window
-cuts per ``window_s``, its movement block per (``window_s``, height mode)
-and its traffic block per (``window_s``, ``bin_s``), so each is computed
-once per trace and ``combined`` is the concatenation of the two blocks.
+cuts per ``window_s``, its movement block per (``window_s``, height mode),
+the geometry statistics both height modes share per ``window_s``, and its
+traffic block per (``window_s``, ``bin_s``), so each is computed once per
+trace and ``combined`` is the concatenation of the two blocks.
 The memo cannot go stale because a ``Trace`` holds read-only arrays.
 
 Feature names are stable and ordered: ``mv.head_py.vel.q75``,
@@ -180,15 +181,25 @@ def feature_names(feature_set: str) -> tuple[str, ...]:
 
 # ---- per-trace blocks -------------------------------------------------------
 
-def _movement_block(trace: Trace, movement, rows, m_cuts, kept) -> np.ndarray:
+def _geometry_block(movement, m_cuts, kept) -> np.ndarray:
+    """(kept windows, 42) statistics of the geometry of ``movement`` (the
+    trace's canonical movement rows, unscaled), computed once for all
+    windows: the last columns of both height modes' movement blocks."""
+    geo = geometry_channels(movement)
+    out = np.empty((kept.shape[0], len(GEOMETRY_CHANNELS) * len(STAT_NAMES)))
+    for row, i in zip(out, kept):
+        row[:] = _stats_columns(geo[m_cuts[i] : m_cuts[i + 1]]).ravel()
+    return out
+
+
+def _movement_block(trace: Trace, rows, m_cuts, kept, geometry) -> np.ndarray:
     """(kept windows, 483) movement features in MOVEMENT_FEATURE_NAMES order,
     from ``rows`` (the trace's canonical movement rows, heights scaled or
-    not) and the geometry of ``movement`` (the same rows unscaled), computed
-    once for all windows. Each window needs >= 3 samples so the second
-    derivative is non-empty (the dropout filter guarantees far more at the
-    default window)."""
-    geo = geometry_channels(movement)
+    not) and the window statistics of their ``geometry`` (_geometry_block).
+    Each window needs >= 3 samples so the second derivative is non-empty
+    (the dropout filter guarantees far more at the default window)."""
     out = np.empty((kept.shape[0], len(MOVEMENT_FEATURE_NAMES)))
+    n_channel = out.shape[1] - geometry.shape[1]
     for row, i in zip(out, kept):
         lo, hi = m_cuts[i], m_cuts[i + 1]
         if hi - lo < 3:
@@ -202,7 +213,8 @@ def _movement_block(trace: Trace, movement, rows, m_cuts, kept) -> np.ndarray:
         per_channel = np.stack(
             [_stats_columns(rows[lo:hi]), _stats_columns(vel), _stats_columns(acc)], axis=1
         )
-        row[:] = np.concatenate([per_channel.ravel(), _stats_columns(geo[lo:hi]).ravel()])
+        row[:n_channel] = per_channel.ravel()
+    out[:, n_channel:] = geometry
     return out
 
 
@@ -283,12 +295,15 @@ def _memo_entries(trace: Trace, keys, n_bins) -> dict:
     """The memo entries ``keys`` of a trace, those already in its memo
     included. keys[0] is ("kept", window_s) -> (m_cuts, p_cuts, kept); the
     rest are ("movement", window_s, normalized) and ("traffic", window_s,
-    bin_s) -> feature block. Quaternions are canonicalized first, whatever
-    the keys, so a corrupt trace raises on every call that misses."""
+    bin_s) -> feature block. A movement block also brings ("geometry",
+    window_s), the geometry statistics both height modes share.
+    Quaternions are canonicalized first, whatever the keys, so a corrupt
+    trace raises on every call that misses."""
     movement = canonical_movement(trace)
     memo = trace._features
-    entries = {key: memo[key] for key in keys if key in memo}
     window_s = keys[0][1]
+    geo_key = ("geometry", window_s)
+    entries = {key: memo[key] for key in (*keys, geo_key) if key in memo}
     if keys[0] not in entries:
         m_cuts, p_cuts = window_cuts(trace, window_s)
         entries[keys[0]] = (m_cuts, p_cuts, kept_windows(trace, m_cuts, window_s))
@@ -301,7 +316,9 @@ def _memo_entries(trace: Trace, keys, n_bins) -> dict:
             if key[2]:
                 rows = rows.copy()
                 rows[:, list(Y_CHANNEL_INDEX.values())] /= trace_height_scale(trace)
-            entries[key] = _movement_block(trace, movement, rows, m_cuts, kept)
+            if geo_key not in entries:
+                entries[geo_key] = _geometry_block(movement, m_cuts, kept)
+            entries[key] = _movement_block(trace, rows, m_cuts, kept, entries[geo_key])
         else:
             entries[key] = _traffic_block(trace, p_cuts, kept, window_s, key[2], n_bins)
     return entries

@@ -22,7 +22,12 @@ from vrident.classifiers import (
     make_model,
     save_model,
 )
-from vrident.classifiers.logistic import _sigmoid, binary_gradient, binary_objective
+from vrident.classifiers.logistic import (
+    _fit_binary,
+    _sigmoid,
+    binary_gradient,
+    binary_objective,
+)
 from vrident.classifiers.trees import _tree_rng
 
 
@@ -192,6 +197,63 @@ def test_logistic_argmax_matches_score_argmax():
     # scaling every score by c > 0 leaves predictions unchanged
     scaled = model.labels_[np.argmax(scores * 7.3, axis=1)]
     assert np.array_equal(model.predict(Xq), scaled)
+
+
+def _fit_binary_reference(X_aug, y01, lam, tol, max_iter):
+    """The Newton fit with the Hessian built as one expression, as before
+    _fit_binary built it in place."""
+    n, d1 = X_aug.shape
+    w = np.zeros(d1)
+    reg = np.ones(d1)
+    reg[-1] = 0.0
+    converged = False
+    for _ in range(max_iter):
+        grad = binary_gradient(w, X_aug, y01, lam)
+        if np.linalg.norm(grad) <= tol:
+            converged = True
+            break
+        p = _sigmoid(X_aug @ w)
+        curv = p * (1.0 - p)
+        hess = (X_aug * curv[:, None]).T @ X_aug / n + lam * np.diag(reg)
+        try:
+            step = np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
+            step = grad
+        slope = float(grad @ step)
+        if slope <= 0:
+            step = grad
+            slope = float(grad @ grad)
+        j0 = binary_objective(w, X_aug, y01, lam)
+        t = 1.0
+        while t > 1e-12:
+            w_new = w - t * step
+            if binary_objective(w_new, X_aug, y01, lam) <= j0 - 1e-4 * t * slope:
+                break
+            t *= 0.5
+        w = w_new
+    else:
+        converged = bool(np.linalg.norm(binary_gradient(w, X_aug, y01, lam)) <= tol)
+    return w, converged
+
+
+@pytest.mark.parametrize("lam", [1.0, 0.05, 0.0])
+@pytest.mark.parametrize("n, d", [(20, 6), (12, 40)])
+def test_logistic_hessian_in_place_is_bit_identical(lam, n, d):
+    """Negative columns, an all-zero and an all-negative-zero column, and
+    the unpenalized bias: the in-place Hessian gives the same weights."""
+    rng = np.random.default_rng(n * d)
+    X = rng.normal(size=(n, d))
+    X[:, 0] = 0.0
+    X[:, 1] = -0.0
+    X[:, 2] = -np.abs(X[:, 2])
+    X[:, 3] = -1.0
+    X_aug = np.hstack([X, np.ones((n, 1))])
+    y01 = (rng.random(n) < 0.5).astype(np.float64)
+    y01[:2] = (0.0, 1.0)
+    w, ok = _fit_binary(X_aug, y01, lam, 1e-6, 25)
+    ref_w, ref_ok = _fit_binary_reference(X_aug, y01, lam, 1e-6, 25)
+    assert w.tobytes() == ref_w.tobytes()
+    assert ok == ref_ok
 
 
 # ---------------------------------------------------------------- qda

@@ -3,8 +3,10 @@ from __future__ import annotations
 import logging
 import math
 import os
+import pickle
 import re
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -537,10 +539,38 @@ def test_memoized_features_equal_cold_calls(calls):
         keys.add(("kept", window_s))
         if feature_set != "traffic":
             keys.add(("movement", window_s, feature_set.endswith("_norm_height")))
+            keys.add(("geometry", window_s))
         if feature_set in ("traffic", "combined", "combined_norm_height"):
             keys.add(("traffic", window_s, bin_s))
     assert set(tr._features) == keys
     assert replace(tr)._features == {}
+
+
+def test_geometry_is_computed_once_per_trace_and_window():
+    tr = full_trace()
+    sets = ("movement", "combined", "movement_norm_height", "combined_norm_height")
+    with mock.patch("vrident.features.geometry_channels", wraps=geometry_channels) as geo:
+        warm = [build_features(tr, feature_set).values for feature_set in sets]
+    assert geo.call_count == 1
+    for feature_set, values in zip(sets, warm):
+        assert values.tobytes() == build_features(replace(tr), feature_set).values.tobytes()
+
+
+def test_unpickled_trace_is_read_only_with_an_empty_memo():
+    tr = full_trace()
+    feats = build_features(tr, "combined")
+    assert len(tr._features) == 4
+    back = pickle.loads(pickle.dumps(tr))
+    assert back._features == {}
+    assert len(tr._features) == 4
+    for name in ("movement_t", "movement", "traffic_t", "traffic_size", "traffic_dir"):
+        array = getattr(back, name)
+        assert array.tobytes() == getattr(tr, name).tobytes()
+        assert array.dtype == getattr(tr, name).dtype
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    assert (back.user_id, back.game_id, back.duration_s) == (tr.user_id, tr.game_id, tr.duration_s)
+    assert build_features(back, "combined").values.tobytes() == feats.values.tobytes()
 
 
 def test_returned_arrays_do_not_alias_the_memo(monkeypatch):

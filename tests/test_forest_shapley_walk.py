@@ -2,22 +2,26 @@
 
 For random forests and extra trees, ``shapley_attribution`` gets the model's
 probability at every step of every permutation walk from
-``RandomForest.walk_proba``, which descends each tree once per count of
-flipped features where the instance and the baseline part ways, without
-building the walked rows. The reference below builds the rows and scores
-them with ``predict_proba``, as every walk did before. Both must agree bit
-for bit: the walk values, the per-feature sums and sums of squares of the
-marginal contributions, and v(instance).
+``RandomForest.walk_proba``, which descends a block of trees at a time, once
+per (tree, walk, count of flipped features where the instance and the
+baseline part ways), without building the walked rows. The reference below
+builds the rows and scores them with ``predict_proba``, as every walk did
+before. Both must agree bit for bit, whatever the blocks: the walk values,
+the per-feature sums and sums of squares of the marginal contributions, and
+v(instance). ``_tree_walk`` is the per-tree walk the forests took before
+their trees were walked together; its leaves are checked against
+``FlatTree.apply`` on the walked rows.
 """
 from __future__ import annotations
 
 import itertools
+from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vrident.classifiers import ExtraTrees, RandomForest
+from vrident.classifiers import ExtraTrees, RandomForest, trees
 from vrident.importance import _marginal_sums, _step_ranks, _walk_values, shapley_attribution
 
 
@@ -47,6 +51,33 @@ def _reference_walk(model, col, x, baseline, v_base, perms, chunk_perms):
         blocks.append(marg)
     marg_all = np.concatenate(blocks, axis=0)
     return np.concatenate(values, axis=0), marg_all.sum(axis=0), (marg_all**2).sum(axis=0), v_full
+
+
+def _tree_walk(tree, x, baseline, rank):
+    """(leaves, held) of one tree along the walks ``rank``, walk by walk in
+    step order: a walk stays in ``leaves[i]`` for ``held[i]`` consecutive
+    steps. Only the m features of nodes where x and the baseline part ways
+    can change the leaf, so the tree is descended once per (walk, count of
+    those features flipped)."""
+    n_walks, d = rank.shape
+    split = tree.feature >= 0
+    feat = np.where(split, tree.feature, 0)
+    x_left = x[feat] <= tree.threshold
+    b_left = baseline[feat] <= tree.threshold
+    parted = np.unique(tree.feature[split & (x_left != b_left)])
+    cut = np.concatenate([np.sort(rank[:, parted], axis=1), np.full((n_walks, 1), d)], axis=1)
+    held = np.diff(cut, axis=1, prepend=0).ravel()
+    walk = np.repeat(np.arange(n_walks), cut.shape[1])
+    cut = cut.ravel()
+    pos = np.zeros(cut.shape[0], dtype=np.int64)
+    active = np.flatnonzero(split[pos])
+    while active.size:
+        node = pos[active]
+        flipped = rank[walk[active], tree.feature[node]] < cut[active]
+        go_left = np.where(flipped, x_left[node], b_left[node])
+        pos[active] = np.where(go_left, tree.left[node], tree.right[node])
+        active = active[split[pos[active]]]
+    return pos, held
 
 
 class RowsOnly:
@@ -103,12 +134,29 @@ walk_cases = st.fixed_dictionaries(
         "n_perm": st.integers(1, 24),
         "chunk_perms": st.integers(1, 8),
         "exact": st.booleans(),
+        # None keeps the module's bound; small ones split the forest into blocks
+        "walk_cells": st.sampled_from([None, 1, 7, 40, 200]),
+        "x_is_baseline": st.booleans(),
     }
 )
 
 
+def _case(**changes):
+    base = dict(
+        seed=5, kind="extra_trees", n_labels=3, d=6, n_levels=3, n_trees=6, n_perm=9,
+        chunk_perms=4, exact=False, walk_cells=None, x_is_baseline=False,
+    )
+    return {**base, **changes}
+
+
 @settings(max_examples=120, deadline=None)
 @given(walk_cases)
+@example(_case(walk_cells=1))  # a block per tree
+@example(_case(kind="random_forest", walk_cells=40))  # several trees per block
+@example(_case(n_levels=1, walk_cells=7))  # every tree a single leaf
+@example(_case(x_is_baseline=True, walk_cells=40))  # no tree parts
+@example(_case(d=1, n_perm=3, walk_cells=1))
+@example(_case(d=1, n_levels=2, kind="random_forest"))
 def test_forest_walk_matches_row_walk(case):
     rng = np.random.default_rng(case["seed"])
     d = case["d"]
@@ -116,6 +164,8 @@ def test_forest_walk_matches_row_walk(case):
         rng, case["kind"], case["n_labels"], d, case["n_levels"], case["n_trees"]
     )
     x, baseline = _walk_inputs(rng, model, X)
+    if case["x_is_baseline"]:
+        x = baseline.copy()
     if case["exact"] and d <= 7:
         perms = np.array(list(itertools.permutations(range(d))), dtype=np.int64)
     else:
@@ -127,7 +177,9 @@ def test_forest_walk_matches_row_walk(case):
     ref_v, ref_sums, ref_sumsq, ref_full = _reference_walk(
         model, col, x, baseline, v_base, perms, chunk
     )
-    v = _walk_values(model, col, x, baseline, perms, chunk)
+    cells = case["walk_cells"] or trees._WALK_CELLS
+    with mock.patch.object(trees, "_WALK_CELLS", cells):
+        v = _walk_values(model, col, x, baseline, perms, chunk)
     assert np.array_equal(v, ref_v)
     sums, sumsq, v_full = _marginal_sums(v, perms, v_base)
     assert np.array_equal(sums, ref_sums)
@@ -140,8 +192,26 @@ def test_forest_walk_matches_row_walk(case):
     steps = np.arange(d)
     rows = np.where(rank[:, None, :] <= steps[None, :, None], x, baseline).reshape(-1, d)
     for tree in model.trees_:
-        leaves, held = tree.walk_leaves(x, baseline, rank)
+        leaves, held = _tree_walk(tree, x, baseline, rank)
         assert np.array_equal(np.repeat(leaves, held).reshape(rank.shape).ravel(), tree.apply(rows))
+
+
+def test_walk_blocks_follow_the_cell_bound():
+    """The bound sets how many blocks a walk takes, never its values."""
+    rng = np.random.default_rng(3)
+    model, X = _fit_forest(rng, "extra_trees", 3, 8, 4, 12)
+    x, baseline = _walk_inputs(rng, model, X)
+    rank = _step_ranks(np.stack([rng.permutation(8) for _ in range(5)]))
+    values, blocks = [], []
+    for cells in (1, 30, trees._WALK_CELLS):
+        with mock.patch.object(trees, "_WALK_CELLS", cells), mock.patch.object(
+            trees, "_walk_block", wraps=trees._walk_block
+        ) as walk_block:
+            values.append(model.walk_proba(x, baseline, rank, 1).tobytes())
+        blocks.append(walk_block.call_count)
+    # a block per tree (each has more cells than 1), several trees per block, one block
+    assert blocks[0] == 12 and 1 < blocks[1] < 12 and blocks[2] == 1
+    assert values[0] == values[1] == values[2]
 
 
 def _result_arrays(result):
