@@ -5,7 +5,10 @@ model kind, seed, frozen label order, feature count, hyperparameters
 (``param_names``) and the model's own fitted_state(). An ensemble stores
 its members instead. Floats pass through json's repr round trip, so a load
 returns bit-identical weights. Loading a file whose format version differs
-from MODEL_FORMAT_VERSION, or whose model lacks or adds a key, is an error.
+from MODEL_FORMAT_VERSION, or whose model lacks or adds a key, is an error,
+as are labels that are not strictly increasing (the order ``fit`` freezes),
+a seed or feature count that is not an integer, and a non-object where an
+object belongs; each error names the key.
 """
 from __future__ import annotations
 
@@ -15,6 +18,7 @@ import json
 import numpy as np
 
 from ..ingest import atomic_write_text
+from .base import check_param_type
 from .boosting import GradientBoosting
 from .ensemble import SoftVotingEnsemble
 from .gaussian import QuadraticDiscriminant
@@ -51,8 +55,27 @@ def _model_obj(model) -> dict:
     }
 
 
-def _model_from(state: dict):
-    kind = state["kind"]
+def _labels_from(labels, kind: str) -> np.ndarray:
+    """The frozen label order: strictly increasing, as ``fit`` leaves it."""
+    where = f"{kind} model file: 'labels'"
+    if not isinstance(labels, dict):
+        raise ValueError(f"{where} must be an object, got {type(labels).__name__}")
+    try:
+        values = np.array(labels["values"], dtype=np.dtype(labels["dtype"]))
+        increasing = values.ndim == 1 and values.size >= 2 and (values[1:] > values[:-1]).all()
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{where}: {exc}") from None
+    if not increasing:
+        raise ValueError(
+            f"{where} must hold at least 2 strictly increasing labels, got {labels['values']!r}"
+        )
+    return values
+
+
+def _model_from(state):
+    if not isinstance(state, dict):
+        raise ValueError(f"model file: 'model' must be an object, got {type(state).__name__}")
+    kind = state.get("kind")
     if kind == "ensemble":
         ens = SoftVotingEnsemble([_model_from(m) for m in state["members"]])
         ens._sync_labels()
@@ -62,6 +85,12 @@ def _model_from(state: dict):
     cls = MODEL_CLASSES[kind]
     try:
         params = state["params"]
+        check_param_type(state["seed"], int, f"{kind} model file: 'seed'")
+        check_param_type(state["n_features"], int, f"{kind} model file: 'n_features'")
+        if state["n_features"] < 1:
+            raise ValueError(
+                f"{kind} model file: 'n_features' must be >= 1, got {state['n_features']!r}"
+            )
         for name in sorted(set(params) ^ set(cls.param_names)):
             problem = "unknown" if name in params else "missing"
             raise ValueError(f"{kind} model file: {problem} param {name!r}")
@@ -74,8 +103,7 @@ def _model_from(state: dict):
                     f"{kind} model file: param {name!r} is {value!r}, "
                     f"but {kind} fixes it at {getattr(model, name)!r}"
                 )
-        labels = state["labels"]
-        model.labels_ = np.array(labels["values"], dtype=np.dtype(labels["dtype"]))
+        model.labels_ = _labels_from(state["labels"], kind)
         model.n_features_ = state["n_features"]
         model.restore(state)
     except KeyError as exc:
@@ -91,6 +119,8 @@ def save_model(model, path: str) -> None:
 def load_model(path: str):
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise ValueError(f"model file must hold a JSON object, got {type(obj).__name__}")
     version = obj.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(

@@ -8,7 +8,10 @@ line endings. Traffic CSV: header ``t,size_bytes,dir``; ``dir`` is exactly
 ``UL`` or ``DL`` (case-sensitive) and sizes are integers >= 1. Timestamps
 must be non-decreasing and finite in both files, and sizes fit in int64.
 Parse errors name the offending 1-based line number; files written here
-re-parse byte-identically.
+re-parse byte-identically. The writers print '%.6f' % x and '%d' % n for
+every value, encoding blocks of values with numpy (exact while
+|x| < 2**52 / 10**6, about 4.5e9) and falling back to '%' for a block that
+holds a value outside that range (see the writing section below).
 
 Files of plain decimal ASCII rows are read in one ``np.loadtxt`` pass and
 every other file line by line; both readers accept the same grammar and raise
@@ -16,9 +19,10 @@ the same error messages (see the parsing section below).
 
 Manifest: a JSON file with ``games`` (id -> {"category": "fast"|"slow"})
 and ``traces`` (user_id, game_id, movement/traffic paths relative to the
-manifest, optional duration_s, a finite number > 0). duration_s exists
-because the last sample timestamp undercounts the capture length by one
-sample period.
+manifest, optional duration_s, a finite number > 0). Ids are strings or
+integers (not booleans), read as strings and unique as (user, game) pairs;
+paths are strings. duration_s exists because the last sample timestamp
+undercounts the capture length by one sample period.
 
 Synthetic cohorts
 -----------------
@@ -35,7 +39,9 @@ every user identical parameters but independent noise streams.
 """
 from __future__ import annotations
 
+import functools
 import io
+import itertools
 import json
 import math
 import os
@@ -44,7 +50,7 @@ import tempfile
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -65,13 +71,15 @@ GAME_CATEGORIES = ("fast", "slow")
 _DIR_CODES = {"UL": DIR_UL, "DL": DIR_DL}
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write text to ``path`` via a temp file + rename in the same directory."""
+def atomic_write_text(path: str | Path, text: str | Iterable[str | bytes]) -> None:
+    """Write ``text`` (a str, or str and UTF-8 bytes chunks in order) to
+    ``path`` via a temp file + rename in the same directory."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            for chunk in (text,) if isinstance(text, str) else text:
+                fh.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -262,27 +270,198 @@ def _parse_traffic_lines(path: Path, text: str) -> tuple[np.ndarray, np.ndarray,
 
 # ---- writing ----------------------------------------------------------------
 #
-# One %-format per row over Python numbers from .tolist(): '%.6f' % x and
-# f"{x:.6f}" go through the same CPython float formatting, so the bytes are
-# those of formatting each value on its own, for about half the time.
+# The writers print every float as '%.6f' % x does and every size as '%d' % n,
+# a block of rows at a time, with no Python object per value.
+#
+# Rounding. '%.6f' prints N = round-half-even(x * 10**6) of the exact binary
+# value of x (CPython's correctly rounded conversion). While
+# |x| * 10**6 < 2**52, every half-integer is a double and rounding is
+# monotone, so rint(fl(x * 1e6)) is N except where fl(x * 1e6) is itself a
+# half-integer. There the exact product may lie above the tie, below it or on
+# it; its rounding error, which Dekker's error-free product (Veltkamp split)
+# gives exactly, says which, and only an error of 0 leaves rint's half-even
+# choice. The sign comes from signbit, so -0.0 and tiny negatives print
+# "-0.000000" as '%' does.
+#
+# Digits. A field is a row of 4-byte words taken from one table: the integer
+# part in words of 4 digits, the leading one NUL-padded on the left with the
+# '-' inside it, then ".ddd", then "ddd," or "ddd\n". Sizes are integer words
+# too, and a traffic row ends in the word ",UL\n" or ",DL\n". No printed byte
+# is NUL, so one boolean mask that drops the NUL bytes of a block's word
+# matrix leaves its text.
+#
+# Fallback. A block holding a value outside the kernel's exact range is
+# formatted with '%', row by row: a non-finite value, |x| * 10**6 >= 2**52
+# (|x| >= about 4.5e9), a size that is not an integer or lies outside
+# [0, 10**18), or a dir code other than DIR_UL/DIR_DL (which '%' refuses).
+# No synthetic cohort reaches it.
 
+#: Values per block, so that a block's word matrix stays near a megabyte.
+_BLOCK_FIELDS = 1 << 16
 _DIR_ENDINGS = {DIR_UL: ",UL\n", DIR_DL: ",DL\n"}
+_UNITS_LIMIT = 2.0**52
+_SIZE_LIMIT = 10**18
+
+
+@functools.cache
+def _words() -> tuple[np.ndarray, dict[str, int]]:
+    """The 4-byte words every field is printed from, and where each kind
+    starts; built on first use, so that a process that writes no trace
+    does not hold it."""
+    kinds = {
+        # "digits" comes first, so that a 4-digit group is its own word index
+        "digits": [b"%04d" % g for g in range(10**4)],
+        "lead": [(b"%d" % g).rjust(4, b"\0") for g in range(10**4)],
+        # "lead" + 10**4 for a negative; a 4-digit word has no room for the
+        # '-', which then goes in the word above ("blank" + 1)
+        "lead_neg": [
+            (b"-%d" % g).rjust(4, b"\0") if g < 1000 else b"%04d" % g for g in range(10**4)
+        ],
+        "blank": [b"\0\0\0\0", b"\0\0\0-"],
+        "head": [b".%03d" % g for g in range(1000)],
+        "tail": [b"%03d," % g for g in range(1000)],
+        "tail_nl": [b"%03d\n" % g for g in range(1000)],
+        "ending": [_DIR_ENDINGS[DIR_UL].encode(), _DIR_ENDINGS[DIR_DL].encode()],
+    }
+    table = np.frombuffer(b"".join(itertools.chain(*kinds.values())), dtype=np.uint32)
+    return table, dict(zip(kinds, itertools.accumulate(map(len, kinds.values()), initial=0)))
+
+
+def _product_error(a: np.ndarray, b: float, p: np.ndarray) -> np.ndarray:
+    """a * b - p exactly, for p = fl(a * b) (Dekker 1971, Veltkamp split)."""
+
+    def split(v):
+        c = 134217729.0 * v  # 2**27 + 1
+        hi = c - (c - v)
+        return hi, v - hi
+
+    a_hi, a_lo = split(a)
+    b_hi, b_lo = split(np.float64(b))
+    return ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _micro_units(x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """|round-half-even(x * 10**6)| as int64, given p = fl(x * 1e6) with |p| < 2**52."""
+    n = np.rint(p)
+    tie = np.flatnonzero(np.abs(p - n) == 0.5)
+    if tie.size:
+        pt = p[tie]
+        err = _product_error(x[tie], 1e6, pt)
+        n[tie] = np.where(err > 0, pt + 0.5, np.where(err < 0, pt - 0.5, n[tie]))
+    return np.abs(n).astype(np.int64)
+
+
+def _scaled(x: np.ndarray) -> np.ndarray | None:
+    """fl(x * 1e6), or None when some |x| * 10**6 >= 2**52 or is NaN."""
+    with np.errstate(over="ignore"):
+        p = x * 1e6
+    return p if (np.abs(p) < _UNITS_LIMIT).all() else None
+
+
+def _word_count(v: np.ndarray) -> int:
+    """Integer words for the largest of ``v``, with a spare byte for a '-'."""
+    return len(str(int(v.max()))) // 4 + 1
+
+
+def _put_integer(idx: np.ndarray, end: int, v: np.ndarray, neg, n_words: int) -> None:
+    """Fill columns [end - n_words, end) of ``idx`` with the words that print
+    the non-negative integers ``v`` (each below 10 ** (4 * n_words - 1)),
+    with a '-' before the first digit where ``neg``."""
+    at = _words()[1]
+    lead = at["lead"] + 10**4 * neg
+    for j, col in enumerate(range(end - 1, end - 1 - n_words, -1)):
+        # v is what is left to print from this word up; the lowest word
+        # always prints, a higher one only while v > 0
+        word = lead + v if j == 0 else np.where(v > 0, lead + v, blank)
+        if j == n_words - 1:
+            idx[:, col] = word
+            break
+        # a group with more digits above it prints all 4 of them
+        idx[:, col] = np.where(v >= 10**4, at["digits"] + v % 10**4, word)
+        blank = at["blank"] + (neg & (v >= 1000))  # the '-' of a full lead
+        v = v // 10**4
+
+
+def _put_fraction(idx: np.ndarray, col: int, frac: np.ndarray) -> None:
+    """Fill columns col and col + 1 with ".ddd" and "ddd," for 6-digit ``frac``."""
+    at = _words()[1]
+    hi, lo = np.divmod(frac.astype(np.int32), 1000)
+    idx[:, col] = at["head"] + hi
+    idx[:, col + 1] = at["tail"] + lo
+
+
+def _text(idx: np.ndarray) -> bytes:
+    printed = _words()[0].take(idx).view(np.uint8).ravel()
+    return printed[printed != 0].tobytes()
+
+
+def _movement_rows_by_percent(rows: np.ndarray) -> str:
+    row_format = ",".join(["%.6f"] * rows.shape[1]) + "\n"
+    return "".join([row_format % tuple(row) for row in rows.tolist()])
+
+
+def _movement_block(rows: np.ndarray) -> bytes | str:
+    fields = rows.ravel()
+    p = _scaled(fields)
+    if p is None:
+        return _movement_rows_by_percent(rows)
+    whole, frac = np.divmod(_micro_units(fields, p), 10**6)
+    n_words = _word_count(whole)
+    idx = np.empty((fields.size, n_words + 2), dtype=np.intp)
+    _put_integer(idx, n_words, whole, np.signbit(fields), n_words)
+    _put_fraction(idx, n_words, frac)
+    at = _words()[1]
+    idx[rows.shape[1] - 1 :: rows.shape[1], -1] += at["tail_nl"] - at["tail"]
+    return _text(idx)
 
 
 def write_movement_csv(path: str | Path, movement_t: np.ndarray, movement: np.ndarray) -> None:
-    rows = np.column_stack((movement_t, movement))
-    row_format = ",".join(["%.6f"] * rows.shape[1]) + "\n"
-    body = "".join([row_format % tuple(row) for row in rows.tolist()])
-    atomic_write_text(path, MOVEMENT_HEADER + "\n" + body)
+    step = max(1, _BLOCK_FIELDS // (1 + movement.shape[1]))
+
+    def chunks():
+        yield MOVEMENT_HEADER + "\n"
+        for a in range(0, len(movement_t), step):
+            rows = np.column_stack((movement_t[a : a + step], movement[a : a + step]))
+            yield _movement_block(rows)
+
+    atomic_write_text(path, chunks())
+
+
+def _traffic_rows_by_percent(t: np.ndarray, size: np.ndarray, direction: np.ndarray) -> str:
+    endings = [_DIR_ENDINGS[d] for d in direction.tolist()]
+    return "".join(map("%.6f,%d%s".__mod__, zip(t.tolist(), size.tolist(), endings)))
+
+
+def _traffic_block(t: np.ndarray, size: np.ndarray, direction: np.ndarray) -> bytes | str:
+    p = _scaled(t)
+    ul = direction == DIR_UL
+    if not (
+        p is not None
+        and size.dtype.kind in "iu"
+        and ((size >= 0) & (size < _SIZE_LIMIT)).all()
+        and (ul | (direction == DIR_DL)).all()
+    ):
+        return _traffic_rows_by_percent(t, size, direction)
+    whole, frac = np.divmod(_micro_units(t, p), 10**6)
+    t_words, size_words = _word_count(whole), _word_count(size)
+    idx = np.empty((t.size, t_words + size_words + 3), dtype=np.intp)
+    _put_integer(idx, t_words, whole, np.signbit(t), t_words)
+    _put_fraction(idx, t_words, frac)
+    _put_integer(idx, t_words + 2 + size_words, size, False, size_words)
+    idx[:, -1] = _words()[1]["ending"] + ~ul
+    return _text(idx)
 
 
 def write_traffic_csv(
     path: str | Path, traffic_t: np.ndarray, traffic_size: np.ndarray, traffic_dir: np.ndarray
 ) -> None:
-    endings = [_DIR_ENDINGS[d] for d in traffic_dir.tolist()]
-    rows = zip(traffic_t.tolist(), traffic_size.tolist(), endings)
-    body = "".join(map("%.6f,%d%s".__mod__, rows))
-    atomic_write_text(path, TRAFFIC_HEADER + "\n" + body)
+    def chunks():
+        yield TRAFFIC_HEADER + "\n"
+        for a in range(0, len(traffic_t), _BLOCK_FIELDS):
+            b = a + _BLOCK_FIELDS
+            yield _traffic_block(traffic_t[a:b], traffic_size[a:b], traffic_dir[a:b])
+
+    atomic_write_text(path, chunks())
 
 
 # ---- manifest ---------------------------------------------------------------
@@ -310,6 +489,15 @@ def _require_keys(obj: dict, required: set[str], optional: set[str], where: str)
     unknown = obj.keys() - required - optional
     if unknown:
         raise TraceFormatError(f"manifest: {where}: unknown keys {sorted(unknown)}")
+
+
+# (key, accepted JSON types, what the error says); a bool is never accepted
+_ENTRY_TYPES = (
+    ("user_id", (str, int), "a string or an integer"),
+    ("game_id", (str, int), "a string or an integer"),
+    ("movement", str, "a string"),
+    ("traffic", str, "a string"),
+)
 
 
 def load_manifest(path: str | Path) -> Manifest:
@@ -345,11 +533,14 @@ def load_manifest(path: str | Path) -> Manifest:
         if not isinstance(item, dict):
             raise TraceFormatError(f"{path}: {where}: entry must be an object")
         _require_keys(item, {"user_id", "game_id", "movement", "traffic"}, {"duration_s"}, where)
-        if item["game_id"] not in games:
-            raise TraceFormatError(
-                f"{path}: {where}: game {item['game_id']!r} not listed under 'games'"
-            )
-        key = (item["user_id"], item["game_id"])
+        for name, types, expected in _ENTRY_TYPES:
+            val = item[name]
+            if isinstance(val, bool) or not isinstance(val, types):
+                raise TraceFormatError(f"{path}: {where}: {name} must be {expected}, got {val!r}")
+        user_id, game_id = str(item["user_id"]), str(item["game_id"])
+        if game_id not in games:
+            raise TraceFormatError(f"{path}: {where}: game {game_id!r} not listed under 'games'")
+        key = (user_id, game_id)
         if key in seen:
             raise TraceFormatError(f"{path}: {where}: duplicate trace for {key}")
         seen.add(key)
@@ -365,10 +556,10 @@ def load_manifest(path: str | Path) -> Manifest:
             )
         entries.append(
             ManifestEntry(
-                user_id=str(item["user_id"]),
-                game_id=str(item["game_id"]),
-                movement=str(item["movement"]),
-                traffic=str(item["traffic"]),
+                user_id=user_id,
+                game_id=game_id,
+                movement=item["movement"],
+                traffic=item["traffic"],
                 duration_s=None if dur is None else float(dur),
             )
         )

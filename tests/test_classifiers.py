@@ -745,6 +745,44 @@ def test_load_rejects_version_mismatch(tmp_path):
             "qda model file: 'precisions' has shape (3, 1, 2), expected (3, 2, 2)",
         ),
         ("qda", lambda m: m["logdets"].append(0.0), "qda model file: 'logdets' has shape (4,)"),
+        (
+            "logistic",
+            lambda m: m["labels"].update(values=m["labels"]["values"][::-1]),
+            "logistic model file: 'labels' must hold at least 2 strictly increasing labels, "
+            "got ['user2', 'user1', 'user0']",
+        ),
+        (
+            "logistic",
+            lambda m: m["labels"].update(values=["user0", "user0", "user2"]),
+            "logistic model file: 'labels' must hold at least 2 strictly increasing labels",
+        ),
+        (
+            "qda",
+            lambda m: m["labels"].update(values=[["user0", "user1", "user2"]]),
+            "qda model file: 'labels' must hold at least 2 strictly increasing labels",
+        ),
+        (
+            "logistic",
+            lambda m: m["labels"].update(dtype="bogus"),
+            "logistic model file: 'labels': data type 'bogus' not understood",
+        ),
+        (
+            "logistic",
+            lambda m: m.update(labels=m["labels"]["values"]),
+            "logistic model file: 'labels' must be an object, got list",
+        ),
+        (
+            "logistic",
+            lambda m: m.update(n_features="2"),
+            "logistic model file: 'n_features' must be an integer, got '2'",
+        ),
+        (
+            "qda",
+            lambda m: m.update(n_features=0),
+            "qda model file: 'n_features' must be >= 1, got 0",
+        ),
+        ("gbm", lambda m: m.update(seed=1.5), "gbm model file: 'seed' must be an integer, got 1.5"),
+        ("logistic", lambda m: m.pop("n_features"), "logistic model file: missing key 'n_features'"),
     ],
     ids=[
         "extra-param",
@@ -764,6 +802,15 @@ def test_load_rejects_version_mismatch(tmp_path):
         "qda-means",
         "qda-precisions",
         "qda-logdets",
+        "labels-swapped",
+        "labels-repeated",
+        "labels-not-flat",
+        "labels-bad-dtype",
+        "labels-not-object",
+        "n-features-string",
+        "n-features-zero",
+        "seed-float",
+        "n-features-missing",
     ],
 )
 def test_load_rejects_malformed_model(tmp_path, kind, edit, message):
@@ -773,6 +820,28 @@ def test_load_rejects_malformed_model(tmp_path, kind, edit, message):
     obj = json.loads(path.read_text())
     edit(obj["model"])
     path.write_text(json.dumps(obj))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_model(str(path))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[1, 2]", "model file must hold a JSON object, got list"),
+        (
+            '{"format_version": %d, "model": []}' % MODEL_FORMAT_VERSION,
+            "model file: 'model' must be an object, got list",
+        ),
+        (
+            '{"format_version": %d, "model": {"kind": "ensemble", "members": [7]}}'
+            % MODEL_FORMAT_VERSION,
+            "model file: 'model' must be an object, got int",
+        ),
+    ],
+)
+def test_load_rejects_non_object_model_files(tmp_path, text, message):
+    path = tmp_path / "m.json"
+    path.write_text(text)
     with pytest.raises(ValueError, match=re.escape(message)):
         load_model(str(path))
 

@@ -341,6 +341,52 @@ def test_manifest_rejects_duplicates(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "key, value, expected",
+    [
+        ("user_id", ["u0"], "a string or an integer"),
+        ("user_id", True, "a string or an integer"),
+        ("user_id", 1.5, "a string or an integer"),
+        ("user_id", None, "a string or an integer"),
+        ("game_id", ["ga"], "a string or an integer"),
+        ("game_id", {"id": "ga"}, "a string or an integer"),
+        ("game_id", False, "a string or an integer"),
+        ("movement", 3, "a string"),
+        ("traffic", ["t.csv"], "a string"),
+    ],
+)
+def test_manifest_rejects_bad_entry_types(tmp_path, key, value, expected):
+    data = manifest_dict()
+    data["traces"].append(
+        {"user_id": "u1", "game_id": "ga", "movement": "m1.csv", "traffic": "t1.csv"}
+    )
+    data["traces"][1][key] = value
+    with pytest.raises(TraceFormatError) as err:
+        load_manifest(write_manifest(tmp_path, data))
+    assert str(err.value) == (
+        f"{tmp_path / 'manifest.json'}: traces[1]: {key} must be {expected}, got {value!r}"
+    )
+
+
+def test_manifest_takes_integer_ids_as_strings(tmp_path):
+    data = manifest_dict()
+    data["games"] = {"7": {"category": "slow"}}
+    data["traces"][0].update(user_id=3, game_id=7)
+    entry = load_manifest(write_manifest(tmp_path, data)).entries[0]
+    assert (entry.user_id, entry.game_id) == ("3", "7")
+
+
+def test_manifest_rejects_ids_equal_as_strings(tmp_path):
+    data = manifest_dict()
+    data["traces"] = [
+        {"user_id": 1, "game_id": "ga", "movement": "m1.csv", "traffic": "t1.csv"},
+        {"user_id": "1", "game_id": "ga", "movement": "m2.csv", "traffic": "t2.csv"},
+    ]
+    # no CSV exists: the manifest is refused before any trace is read
+    with pytest.raises(TraceFormatError, match=r"traces\[1\]: duplicate trace for \('1', 'ga'\)"):
+        load_dataset(write_manifest(tmp_path, data))
+
+
+@pytest.mark.parametrize(
     "raw", ["NaN", "Infinity", "-Infinity", "true", "false", "0", "-1.5", '"60"', "1" + "0" * 400]
 )
 def test_manifest_rejects_bad_duration(tmp_path, raw):

@@ -5,8 +5,9 @@
 references below are those per-line parsers as standalone functions: on
 every file, valid or corrupted with hostile tokens, both must return arrays
 equal byte for byte or raise the same ``TraceFormatError`` message. The
-writers format each row with one %-format; the references format each value
-with an f-string, and both must write the same bytes.
+writers print blocks of values with a numpy encoder, or with '%' where a
+block holds a value the encoder cannot take exactly; the references format
+each value with an f-string, and both must write the same bytes.
 """
 from __future__ import annotations
 
@@ -391,6 +392,129 @@ def test_traffic_writer_matches_fstring_writer(n, data):
         write_traffic_csv(a, t, sizes, dirs)
         reference_write_traffic(b, t, sizes, dirs)
         assert a.read_bytes() == b.read_bytes()
+
+
+# ---- the block encoder ----------------------------------------------------------
+
+UNITS_EDGE = 2**52 / 1e6  # beyond it, a block goes to the '%' fallback
+# values the encoder prints itself: k / 2**7 are exact ties of x * 10**6,
+# (j + 0.5) / 10**6 round to doubles on either side of one
+kernel_floats = st.one_of(
+    st.integers(-(2**39), 2**39).map(lambda k: k / 2**7),
+    st.integers(-(2**41), 2**41).map(lambda j: (j + 0.5) / 1e6),
+    st.floats(0.0, 4.4e9),
+    st.floats(-1e-6, 1e-6),
+    st.sampled_from([0.0, -0.0, -1e-300, -5e-7, 5e-7, -4e-7, 9999.9999995, -999.9999995]),
+    st.floats(-1e4, 1e4),
+)
+straddling_floats = st.one_of(
+    st.floats(UNITS_EDGE * (1 - 1e-12), UNITS_EDGE * (1 + 1e-12)),
+    st.floats(-UNITS_EDGE * (1 + 1e-12), -UNITS_EDGE * (1 - 1e-12)),
+    st.sampled_from([np.nextafter(UNITS_EDGE, 0), np.nextafter(-UNITS_EDGE, 0), UNITS_EDGE]),
+)
+kernel_sizes = st.one_of(
+    st.integers(0, 10**18 - 1),
+    st.integers(10**18 - 10, 10**18 - 1),
+    st.integers(0, 100_000),
+)
+
+
+def _written_by(writer, *arrays):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.csv"
+        writer(path, *arrays)
+        return path.read_bytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 6), data=st.data())
+def test_encoder_matches_fstring_writer_over_its_range(n, data):
+    cells = data.draw(st.lists(kernel_floats, min_size=22 * n, max_size=22 * n))
+    rows = np.array(cells).reshape(n, 22)
+    assert isinstance(ingest._movement_block(rows), bytes)  # not the fallback
+    mv_args = (rows[:, 0], rows[:, 1:])
+    assert _written_by(write_movement_csv, *mv_args) == _written_by(
+        reference_write_movement, *mv_args
+    )
+    t = rows[:, 0]
+    size = np.array(data.draw(st.lists(kernel_sizes, min_size=n, max_size=n)), dtype=np.int64)
+    dirs = np.array(data.draw(st.lists(st.sampled_from([DIR_UL, DIR_DL]), min_size=n, max_size=n)))
+    dirs = dirs.astype(np.uint8)
+    assert isinstance(ingest._traffic_block(t, size, dirs), bytes)
+    tr_args = (t, size, dirs)
+    assert _written_by(write_traffic_csv, *tr_args) == _written_by(reference_write_traffic, *tr_args)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    t=st.lists(st.one_of(straddling_floats, kernel_floats), min_size=1, max_size=8),
+    sizes=st.lists(
+        st.one_of(st.integers(10**18 - 3, 10**18 + 3), st.integers(-3, 3)), min_size=8, max_size=8
+    ),
+)
+def test_encoder_edges_match_fstring_writer(t, sizes):
+    t = np.array(t)
+    size = np.array(sizes[: len(t)], dtype=np.int64)
+    dirs = np.zeros(len(t), dtype=np.uint8)
+    tr_args = (t, size, dirs)
+    assert _written_by(write_traffic_csv, *tr_args) == _written_by(reference_write_traffic, *tr_args)
+    mv_args = (t, np.repeat(t[:, None], 21, axis=1))
+    assert _written_by(write_movement_csv, *mv_args) == _written_by(
+        reference_write_movement, *mv_args
+    )
+
+
+def test_blocks_mix_the_encoder_and_the_fallback(tmp_path, monkeypatch):
+    monkeypatch.setattr(ingest, "_BLOCK_FIELDS", 3 * 22)  # 3 movement rows, 66 packets
+    calls = {"movement": 0, "traffic": 0}
+
+    def counted(kind, fallback):
+        def run(*args):
+            calls[kind] += 1
+            return fallback(*args)
+
+        return run
+
+    monkeypatch.setattr(
+        ingest, "_movement_rows_by_percent", counted("movement", ingest._movement_rows_by_percent)
+    )
+    monkeypatch.setattr(
+        ingest, "_traffic_rows_by_percent", counted("traffic", ingest._traffic_rows_by_percent)
+    )
+    rng = np.random.default_rng(11)
+    mv = rng.normal(0.0, 2.0, (10, 21))
+    mv[4, 7], mv[9, 0] = 1e300, float("nan")  # blocks 1 and 3 of 4 fall back
+    t = np.arange(10) / 60.0
+    assert _written_by(write_movement_csv, t, mv) == _written_by(reference_write_movement, t, mv)
+    assert calls["movement"] == 2
+    tt = np.sort(rng.uniform(0.0, 1e9, 200))
+    size = rng.integers(1, 1500, 200)
+    dirs = rng.integers(0, 2, 200).astype(np.uint8)
+    size[70] = -1  # block 1 of 4 falls back
+    tt[150] = 5e9  # and so does block 2
+    args = (tt, size, dirs)
+    assert _written_by(write_traffic_csv, *args) == _written_by(reference_write_traffic, *args)
+    assert calls["traffic"] == 2
+
+
+def test_synth_cohorts_never_reach_the_percent_fallback(tmp_path, monkeypatch):
+    ds = generate_synthetic_cohort(3, minutes=0.2, seed=5)
+
+    def refuse(*args):
+        raise AssertionError("a synth trace left the block encoder")
+
+    monkeypatch.setattr(ingest, "_movement_rows_by_percent", refuse)
+    monkeypatch.setattr(ingest, "_traffic_rows_by_percent", refuse)
+    write_cohort(ds, tmp_path)
+    for rec in ds.records:
+        tr = rec.trace
+        stem = tmp_path / f"{rec.user_id}_{rec.game_id}"
+        reference_write_movement(tmp_path / "ref_m.csv", tr.movement_t, tr.movement)
+        reference_write_traffic(
+            tmp_path / "ref_t.csv", tr.traffic_t, tr.traffic_size, tr.traffic_dir
+        )
+        assert Path(f"{stem}_movement.csv").read_bytes() == (tmp_path / "ref_m.csv").read_bytes()
+        assert Path(f"{stem}_traffic.csv").read_bytes() == (tmp_path / "ref_t.csv").read_bytes()
 
 
 # sha256 of every file write_cohort writes for this cohort, pinned when
