@@ -7,8 +7,8 @@ its members instead. Floats pass through json's repr round trip, so a load
 returns bit-identical weights. Loading a file whose format version differs
 from MODEL_FORMAT_VERSION, or whose model lacks or adds a key, is an error,
 as are labels that are not strictly increasing (the order ``fit`` freezes),
-a seed or feature count that is not an integer, and a non-object where an
-object belongs; each error names the key.
+a seed or feature count that is not an integer, a non-object where an
+object belongs and non-list ensemble members; each error names the key.
 """
 from __future__ import annotations
 
@@ -77,7 +77,16 @@ def _model_from(state):
         raise ValueError(f"model file: 'model' must be an object, got {type(state).__name__}")
     kind = state.get("kind")
     if kind == "ensemble":
-        ens = SoftVotingEnsemble([_model_from(m) for m in state["members"]])
+        for key in sorted(set(state) - {"kind", "members"}):
+            raise ValueError(f"ensemble model file: unknown key {key!r}")
+        if "members" not in state:
+            raise ValueError("ensemble model file: missing key 'members'")
+        members = state["members"]
+        if not isinstance(members, list):
+            raise ValueError(
+                f"ensemble model file: 'members' must be a list, got {type(members).__name__}"
+            )
+        ens = SoftVotingEnsemble([_model_from(m) for m in members])
         ens._sync_labels()
         return ens
     if kind not in MODEL_CLASSES:
@@ -127,4 +136,6 @@ def load_model(path: str):
             f"model file has format version {version!r}, "
             f"this build reads version {MODEL_FORMAT_VERSION}"
         )
+    if "model" not in obj:
+        raise ValueError("model file: missing key 'model'")
     return _model_from(obj["model"])

@@ -299,6 +299,28 @@ def _check_curves(config: RunConfig, dataset, games: list[str]) -> None:
             )
 
 
+def _cell_specs(config: RunConfig, games, seeds, feature_sets, model_kinds) -> list[ExperimentSpec]:
+    """One spec per (seed, game, feature set, model kind), in that nesting order."""
+    return [
+        ExperimentSpec(
+            game_id=game,
+            feature_set=fs,
+            model_kind=kind,
+            seed=seed,
+            train_s=config.train_s,
+            test_s=config.test_s,
+            window_s=config.window_s,
+            bin_s=config.bin_s,
+            vote_k=config.vote_k[0],
+            model_params=dict(config.model_params.get(kind, {})),
+        )
+        for seed in seeds
+        for game in games
+        for fs in feature_sets
+        for kind in model_kinds
+    ]
+
+
 def _cell_slug(spec: ExperimentSpec) -> str:
     return f"{spec.game_id}.{spec.feature_set}.{spec.model_kind}.s{spec.seed}"
 
@@ -370,24 +392,7 @@ def cmd_evaluate(args) -> int:
     out_dir = _resolve_out_dir(None, config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    specs = [
-        ExperimentSpec(
-            game_id=game,
-            feature_set=fs,
-            model_kind=kind,
-            seed=seed,
-            train_s=config.train_s,
-            test_s=config.test_s,
-            window_s=config.window_s,
-            bin_s=config.bin_s,
-            vote_k=config.vote_k[0],
-            model_params=dict(config.model_params.get(kind, {})),
-        )
-        for seed in config.seeds
-        for game in games
-        for fs in config.feature_sets
-        for kind in config.model_kinds
-    ]
+    specs = _cell_specs(config, games, config.seeds, config.feature_sets, config.model_kinds)
     cell = functools.partial(_run_cell, vote_ks=config.vote_k, subset_sizes=config.subset_sizes)
     outcomes = run_matrix(specs, dataset, jobs, cell=cell)
 
@@ -440,63 +445,51 @@ def cmd_evaluate(args) -> int:
     return 1 if failures else 0
 
 
+def _attribution_cell(spec: ExperimentSpec, dataset, config: RunConfig):
+    X_train, y_train, X_test, y_test = cell_matrices(spec, dataset)
+    model = make_model(spec.model_kind, seed=spec.seed, **spec.model_params)
+    model.fit(X_train, y_train)
+    return shapley_attribution(
+        model,
+        X_test,
+        y_test,
+        X_train.mean(axis=0),
+        n_permutations=config.shapley_permutations,
+        seed=spec.seed,
+        max_per_label=config.shapley_instances,
+        feature_names=feature_names(spec.feature_set),
+    )
+
+
 def cmd_importance(args) -> int:
     if args.top < 1:
         raise UsageError(f"--top must be >= 1, got {args.top}")
     config = load_run_config(args.config)
+    # the importance pass ranks features for one cell per game: the first
+    # configured feature set, model kind, and seed
+    feature_set, model_kind, seed = config.feature_sets[0], config.model_kinds[0], config.seeds[0]
+    n_features = len(feature_names(feature_set))
+    if args.top > n_features:
+        raise UsageError(f"--top {args.top} exceeds the {n_features} features of {feature_set!r}")
     dataset = load_dataset(config.manifest)
     games = _config_games(config, dataset)
     out_dir = _resolve_out_dir(None, config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    # the importance pass ranks features for one cell per game: the first
-    # configured feature set, model kind, and seed
-    feature_set = config.feature_sets[0]
-    model_kind = config.model_kinds[0]
-    seed = config.seeds[0]
-    names = feature_names(feature_set)
-    if args.top > len(names):
-        raise UsageError(
-            f"--top {args.top} exceeds the {len(names)} features of {feature_set!r}"
-        )
+    specs = _cell_specs(config, games, [seed], [feature_set], [model_kind])
+    cell = functools.partial(_attribution_cell, config=config)
+    outcomes = run_matrix(specs, dataset, 1, cell=cell)
 
-    model_params = dict(config.model_params.get(model_kind, {}))
     top_rows = []
     per_game = {}
-    failures = 0
-    for game in games:
-        spec = ExperimentSpec(
-            game_id=game,
-            feature_set=feature_set,
-            model_kind=model_kind,
-            seed=seed,
-            train_s=config.train_s,
-            test_s=config.test_s,
-            window_s=config.window_s,
-            bin_s=config.bin_s,
-            model_params=model_params,
-        )
-        try:
-            X_train, y_train, X_test, y_test = cell_matrices(spec, dataset)
-            model = make_model(model_kind, seed=seed, **model_params)
-            model.fit(X_train, y_train)
-            result = shapley_attribution(
-                model,
-                X_test,
-                y_test,
-                X_train.mean(axis=0),
-                n_permutations=config.shapley_permutations,
-                seed=seed,
-                max_per_label=config.shapley_instances,
-                feature_names=names,
-            )
-            top = top_k_features(result, args.top)
-        except Exception as exc:  # noqa: BLE001 - per-game isolation
-            failures += 1
-            print(f"[FAIL] {game}: {exc}", file=sys.stderr)
-            per_game[game] = {"status": "error", "error": str(exc)}
+    for spec, outcome in zip(specs, outcomes):
+        game = spec.game_id
+        if isinstance(outcome, Exception):
+            print(f"[FAIL] {game}: {outcome}", file=sys.stderr)
+            per_game[game] = {"status": "error", "error": str(outcome)}
             continue
-        write_attribution_csv(str(out_dir / f"attribution_{game}.csv"), result)
+        top = top_k_features(outcome, args.top)
+        write_attribution_csv(str(out_dir / f"attribution_{game}.csv"), outcome)
         per_game[game] = {
             "status": "ok",
             "top": [{"feature": name, "mean_shapley": value} for name, value in top],
@@ -518,7 +511,7 @@ def cmd_importance(args) -> int:
         },
     )
     print(f"importance tables in {out_dir}")
-    return 1 if failures else 0
+    return 1 if any(isinstance(o, Exception) for o in outcomes) else 0
 
 
 # ---- entry point ------------------------------------------------------------------

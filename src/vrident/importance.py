@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifiers import RandomForest
 from .ingest import atomic_write_text
 
 _EXACT_LIMIT = 5040  # 7!
@@ -67,10 +66,10 @@ def _step_ranks(perms: np.ndarray) -> np.ndarray:
 def _walk_values(model, col, x, baseline, perms, chunk_perms):
     """v[p, j]: probability column ``col`` once walk p has completed step j,
     i.e. of the row holding x on the first j + 1 features of perms[p] and
-    the baseline elsewhere. Forests compute it without building the rows;
-    any other model scores the rows, ``chunk_perms`` walks at a time."""
+    the baseline elsewhere. ``walk_proba``, where the model has it, skips
+    building the rows; other models score them, ``chunk_perms`` walks at a time."""
     rank = _step_ranks(perms)
-    if isinstance(model, RandomForest):
+    if hasattr(model, "walk_proba"):
         return model.walk_proba(x, baseline, rank, col)
     d = x.shape[0]
     steps = np.arange(d)
@@ -116,8 +115,8 @@ def shapley_attribution(
     ``method="exact"`` enumerates all d! orders and ignores both the seed
     and ``n_permutations`` (refused above 7 features).
 
-    Random forests and extra trees walk each tree without building the
-    masked rows (``RandomForest.walk_proba``); every other model scores the
+    A model with a ``walk_proba`` method (random forests and extra trees)
+    walks without building the masked rows; every other model scores the
     rows, and ``_CHUNK_ROWS`` bounds how many it scores at once. Neither
     choice changes a bit of the result. A non-finite baseline value or
     value in a walked test row is reported, by row and feature name,

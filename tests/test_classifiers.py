@@ -783,6 +783,17 @@ def test_load_rejects_version_mismatch(tmp_path):
         ),
         ("gbm", lambda m: m.update(seed=1.5), "gbm model file: 'seed' must be an integer, got 1.5"),
         ("logistic", lambda m: m.pop("n_features"), "logistic model file: missing key 'n_features'"),
+        ("ensemble", lambda m: m.pop("members"), "ensemble model file: missing key 'members'"),
+        (
+            "ensemble",
+            lambda m: m.update(members=3),
+            "ensemble model file: 'members' must be a list, got int",
+        ),
+        (
+            "ensemble",
+            lambda m: m.update(weights=[0.5, 0.5]),
+            "ensemble model file: unknown key 'weights'",
+        ),
     ],
     ids=[
         "extra-param",
@@ -811,6 +822,9 @@ def test_load_rejects_version_mismatch(tmp_path):
         "n-features-zero",
         "seed-float",
         "n-features-missing",
+        "ensemble-members-missing",
+        "ensemble-members-not-list",
+        "ensemble-unknown-key",
     ],
 )
 def test_load_rejects_malformed_model(tmp_path, kind, edit, message):
@@ -828,6 +842,7 @@ def test_load_rejects_malformed_model(tmp_path, kind, edit, message):
     "text, message",
     [
         ("[1, 2]", "model file must hold a JSON object, got list"),
+        ('{"format_version": %d}' % MODEL_FORMAT_VERSION, "model file: missing key 'model'"),
         (
             '{"format_version": %d, "model": []}' % MODEL_FORMAT_VERSION,
             "model file: 'model' must be an object, got list",

@@ -5,9 +5,11 @@ from pathlib import Path
 
 import pytest
 
+from vrident import cli
 from vrident.classifiers import Classifier
 from vrident.cli import UsageError, load_run_config, main
 from vrident.features import TRAFFIC_FEATURE_NAMES
+from vrident.ingest import GameProfile, generate_synthetic_cohort, write_cohort
 
 
 def run_cli(*argv) -> int:
@@ -537,11 +539,69 @@ def test_importance_writes_top_rows_per_game(cohort_dir, tmp_path):
     assert len(meta["games"]["game_a"]["top"]) == 3
 
 
-def test_importance_top_bounds_are_usage_errors(cohort_dir, tmp_path, capsys):
+def test_importance_ignores_the_jobs_env(cohort_dir, tmp_path, monkeypatch):
+    jobs = []
+    run_matrix = cli.run_matrix
+
+    def counted(specs, dataset, n, cell):
+        jobs.append(n)
+        return run_matrix(specs, dataset, n, cell)
+
+    monkeypatch.setattr(cli, "run_matrix", counted)
+    monkeypatch.setenv("VRIDENT_JOBS", "2")
+    cfg = write_config(tmp_path / "cfg.json", cohort_dir, shapley_permutations=2, shapley_instances=1)
+    assert run_cli("importance", "--config", cfg, "--top", 1) == 0
+    assert jobs == [1]
+
+
+# sha256 of the outputs below, captured with numpy 2.4.6 on x86-64; extra_trees
+# outputs do not depend on the BLAS thread count
+GOLDEN_IMPORTANCE_SHA256 = {
+    "importance.json": "0f7d4deac3a862429dd0f57a2d1b1d916866711c2ca13ed2e5aece20906baa2f",
+    "importance_top.csv": "8b490330ab859a86b74f89b3d462f2588f64bd8553a80c6c4ebf517e7422c813",
+}
+
+
+def test_importance_failing_game_is_isolated(tmp_path, monkeypatch, capsys):
+    games = (GameProfile("game_a", "fast"), GameProfile("game_b", "slow"))
+    write_cohort(generate_synthetic_cohort(3, minutes=1, seed=3, games=games), tmp_path / "cohort")
+    manifest = tmp_path / "cohort" / "manifest.json"
+    obj = json.loads(manifest.read_text())
+    for entry in obj["traces"]:
+        if entry["game_id"] == "game_b":
+            entry["duration_s"] = 50.0  # below train_s + test_s: the split fails
+    manifest.write_text(json.dumps(obj))
+    monkeypatch.chdir(tmp_path)  # relative paths keep tmp_path out of the bytes
+    cfg = {
+        "manifest": "cohort/manifest.json", "feature_sets": ["traffic"],
+        "model_kinds": ["extra_trees"], "model_params": {"extra_trees": {"n_trees": 5}},
+        "train_s": 40, "test_s": 20, "shapley_permutations": 4, "shapley_instances": 1,
+        "out_dir": "reports",
+    }
+    Path("cfg.json").write_text(json.dumps(cfg))
+    assert run_cli("importance", "--config", "cfg.json", "--top", 3) == 1
+    assert "[FAIL] game_b" in capsys.readouterr().err
+    out = tmp_path / "reports"
+    assert (out / "attribution_game_a.csv").exists()
+    assert not (out / "attribution_game_b.csv").exists()
+    rows = (out / "importance_top.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows[1:]] == ["game_a"] * 3
+    meta = json.loads((out / "importance.json").read_text())
+    assert meta["games"]["game_b"]["status"] == "error"
+    for name, digest in GOLDEN_IMPORTANCE_SHA256.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_importance_top_bounds_are_usage_errors(cohort_dir, tmp_path, monkeypatch, capsys):
+    loads = []
+    monkeypatch.setattr("vrident.cli.load_dataset", lambda path: loads.append(path))
     cfg = write_config(tmp_path / "cfg.json", cohort_dir)
     assert run_cli("importance", "--config", cfg, "--top", 0) == 2
+    assert "--top must be >= 1, got 0" in capsys.readouterr().err
     assert run_cli("importance", "--config", cfg, "--top", 29) == 2
-    assert "exceeds the 28 features" in capsys.readouterr().err
+    assert "--top 29 exceeds the 28 features of 'traffic'" in capsys.readouterr().err
+    assert not loads
+    assert not (tmp_path / "reports").exists()
 
 
 # ---- parser ------------------------------------------------------------------------
