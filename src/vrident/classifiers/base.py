@@ -31,6 +31,27 @@ def saved_array(where: str, key: str, values, dtype, shape=None) -> np.ndarray:
     return arr
 
 
+def saved_object(where: str, obj, keys) -> None:
+    """Refuse ``obj``, read from a model file, unless it is an object holding
+    exactly ``keys``: a ValueError names ``where`` and the first unknown,
+    then the first missing, key."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be an object, got {type(obj).__name__}")
+    for key in sorted(obj.keys() - set(keys)):
+        raise ValueError(f"{where}: unknown key {key!r}")
+    for key in keys:
+        if key not in obj:
+            raise ValueError(f"{where}: missing key {key!r}")
+
+
+def saved_list(where: str, values) -> list:
+    """``values`` read from a model file, which must be a list; otherwise a
+    ValueError naming ``where``."""
+    if not isinstance(values, list):
+        raise ValueError(f"{where} must be a list, got {type(values).__name__}")
+    return values
+
+
 def check_param_type(val, hint, what: str) -> None:
     """Refuse a value that does not fit a constructor's type hint: a bool
     for bool, an integer (not a bool) for int, a finite number for float,
@@ -64,11 +85,13 @@ class Classifier:
     """Base for all models: fit(X, y) freezes a sorted label order, predict
     is the row-wise argmax of predict_proba (numpy argmax keeps the lowest
     index on ties). Subclasses implement _fit(X, y_idx) and _proba(X), and
-    for saving name their hyperparameters in ``param_names`` (saved-file
-    order) and implement fitted_state()/restore()."""
+    for saving name their hyperparameters in ``param_names`` and their
+    fitted state in ``state_names`` (saved-file order; state ``name`` is
+    the attribute ``name_``) and implement restore()."""
 
     kind = "base"
     param_names: tuple[str, ...] = ()
+    state_names: tuple[str, ...] = ()
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = int(seed)
@@ -103,11 +126,8 @@ class Classifier:
     def predict(self, X) -> np.ndarray:
         return self.labels_[np.argmax(self.predict_proba(X), axis=1)]
 
-    def fitted_state(self) -> dict:
-        """Fitted arrays as JSON values, keyed in saved-file order."""
-        raise NotImplementedError
-
     def restore(self, state: dict) -> None:
-        """Set the fitted arrays from a saved fitted_state(), checking them
-        against ``labels_`` and ``n_features_``, which are set first."""
+        """Set the fitted state from a saved model object that holds every
+        key of ``state_names``, checking it against ``labels_`` and
+        ``n_features_``, which are set first."""
         raise NotImplementedError

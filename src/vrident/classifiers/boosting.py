@@ -40,7 +40,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .base import Classifier, check_params
+from .base import Classifier, check_params, saved_array, saved_list
 from .trees import FlatTree, _TreeBuffers, _best_boundary
 
 _EPS = 1e-16
@@ -161,6 +161,7 @@ def _grow_regression_tree(X, order, xs, g, h, max_leaves, min_leaf) -> FlatTree:
 class GradientBoosting(Classifier):
     kind = "gbm"
     param_names = ("n_rounds", "learning_rate", "max_leaves", "min_leaf")
+    state_names = ("trees", "train_loss")
 
     def __init__(
         self,
@@ -230,20 +231,14 @@ class GradientBoosting(Classifier):
     def _proba(self, X: np.ndarray) -> np.ndarray:
         return _softmax(self.decision_scores(X))
 
-    def fitted_state(self) -> dict:
-        return {
-            "trees": [[t.to_json() for t in rnd] for rnd in self.trees_],
-            "train_loss": list(self.train_loss_),
-        }
-
     def restore(self, state: dict) -> None:
         k, where = self.labels_.shape[0], "gbm model file: 'trees'"
-        rounds = state["trees"]
+        rounds = saved_list(where, state["trees"])
         if len(rounds) != self.n_rounds:
             raise ValueError(f"{where} holds {len(rounds)} rounds, but n_rounds is {self.n_rounds}")
         self.trees_ = []
         for r, rnd in enumerate(rounds):
-            if len(rnd) != k:
+            if len(saved_list(f"{where}[{r}]", rnd)) != k:
                 raise ValueError(f"{where}[{r}] holds {len(rnd)} trees, expected {k}, one per label")
             self.trees_.append(
                 [
@@ -251,4 +246,6 @@ class GradientBoosting(Classifier):
                     for c, t in enumerate(rnd)
                 ]
             )
-        self.train_loss_ = [float(v) for v in state["train_loss"]]
+        self.train_loss_ = saved_array(
+            "gbm model file", "train_loss", state["train_loss"], np.float64, (self.n_rounds + 1,)
+        ).tolist()

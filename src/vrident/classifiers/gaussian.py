@@ -17,6 +17,7 @@ class QuadraticDiscriminant(Classifier):
 
     kind = "qda"
     param_names = ("ridge",)
+    state_names = ("means", "precisions", "logdets")
 
     def __init__(self, ridge: float = 1e-6, seed: int = 0) -> None:
         check_params(QuadraticDiscriminant.__init__, locals())
@@ -78,13 +79,6 @@ class QuadraticDiscriminant(Classifier):
         shifted = ll - ll.max(axis=1, keepdims=True)
         e = np.exp(shifted)
         return e / e.sum(axis=1, keepdims=True)
-
-    def fitted_state(self) -> dict:
-        return {
-            "means": self.means_.tolist(),
-            "precisions": [p.tolist() for p in self.precisions_],
-            "logdets": self.logdets_.tolist(),
-        }
 
     def restore(self, state: dict) -> None:
         k, d = self.labels_.shape[0], self.n_features_

@@ -76,6 +76,7 @@ def _fit_binary(X_aug, y01, lam, tol, max_iter):
 class LogisticOneVsRest(Classifier):
     kind = "logistic"
     param_names = ("lam", "tol", "max_iter")
+    state_names = ("weights", "converged")
 
     def __init__(
         self, lam: float = 1.0, tol: float = 1e-6, max_iter: int = 100, seed: int = 0
@@ -112,12 +113,9 @@ class LogisticOneVsRest(Classifier):
         s = self.scores(X)
         return s / s.sum(axis=1, keepdims=True)
 
-    def fitted_state(self) -> dict:
-        return {"weights": self.weights_.tolist(), "converged": list(self.converged_)}
-
     def restore(self, state: dict) -> None:
-        shape = (self.labels_.shape[0], self.n_features_ + 1)
+        k, where = self.labels_.shape[0], "logistic model file"
         self.weights_ = saved_array(
-            "logistic model file", "weights", state["weights"], np.float64, shape
+            where, "weights", state["weights"], np.float64, (k, self.n_features_ + 1)
         )
-        self.converged_ = [bool(v) for v in state["converged"]]
+        self.converged_ = saved_array(where, "converged", state["converged"], bool, (k,)).tolist()

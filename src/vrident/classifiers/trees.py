@@ -18,11 +18,11 @@ both forest searches.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .base import Classifier, check_matrix, check_params, saved_array
+from .base import Classifier, check_matrix, check_params, saved_array, saved_list, saved_object
 
 #: (tree, walk, count) cells that one block of a forest walk descends at
 #: once, and nodes its pass for parted features stacks at once (see
@@ -55,13 +55,7 @@ class FlatTree:
         return pos
 
     def to_json(self) -> dict:
-        return {
-            "feature": self.feature.tolist(),
-            "threshold": self.threshold.tolist(),
-            "left": self.left.tolist(),
-            "right": self.right.tolist(),
-            "value": self.value.tolist(),
-        }
+        return {f.name: getattr(self, f.name).tolist() for f in fields(self)}
 
     @classmethod
     def from_json(cls, obj: dict, n_features: int, width: int, where: str) -> "FlatTree":
@@ -69,6 +63,7 @@ class FlatTree:
         ``n_features`` values only reads nodes that exist and always ends
         in a leaf with ``width`` values; otherwise a ValueError naming
         ``where`` and the key."""
+        saved_object(where, obj, [f.name for f in fields(cls)])
         feature = saved_array(where, "feature", obj["feature"], np.int64)
         if feature.ndim != 1 or feature.size == 0:
             raise ValueError(f"{where}: 'feature' has shape {feature.shape}, expected (n_nodes,)")
@@ -329,6 +324,7 @@ class RandomForest(Classifier):
 
     kind = "random_forest"
     param_names = ("n_trees", "bootstrap", "max_features")
+    state_names = ("trees",)
     _search = staticmethod(_best_split_exhaustive)
 
     def __init__(
@@ -413,12 +409,9 @@ class RandomForest(Classifier):
             _walk_block(acc, trees[a:b], x, baseline, col, keys[lo:hi] % d, n_parted[a:b], ranks)
         return acc / len(trees)
 
-    def fitted_state(self) -> dict:
-        return {"trees": [t.to_json() for t in self.trees_]}
-
     def restore(self, state: dict) -> None:
         k, where = self.labels_.shape[0], f"{self.kind} model file: 'trees'"
-        trees = state["trees"]
+        trees = saved_list(where, state["trees"])
         if len(trees) != self.n_trees:
             raise ValueError(f"{where} holds {len(trees)} trees, but n_trees is {self.n_trees}")
         self.trees_ = [

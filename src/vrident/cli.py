@@ -335,7 +335,7 @@ def cmd_synth(args) -> int:
     )
     out_dir = _resolve_out_dir(args.out, "cohort")
     manifest = write_cohort(dataset, out_dir)
-    print(f"wrote {len(dataset.records)} traces under {out_dir}")
+    print(f"wrote {len(dataset.traces)} traces under {out_dir}")
     print(f"manifest: {manifest}")
     return 0
 
@@ -360,14 +360,13 @@ def cmd_featurize(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     n_features = len(feature_names(feature_set))
     for game in dataset.game_ids():
-        records = sorted(dataset.for_game(game), key=lambda r: r.user_id)
-        traces = [
-            build_features(record.trace, feature_set, args.window, args.bin_s)
-            for record in records
+        features = [
+            build_features(trace, feature_set, args.window, args.bin_s)
+            for trace in dataset.for_game(game)
         ]
         path = out_dir / f"features_{game}.csv"
-        write_feature_csv(str(path), traces)
-        n_rows = sum(map(len, traces))
+        write_feature_csv(str(path), features)
+        n_rows = sum(map(len, features))
         print(f"{game}: {n_rows} rows x (3 id cols + {n_features} features) -> {path}")
     return 0
 

@@ -12,7 +12,8 @@ Array conventions: movement data is stored as an (n, 21) float array whose
 columns follow MOVEMENT_CHANNELS (head, left controller, right controller;
 position xyz then quaternion wxyz for each). Packet data is three parallel
 arrays (time, size, direction) with direction encoded as DIR_UL / DIR_DL.
-Both streams' timestamps are finite and non-decreasing.
+Both streams' timestamps are finite and non-decreasing. A cohort
+(``Dataset``) is a list of traces, each carrying its user and game ids.
 """
 from __future__ import annotations
 
@@ -206,41 +207,33 @@ class Trace:
         return self.movement.shape[0]
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    user_id: str
-    game_id: str
-    trace: Trace
-
-
 @dataclass
 class Dataset:
-    """A cohort: one trace per (user, game), plus per-game category tags."""
+    """A cohort: one trace per (user, game), each naming its own ids, plus
+    per-game category tags. ``traces`` keeps the order it was given in."""
 
-    records: list[TraceRecord]
+    traces: list[Trace]
     game_categories: dict[str, str]
 
     def __post_init__(self) -> None:
         seen = set()
-        for rec in self.records:
-            key = (rec.user_id, rec.game_id)
+        for t in self.traces:
+            key = (t.user_id, t.game_id)
             if key in seen:
-                raise ValueError(f"duplicate trace for user {rec.user_id!r} game {rec.game_id!r}")
+                raise ValueError(f"duplicate trace for user {t.user_id!r} game {t.game_id!r}")
             seen.add(key)
-            if rec.game_id not in self.game_categories:
-                raise ValueError(f"game {rec.game_id!r} has no category entry")
-
-    def users(self) -> list[str]:
-        return sorted({r.user_id for r in self.records})
+            if t.game_id not in self.game_categories:
+                raise ValueError(f"game {t.game_id!r} has no category entry")
 
     def game_ids(self) -> list[str]:
-        return sorted({r.game_id for r in self.records})
+        return sorted({t.game_id for t in self.traces})
 
-    def for_game(self, game_id: str) -> list[TraceRecord]:
-        recs = [r for r in self.records if r.game_id == game_id]
-        if not recs:
+    def for_game(self, game_id: str) -> list[Trace]:
+        """The game's traces sorted by user id, whatever order ``traces`` holds."""
+        traces = sorted((t for t in self.traces if t.game_id == game_id), key=lambda t: t.user_id)
+        if not traces:
             raise ValueError(f"no traces for game {game_id!r}")
-        return recs
+        return traces
 
 
 def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from .core import (
     DEFAULT_TRAIN_S,
     DEFAULT_WINDOW_S,
     Dataset,
-    TraceRecord,
+    Trace,
     split_train_test,
     whole_windows,
 )
@@ -171,11 +171,11 @@ class EvaluationReport:
 
 # ---- core evaluation ---------------------------------------------------------
 
-def _trace_split(spec: ExperimentSpec, record: TraceRecord):
+def _trace_split(spec: ExperimentSpec, trace: Trace):
     """(train rows, test rows) of one trace's feature matrix, each in window
     order: the kept windows whose numbers fall in the split's ranges."""
-    spans = split_train_test(record.trace, spec.train_s, spec.test_s, spec.window_s)
-    feats = build_features(record.trace, spec.feature_set, spec.window_s, spec.bin_s)
+    spans = split_train_test(trace, spec.train_s, spec.test_s, spec.window_s)
+    feats = build_features(trace, spec.feature_set, spec.window_s, spec.bin_s)
     index = feats.window_index
     return tuple(feats.values[(index >= r.start) & (index < r.stop)] for r in spans)
 
@@ -183,10 +183,10 @@ def _trace_split(spec: ExperimentSpec, record: TraceRecord):
 def _identification_entries(spec: ExperimentSpec, dataset: Dataset):
     """(user id, train rows, test rows) for every trace of the spec's game,
     sorted by user id."""
-    records = sorted(dataset.for_game(spec.game_id), key=lambda r: r.user_id)
-    if len(records) < 2:
-        raise ValueError(f"identification needs at least 2 users, got {len(records)}")
-    return [(r.user_id, *_trace_split(spec, r)) for r in records]
+    traces = dataset.for_game(spec.game_id)
+    if len(traces) < 2:
+        raise ValueError(f"identification needs at least 2 users, got {len(traces)}")
+    return [(t.user_id, *_trace_split(spec, t)) for t in traces]
 
 
 def _scaled_matrices(entries) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -396,20 +396,19 @@ def cross_game_eval(
         return run_identification(
             dataclasses.replace(spec, game_id=train_game), dataset
         ).accuracy
-    train_recs = sorted(dataset.for_game(train_game), key=lambda r: r.user_id)
-    test_recs = sorted(dataset.for_game(test_game), key=lambda r: r.user_id)
-    users = [r.user_id for r in train_recs]
-    if users != [r.user_id for r in test_recs]:
+    train_traces, test_traces = dataset.for_game(train_game), dataset.for_game(test_game)
+    users = [t.user_id for t in train_traces]
+    if users != [t.user_id for t in test_traces]:
         raise ValueError(
             f"games {train_game!r} and {test_game!r} cover different user sets"
         )
     if len(users) < 2:
         raise ValueError(f"cross-game evaluation needs at least 2 users, got {len(users)}")
 
-    def windows(rec):
-        return build_features(rec.trace, spec.feature_set, spec.window_s, spec.bin_s).values
+    def windows(trace):
+        return build_features(trace, spec.feature_set, spec.window_s, spec.bin_s).values
 
-    entries = [(a.user_id, windows(a), windows(b)) for a, b in zip(train_recs, test_recs)]
+    entries = [(a.user_id, windows(a), windows(b)) for a, b in zip(train_traces, test_traces)]
     return _evaluate(dataclasses.replace(spec, vote_k=1), entries).accuracy
 
 
@@ -418,9 +417,7 @@ def game_recognition_eval(spec: ExperimentSpec, dataset: Dataset) -> float:
     games = dataset.game_ids()
     if len(games) < 2:
         raise ValueError(f"game recognition needs at least 2 games, got {len(games)}")
-    entries = []
-    for record in sorted(dataset.records, key=lambda r: (r.game_id, r.user_id)):
-        entries.append((record.game_id, *_trace_split(spec, record)))
+    entries = [(g, *_trace_split(spec, t)) for g in games for t in dataset.for_game(g)]
     return _evaluate(spec, entries).accuracy
 
 

@@ -21,7 +21,8 @@ Manifest: a JSON file with ``games`` (id -> {"category": "fast"|"slow"})
 and ``traces`` (user_id, game_id, movement/traffic paths relative to the
 manifest, optional duration_s, a finite number > 0). Ids are strings or
 integers (not booleans), read as strings and unique as (user, game) pairs;
-paths are strings. duration_s exists because the last sample timestamp
+they name the cohort's files, so they must not contain '/', '\\' or NUL.
+Paths are strings. duration_s exists because the last sample timestamp
 undercounts the capture length by one sample period.
 
 Synthetic cohorts
@@ -62,7 +63,6 @@ from .core import (
     SAMPLE_RATE_HZ,
     Trace,
     TraceFormatError,
-    TraceRecord,
 )
 
 MOVEMENT_HEADER = "t," + ",".join(MOVEMENT_CHANNELS)
@@ -500,6 +500,15 @@ _ENTRY_TYPES = (
 )
 
 
+#: what an id must not hold: ``write_cohort`` names each trace's CSVs
+#: ``<user>_<game>_...``, and a separator would put them in another directory
+_PATH_RULE = "must not contain '/', '\\' or NUL"
+
+
+def _escapes_dir(id_: str) -> bool:
+    return any(c in id_ for c in "/\\\0")
+
+
 def load_manifest(path: str | Path) -> Manifest:
     path = Path(path)
     try:
@@ -515,6 +524,8 @@ def load_manifest(path: str | Path) -> Manifest:
     if not isinstance(raw["games"], dict) or not raw["games"]:
         raise TraceFormatError(f"{path}: 'games' must be a non-empty object")
     for gid, info in raw["games"].items():
+        if _escapes_dir(gid):
+            raise TraceFormatError(f"{path}: game {gid!r}: the id {_PATH_RULE}")
         if not isinstance(info, dict):
             raise TraceFormatError(f"{path}: game {gid!r}: entry must be an object")
         _require_keys(info, {"category"}, set(), f"game {gid!r}")
@@ -538,6 +549,8 @@ def load_manifest(path: str | Path) -> Manifest:
             if isinstance(val, bool) or not isinstance(val, types):
                 raise TraceFormatError(f"{path}: {where}: {name} must be {expected}, got {val!r}")
         user_id, game_id = str(item["user_id"]), str(item["game_id"])
+        if _escapes_dir(user_id):
+            raise TraceFormatError(f"{path}: {where}: user_id {user_id!r} {_PATH_RULE}")
         if game_id not in games:
             raise TraceFormatError(f"{path}: {where}: game {game_id!r} not listed under 'games'")
         key = (user_id, game_id)
@@ -569,13 +582,14 @@ def load_manifest(path: str | Path) -> Manifest:
 def load_dataset(manifest_path: str | Path) -> Dataset:
     """Parse every trace referenced by a manifest into an in-memory Dataset."""
     man = load_manifest(manifest_path)
-    records = []
+    traces = []
     for e in man.entries:
         mt, mv = parse_movement_csv(man.root / e.movement)
         tt, ts, td = parse_traffic_csv(man.root / e.traffic)
-        trace = Trace.assemble(e.user_id, e.game_id, mt, mv, tt, ts, td, duration_s=e.duration_s)
-        records.append(TraceRecord(user_id=e.user_id, game_id=e.game_id, trace=trace))
-    return Dataset(records=records, game_categories=dict(man.games))
+        traces.append(
+            Trace.assemble(e.user_id, e.game_id, mt, mv, tt, ts, td, duration_s=e.duration_s)
+        )
+    return Dataset(traces=traces, game_categories=dict(man.games))
 
 
 def _refuse_non_finite(path: Path, header: str, *columns: np.ndarray) -> None:
@@ -592,35 +606,35 @@ def _refuse_non_finite(path: Path, header: str, *columns: np.ndarray) -> None:
 
 
 def write_cohort(dataset: Dataset, out_dir: str | Path) -> Path:
-    """Write every trace as CSV pairs plus a manifest.json; returns its path.
+    """Write every trace as CSV pairs plus a manifest.json listing them in
+    ``dataset.traces`` order; returns its path.
 
     A non-finite movement value or timestamp, which the reader would refuse,
-    is refused before any file is written.
+    and an id that would name a file outside ``out_dir`` are refused before
+    any file is written.
     """
     out = Path(out_dir)
-    for rec in dataset.records:
-        stem, tr = f"{rec.user_id}_{rec.game_id}", rec.trace
+    for tr in dataset.traces:
+        for name, id_ in (("user", tr.user_id), ("game", tr.game_id)):
+            if _escapes_dir(id_):
+                raise TraceFormatError(f"{name} id {id_!r} {_PATH_RULE}; nothing was written")
+        stem = f"{tr.user_id}_{tr.game_id}"
         movement_csv = out / f"{stem}_movement.csv"
         _refuse_non_finite(movement_csv, MOVEMENT_HEADER, tr.movement_t, tr.movement)
         _refuse_non_finite(out / f"{stem}_traffic.csv", TRAFFIC_HEADER, tr.traffic_t)
     out.mkdir(parents=True, exist_ok=True)
     traces = []
-    for rec in dataset.records:
-        stem = f"{rec.user_id}_{rec.game_id}"
-        write_movement_csv(out / f"{stem}_movement.csv", rec.trace.movement_t, rec.trace.movement)
-        write_traffic_csv(
-            out / f"{stem}_traffic.csv",
-            rec.trace.traffic_t,
-            rec.trace.traffic_size,
-            rec.trace.traffic_dir,
-        )
+    for tr in dataset.traces:
+        stem = f"{tr.user_id}_{tr.game_id}"
+        write_movement_csv(out / f"{stem}_movement.csv", tr.movement_t, tr.movement)
+        write_traffic_csv(out / f"{stem}_traffic.csv", tr.traffic_t, tr.traffic_size, tr.traffic_dir)
         traces.append(
             {
-                "user_id": rec.user_id,
-                "game_id": rec.game_id,
+                "user_id": tr.user_id,
+                "game_id": tr.game_id,
                 "movement": f"{stem}_movement.csv",
                 "traffic": f"{stem}_traffic.csv",
-                "duration_s": rec.trace.duration_s,
+                "duration_s": tr.duration_s,
             }
         )
     manifest = {
@@ -830,7 +844,7 @@ def generate_synthetic_cohort(
         mid = profiles[len(profiles) // 2]
         profiles = [replace(mid, user_id=p.user_id) for p in profiles]
     duration = minutes * 60.0
-    records = []
+    traces = []
     for u, prof in enumerate(profiles):
         for g, game in enumerate(games):
             rng = np.random.Generator(
@@ -838,17 +852,16 @@ def generate_synthetic_cohort(
             )
             mt, mv = _synth_movement(prof, game, duration, rng)
             tt, ts, td = _synth_traffic(prof, game, duration, rng)
-            trace = Trace(
-                user_id=prof.user_id,
-                game_id=game.game_id,
-                duration_s=duration,
-                movement_t=mt,
-                movement=mv,
-                traffic_t=tt,
-                traffic_size=ts,
-                traffic_dir=td,
+            traces.append(
+                Trace(
+                    user_id=prof.user_id,
+                    game_id=game.game_id,
+                    duration_s=duration,
+                    movement_t=mt,
+                    movement=mv,
+                    traffic_t=tt,
+                    traffic_size=ts,
+                    traffic_dir=td,
+                )
             )
-            records.append(TraceRecord(user_id=prof.user_id, game_id=game.game_id, trace=trace))
-    return Dataset(
-        records=records, game_categories={g.game_id: g.category for g in games}
-    )
+    return Dataset(traces=traces, game_categories={g.game_id: g.category for g in games})

@@ -70,7 +70,7 @@ def separable_report():
 
 def test_criterion_1_feature_shapes():
     dataset = memo("tiny", lambda: generate_synthetic_cohort(2, minutes=0.5, seed=0))
-    trace = dataset.records[0].trace
+    trace = dataset.traces[0]
     t0 = time.perf_counter()
     lengths = {}
     for fs, expected in (("movement", 483), ("traffic", 28), ("combined", 511)):
@@ -375,7 +375,7 @@ def test_criterion_8_normalization():
     assert float(X_train.min()) >= 0.0
     assert float(X_train.max()) <= 1.0
 
-    trace = dataset.records[0].trace
+    trace = dataset.traces[0]
     scaled_mv = trace.movement.copy()
     y_cols = [1, 8, 15]  # vertical position channel of head, left, right
     scaled_mv[:, y_cols] *= 2.0  # power of two keeps the arithmetic exact
@@ -415,7 +415,7 @@ QUESTSET_TRAFFIC_GAMES = ("medal_of_honor", "cooking_simulator", "forklift")
 def test_criterion_9_questset_spot_checks():
     root = Path(os.environ["QUESTSET_DIR"])
     dataset = load_dataset(root / "manifest.json")
-    games = sorted({r.game_id for r in dataset.records})
+    games = sorted({r.game_id for r in dataset.traces})
 
     for game, (target, tol) in QUESTSET_SPOTS.items():
         report = run_identification(

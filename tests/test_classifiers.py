@@ -28,6 +28,7 @@ from vrident.classifiers.logistic import (
     binary_gradient,
     binary_objective,
 )
+from vrident.classifiers.serialize import _model_obj
 from vrident.classifiers.trees import _tree_rng
 
 
@@ -349,7 +350,7 @@ def test_qda_restore_of_fitted_state_keeps_log_densities():
     model = QuadraticDiscriminant().fit(X, y)
     restored = QuadraticDiscriminant()
     restored.labels_, restored.n_features_ = model.labels_, model.n_features_
-    restored.restore(json.loads(json.dumps(model.fitted_state())))
+    restored.restore(json.loads(json.dumps(_model_obj(model))))
     Xq = rng.normal(size=(25, 6), scale=3.0)
     assert np.array_equal(restored.log_densities(Xq), model.log_densities(Xq))
 
@@ -645,6 +646,15 @@ def test_saved_model_bytes_are_pinned(tmp_path, kind):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_MODEL_SHA256[kind]
 
 
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_loaded_model_saves_the_same_bytes(tmp_path, kind):
+    X, y = blobs(seed=73)
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_model(cheap_model(kind, seed=2).fit(X, y), str(first))
+    save_model(load_model(str(first)), str(second))
+    assert second.read_bytes() == first.read_bytes()
+
+
 @pytest.mark.parametrize("failure", ["encode", "rename"])
 def test_failed_save_keeps_previous_model(tmp_path, monkeypatch, failure):
     X, y = blobs(seed=63)
@@ -833,6 +843,96 @@ def test_load_rejects_malformed_model(tmp_path, kind, edit, message):
     save_model(cheap_model(kind).fit(X, y), str(path))
     obj = json.loads(path.read_text())
     edit(obj["model"])
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_model(str(path))
+
+
+@pytest.mark.parametrize(
+    "kind, edit, message",
+    [
+        ("logistic", lambda f: f["model"].update(bogus=1), "logistic model file: unknown key 'bogus'"),
+        ("logistic", lambda f: f.update(extra=1), "model file: unknown key 'extra'"),
+        ("qda", lambda f: f["model"]["labels"].update(order=1), "'labels': unknown key 'order'"),
+        ("qda", lambda f: f["model"]["labels"].pop("dtype"), "'labels': missing key 'dtype'"),
+        (
+            "extra_trees",
+            lambda f: f["model"]["trees"][1].update(depth=2),
+            "extra_trees model file: 'trees'[1]: unknown key 'depth'",
+        ),
+        (
+            "gbm",
+            lambda f: f["model"]["trees"][2][0].pop("left"),
+            "gbm model file: 'trees'[2][0]: missing key 'left'",
+        ),
+        (
+            "random_forest",
+            lambda f: f["model"].update(trees=3),
+            "random_forest model file: 'trees' must be a list, got int",
+        ),
+        (
+            "extra_trees",
+            lambda f: f["model"]["trees"].__setitem__(0, 7),
+            "extra_trees model file: 'trees'[0] must be an object, got int",
+        ),
+        ("gbm", lambda f: f["model"].update(trees=3), "gbm model file: 'trees' must be a list, got int"),
+        (
+            "gbm",
+            lambda f: f["model"]["trees"].__setitem__(1, {}),
+            "gbm model file: 'trees'[1] must be a list, got dict",
+        ),
+        (
+            "logistic",
+            lambda f: f["model"].update(converged=5),
+            "logistic model file: 'converged' has shape (), expected (3,)",
+        ),
+        (
+            "logistic",
+            lambda f: f["model"]["converged"].pop(),
+            "logistic model file: 'converged' has shape (2,), expected (3,)",
+        ),
+        (
+            "gbm",
+            lambda f: f["model"].update(train_loss=3),
+            "gbm model file: 'train_loss' has shape (), expected (6,)",
+        ),
+        (
+            "gbm",
+            lambda f: f["model"]["train_loss"].append(0.5),
+            "gbm model file: 'train_loss' has shape (7,), expected (6,)",
+        ),
+        (
+            "qda",
+            lambda f: f["model"].update(params=[1e-6]),
+            "qda model file: 'params' must be an object, got list",
+        ),
+        ("qda", lambda f: f["model"].update(kind=["qda"]), "unknown model kind ['qda']"),
+    ],
+    ids=[
+        "model-unknown-key",
+        "top-level-unknown-key",
+        "labels-unknown-key",
+        "labels-missing-key",
+        "tree-unknown-key",
+        "gbm-tree-missing-key",
+        "forest-trees-not-list",
+        "forest-tree-not-object",
+        "gbm-trees-not-list",
+        "gbm-round-not-list",
+        "converged-not-list",
+        "converged-short",
+        "train-loss-not-list",
+        "train-loss-long",
+        "params-not-object",
+        "kind-not-string",
+    ],
+)
+def test_load_names_the_key_of_a_malformed_model_file(tmp_path, kind, edit, message):
+    X, y = blobs(seed=79)
+    path = tmp_path / "m.json"
+    save_model(cheap_model(kind).fit(X, y), str(path))
+    obj = json.loads(path.read_text())
+    edit(obj)
     path.write_text(json.dumps(obj))
     with pytest.raises(ValueError, match=re.escape(message)):
         load_model(str(path))

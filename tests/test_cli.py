@@ -132,6 +132,24 @@ def test_featurize_csv_bytes_are_pinned(small_cohort_dir, tmp_path, feature_set,
     assert hashlib.sha256(data).hexdigest() == sha256
 
 
+def test_featurize_ignores_the_manifest_trace_order(small_cohort_dir, tmp_path):
+    manifest = json.loads((small_cohort_dir / "manifest.json").read_text())
+    manifest["traces"].reverse()
+    reversed_manifest = small_cohort_dir / "manifest_reversed.json"
+    reversed_manifest.write_text(json.dumps(manifest))
+    try:
+        for name, path in (("given", "manifest.json"), ("reversed", reversed_manifest.name)):
+            code = run_cli(
+                "featurize", "--manifest", small_cohort_dir / path,
+                "--feature-set", "combined", "--out", tmp_path / name,
+            )
+            assert code == 0
+    finally:
+        reversed_manifest.unlink()
+    given = (tmp_path / "given" / "features_game_a.csv").read_bytes()
+    assert (tmp_path / "reversed" / "features_game_a.csv").read_bytes() == given
+
+
 @pytest.mark.parametrize("flag", ["--window", "--bin"])
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_featurize_rejects_non_finite_lengths(cohort_dir, tmp_path, capsys, flag, value):

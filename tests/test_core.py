@@ -17,7 +17,6 @@ from vrident.core import (
     Trace,
     TraceFormatError,
     TraceQualityError,
-    TraceRecord,
     canonical_movement,
     forward_vectors,
     kept_windows,
@@ -474,8 +473,7 @@ def test_trace_rejects_time_going_back(field):
 
 def test_dataset_duplicate_and_missing_game():
     tr = make_trace(10.0)
-    rec = TraceRecord("u0", "g", tr)
     with pytest.raises(ValueError, match="duplicate"):
-        Dataset(records=[rec, rec], game_categories={"g": "fast"})
+        Dataset(traces=[tr, tr], game_categories={"g": "fast"})
     with pytest.raises(ValueError, match="category"):
-        Dataset(records=[rec], game_categories={})
+        Dataset(traces=[tr], game_categories={})

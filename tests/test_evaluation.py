@@ -4,13 +4,14 @@ import collections
 import dataclasses
 import itertools
 import json
+import random
 import re
 
 import numpy as np
 import pytest
 
 from vrident.classifiers import make_model
-from vrident.core import Dataset, SplitError, TraceRecord
+from vrident.core import Dataset, SplitError
 from vrident.evaluation import (
     DEFAULT_SUBSET_SIZES,
     EvaluationReport,
@@ -41,7 +42,7 @@ SHORT = dict(train_s=120.0, test_s=60.0)  # fits the 3-minute test cohorts
 
 def only_users(dataset, users):
     return Dataset(
-        records=[r for r in dataset.records if r.user_id in users],
+        traces=[r for r in dataset.traces if r.user_id in users],
         game_categories=dataset.game_categories,
     )
 
@@ -176,6 +177,22 @@ def test_accuracy_equals_confusion_trace(base_report):
     assert base_report.accuracy == conf.trace() / conf.sum()
 
 
+def test_trace_order_changes_neither_game_order_nor_report(cohort):
+    traces = list(cohort.traces)
+    random.Random(7).shuffle(traces)
+    assert [t.user_id for t in traces] != [t.user_id for t in cohort.traces]
+    shuffled = Dataset(traces=traces, game_categories=cohort.game_categories)
+    in_order = shuffled.for_game("game_a")
+    assert [t.user_id for t in in_order] == ["user00", "user01", "user02", "user03"]
+    assert all(a is b for a, b in zip(in_order, cohort.for_game("game_a")))
+    spec = ExperimentSpec(game_id="game_a", model_kind="logistic", **SHORT)
+    blobs = [
+        json.dumps(report_to_dict(run_identification(spec, ds)), sort_keys=True)
+        for ds in (cohort, shuffled)
+    ]
+    assert blobs[0] == blobs[1]
+
+
 def test_report_is_byte_deterministic(cohort):
     spec = ExperimentSpec(game_id="game_a", model_kind="extra_trees",
                           model_params={"n_trees": 10}, **SHORT)
@@ -208,14 +225,13 @@ def test_identification_rejects_misaligned_span(cohort):
 def test_identification_names_user_without_training_windows(cohort):
     # user00 loses every movement sample before 120 s, so the dropout filter
     # discards all of its training windows but keeps its test windows
-    records = []
-    for rec in cohort.for_game("game_a"):
-        tr = rec.trace
-        if rec.user_id == "user00":
+    traces = []
+    for tr in cohort.for_game("game_a"):
+        if tr.user_id == "user00":
             keep = tr.movement_t >= SHORT["train_s"]
             tr = dataclasses.replace(tr, movement_t=tr.movement_t[keep], movement=tr.movement[keep])
-        records.append(TraceRecord(rec.user_id, rec.game_id, tr))
-    dataset = Dataset(records=records, game_categories=cohort.game_categories)
+        traces.append(tr)
+    dataset = Dataset(traces=traces, game_categories=cohort.game_categories)
     spec = ExperimentSpec(game_id="game_a", model_kind="logistic", **SHORT)
     with pytest.raises(ValueError, match="no training windows .*'user00'"):
         run_identification(spec, dataset)
@@ -225,7 +241,7 @@ def test_identification_accepts_inexact_float_multiples(cohort, monkeypatch):
     # 0.3 / 0.1 == 2.9999999999999996 must count as three 0.1 s windows, and a
     # 1.0 s trace must hold ten of them although 1.0 // 0.1 == 9.0
     rec = cohort.for_game("game_a")[0]
-    rec = TraceRecord(rec.user_id, rec.game_id, dataclasses.replace(rec.trace, duration_s=1.0))
+    rec = dataclasses.replace(rec, duration_s=1.0)
     spec = ExperimentSpec(
         game_id="game_a", feature_set="traffic", train_s=0.3, test_s=0.7, window_s=0.1, bin_s=0.1
     )
@@ -400,10 +416,10 @@ def test_cross_game_same_game_equals_identification(two_games):
 
 
 def test_cross_game_rejects_user_mismatch(two_games):
-    records = [
-        r for r in two_games.records if not (r.game_id == "gb" and r.user_id == "user03")
+    traces = [
+        r for r in two_games.traces if not (r.game_id == "gb" and r.user_id == "user03")
     ]
-    broken = Dataset(records=records, game_categories=dict(two_games.game_categories))
+    broken = Dataset(traces=traces, game_categories=dict(two_games.game_categories))
     spec = ExperimentSpec(game_id="ga", **SHORT)
     with pytest.raises(ValueError, match="different user sets"):
         cross_game_eval(spec, broken, "ga", "gb")
@@ -422,7 +438,7 @@ def reference_cross_game(spec, dataset, train_game, test_game):
     def all_rows(game):
         rows, labels = [], []
         for rec in sorted(dataset.for_game(game), key=lambda r: r.user_id):
-            feats = build_features(rec.trace, spec.feature_set, spec.window_s, spec.bin_s)
+            feats = build_features(rec, spec.feature_set, spec.window_s, spec.bin_s)
             rows.extend(feats.values)
             labels.extend([rec.user_id] * len(feats))
         return np.vstack(rows), np.array(labels)
@@ -449,13 +465,13 @@ def test_cross_game_permuted_channels_near_chance():
     """Reversing the movement channel order in game B destroys transfer by
     construction; accuracy collapses to roughly chance (1/6 here)."""
     ds = generate_synthetic_cohort(6, minutes=3.0, seed=5)
-    records = list(ds.records)
-    for rec in ds.records:
+    traces = list(ds.traces)
+    for rec in ds.traces:
         flipped = dataclasses.replace(
-            rec.trace, game_id="gb", movement=rec.trace.movement[:, ::-1].copy()
+            rec, game_id="gb", movement=rec.movement[:, ::-1].copy()
         )
-        records.append(TraceRecord(user_id=rec.user_id, game_id="gb", trace=flipped))
-    both = Dataset(records=records, game_categories={"game_a": "fast", "gb": "fast"})
+        traces.append(flipped)
+    both = Dataset(traces=traces, game_categories={"game_a": "fast", "gb": "fast"})
     spec = ExperimentSpec(game_id="game_a", feature_set="movement",
                           model_kind="random_forest", model_params={"n_trees": 25},
                           **SHORT)

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from vrident.core import (
     SAMPLE_RATE_HZ,
     Trace,
-    TraceRecord,
     split_train_test,
 )
 from vrident.evaluation import ExperimentSpec, _trace_split
@@ -69,7 +68,7 @@ def test_mask_selects_the_split_rows_in_window_order(case, feature_set):
         game_id="g", feature_set=feature_set, train_s=train_s, test_s=test_s,
         window_s=window_s, bin_s=window_s,
     )
-    picked = _trace_split(spec, TraceRecord("u", "g", trace))
+    picked = _trace_split(spec, trace)
     spans = split_train_test(trace, train_s, test_s, window_s)
     for rows, span in zip(picked, spans):
         want = [row for index, row in zip(kept, feats.values) if index in span]

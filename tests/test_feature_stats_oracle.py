@@ -274,6 +274,6 @@ PINNED_MATRICES = {
 @pytest.mark.parametrize("feature_set", sorted(PINNED_MATRICES))
 def test_feature_matrix_bytes_are_pinned(feature_set):
     ds = generate_synthetic_cohort(3, minutes=1.0, seed=13)
-    X = np.vstack([build_features(rec.trace, feature_set).values for rec in ds.records])
+    X = np.vstack([build_features(rec, feature_set).values for rec in ds.traces])
     assert X.shape == (18, 511)
     assert hashlib.sha256(X.tobytes()).hexdigest() == PINNED_MATRICES[feature_set]

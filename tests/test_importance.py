@@ -318,8 +318,8 @@ def test_traffic_feature_ranks_first_when_only_download_rate_differs():
 
     names = feature_names("combined")
     train_rows, train_y, test_rows, test_y = [], [], [], []
-    for record in dataset.records:
-        feats = build_features(record.trace, "combined")
+    for record in dataset.traces:
+        feats = build_features(record, "combined")
         for index, values in zip(feats.window_index, feats.values):
             if index < 12:
                 train_rows.append(values)

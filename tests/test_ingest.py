@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vrident.core import DIR_DL, DIR_UL, MOVEMENT_CHANNELS, TraceFormatError
+from vrident.core import DIR_DL, DIR_UL, MOVEMENT_CHANNELS, Dataset, TraceFormatError
 from vrident.ingest import (
     GameProfile,
     MOVEMENT_HEADER,
@@ -238,7 +239,7 @@ def test_synthetic_cohort_round_trip(tmp_path):
     ds = generate_synthetic_cohort(2, minutes=0.5, seed=13)
     manifest = write_cohort(ds, tmp_path)
     # written files parse back and re-write byte-identically
-    for rec in ds.records:
+    for rec in ds.traces:
         stem = f"{rec.user_id}_{rec.game_id}"
         for kind, parse, write in (
             ("movement", parse_movement_csv, None),
@@ -247,15 +248,15 @@ def test_synthetic_cohort_round_trip(tmp_path):
             path = tmp_path / f"{stem}_{kind}.csv"
             assert path.exists()
     ds2 = load_dataset(manifest)
-    assert ds2.users() == ds.users()
+    assert {t.user_id for t in ds2.traces} == {t.user_id for t in ds.traces}
     assert ds2.game_categories == ds.game_categories
-    for a, b in zip(ds.records, ds2.records):
-        assert b.trace.duration_s == a.trace.duration_s
-        assert np.allclose(a.trace.movement, b.trace.movement, atol=5e-7)
-        assert np.array_equal(a.trace.traffic_size, b.trace.traffic_size)
-        assert np.array_equal(a.trace.traffic_dir, b.trace.traffic_dir)
+    for a, b in zip(ds.traces, ds2.traces):
+        assert b.duration_s == a.duration_s
+        assert np.allclose(a.movement, b.movement, atol=5e-7)
+        assert np.array_equal(a.traffic_size, b.traffic_size)
+        assert np.array_equal(a.traffic_dir, b.traffic_dir)
         second = tmp_path / "again.csv"
-        write_movement_csv(second, b.trace.movement_t, b.trace.movement)
+        write_movement_csv(second, b.movement_t, b.movement)
         assert second.read_bytes() == (tmp_path / f"{a.user_id}_{a.game_id}_movement.csv").read_bytes()
 
 
@@ -269,7 +270,7 @@ def test_synthetic_cohort_round_trip(tmp_path):
 )
 def test_write_cohort_refuses_non_finite_before_writing(tmp_path, kind, index, stream, row, column):
     ds = generate_synthetic_cohort(2, minutes=0.5, seed=13)
-    array = getattr(ds.records[1].trace, kind)
+    array = getattr(ds.traces[1], kind)
     array.flags.writeable = True  # a trace's arrays are read-only views
     array[index] = np.nan  # in place, past Trace's own checks
     out = tmp_path / "cohort"
@@ -421,16 +422,16 @@ def test_synthetic_deterministic_per_seed():
     a = generate_synthetic_cohort(3, minutes=0.2, seed=42)
     b = generate_synthetic_cohort(3, minutes=0.2, seed=42)
     c = generate_synthetic_cohort(3, minutes=0.2, seed=43)
-    for ra, rb in zip(a.records, b.records):
-        assert np.array_equal(ra.trace.movement, rb.trace.movement)
-        assert np.array_equal(ra.trace.traffic_t, rb.trace.traffic_t)
-        assert np.array_equal(ra.trace.traffic_size, rb.trace.traffic_size)
-    assert not np.array_equal(a.records[0].trace.movement, c.records[0].trace.movement)
+    for ra, rb in zip(a.traces, b.traces):
+        assert np.array_equal(ra.movement, rb.movement)
+        assert np.array_equal(ra.traffic_t, rb.traffic_t)
+        assert np.array_equal(ra.traffic_size, rb.traffic_size)
+    assert not np.array_equal(a.traces[0].movement, c.traces[0].movement)
 
 
 def test_synthetic_shapes_and_duration():
     ds = generate_synthetic_cohort(2, minutes=1.0, seed=1)
-    tr = ds.records[0].trace
+    tr = ds.traces[0]
     assert tr.duration_s == 60.0
     assert tr.n_movement == 3600
     assert tr.movement_t[0] == 0.0
@@ -458,7 +459,7 @@ def test_synthetic_parameter_ranges():
 
 def test_synthetic_clone_mode_same_profiles_different_noise():
     ds = generate_synthetic_cohort(4, minutes=0.2, seed=5, clone=True)
-    traces = [r.trace for r in ds.records]
+    traces = ds.traces
     heads = [t.movement[:, 1].mean() for t in traces]
     assert np.allclose(heads, heads[0], atol=2e-3)  # identical profile heights
     assert not np.array_equal(traces[0].movement, traces[1].movement)  # independent noise
@@ -469,10 +470,10 @@ def test_synthetic_clone_mode_same_profiles_different_noise():
 def test_synthetic_traffic_rates_match_profiles():
     ds = generate_synthetic_cohort(2, minutes=2.0, seed=9)
     profiles = default_profiles(2)
-    for rec, prof in zip(ds.records, profiles):
-        dur = rec.trace.duration_s
-        ul = int((rec.trace.traffic_dir == DIR_UL).sum())
-        dl = int((rec.trace.traffic_dir == DIR_DL).sum())
+    for rec, prof in zip(ds.traces, profiles):
+        dur = rec.duration_s
+        ul = int((rec.traffic_dir == DIR_UL).sum())
+        dl = int((rec.traffic_dir == DIR_DL).sum())
         assert ul == pytest.approx(prof.ul_rate_hz * dur, rel=0.15)
         assert dl == pytest.approx(prof.dl_rate_hz * dur, rel=0.15)
 
@@ -485,9 +486,9 @@ def test_synthetic_multiple_games():
     ds = generate_synthetic_cohort(2, minutes=0.5, seed=2, games=games)
     assert ds.game_ids() == ["ga", "gb"]
     assert ds.game_categories == {"ga": "fast", "gb": "slow"}
-    assert len(ds.records) == 4
-    a = next(r.trace for r in ds.records if r.game_id == "ga")
-    b = next(r.trace for r in ds.records if r.game_id == "gb")
+    assert len(ds.traces) == 4
+    a = next(r for r in ds.traces if r.game_id == "ga")
+    b = next(r for r in ds.traces if r.game_id == "gb")
     dl_a = int((a.traffic_dir == DIR_DL).sum())
     dl_b = int((b.traffic_dir == DIR_DL).sum())
     assert dl_b < 0.75 * dl_a
@@ -506,8 +507,59 @@ def test_synthetic_quaternions_are_canonical_units():
     ds = generate_synthetic_cohort(2, minutes=0.1, seed=3)
     from vrident.core import QUATERNION_SLICES, canonical_movement
 
-    tr = ds.records[0].trace
+    tr = ds.traces[0]
     assert np.array_equal(tr.movement, canonical_movement(tr))
     for dev in ("head", "left", "right"):
         q = tr.movement[:, QUATERNION_SLICES[dev]]
         assert np.allclose(np.linalg.norm(q, axis=1), 1.0, atol=1e-12)
+
+
+# ---- ids that would name paths ----
+
+PATH_RULE = "must not contain '/', '\\' or NUL"
+
+
+@pytest.mark.parametrize("user_id", ["../../escaped", "a/b", "a\\b", "u\0"])
+def test_manifest_rejects_user_ids_that_name_paths(tmp_path, user_id):
+    data = manifest_dict()
+    data["traces"][0]["user_id"] = user_id
+    with pytest.raises(TraceFormatError) as err:
+        load_manifest(write_manifest(tmp_path, data))
+    assert str(err.value) == (
+        f"{tmp_path / 'manifest.json'}: traces[0]: user_id {user_id!r} {PATH_RULE}"
+    )
+
+
+@pytest.mark.parametrize("game_id", ["../ga", "g/a", "g\\a", "g\0"])
+def test_manifest_rejects_game_ids_that_name_paths(tmp_path, game_id):
+    data = manifest_dict()
+    data["games"] = {game_id: {"category": "fast"}}
+    data["traces"][0]["game_id"] = game_id
+    with pytest.raises(TraceFormatError) as err:
+        load_manifest(write_manifest(tmp_path, data))
+    assert str(err.value) == f"{tmp_path / 'manifest.json'}: game {game_id!r}: the id {PATH_RULE}"
+
+
+def test_load_dataset_refuses_a_user_id_that_leaves_the_cohort(tmp_path):
+    ds = generate_synthetic_cohort(2, minutes=0.1, seed=13)
+    manifest = write_cohort(ds, tmp_path / "cohort")
+    data = json.loads(manifest.read_text())
+    data["traces"][0]["user_id"] = "../../escaped"
+    manifest.write_text(json.dumps(data))
+    with pytest.raises(TraceFormatError, match=r"traces\[0\]: user_id '\.\./\.\./escaped'"):
+        load_dataset(manifest)
+
+
+@pytest.mark.parametrize(
+    "field, bad_id, name",
+    [("user_id", "../../escaped", "user"), ("game_id", "..\\g", "game"), ("user_id", "u\0", "user")],
+)
+def test_write_cohort_refuses_ids_that_name_paths_before_writing(tmp_path, field, bad_id, name):
+    ds = generate_synthetic_cohort(2, minutes=0.1, seed=13)
+    bad = replace(ds.traces[1], **{field: bad_id})
+    categories = {**ds.game_categories, bad.game_id: "fast"}
+    ds = Dataset(traces=[ds.traces[0], bad], game_categories=categories)
+    with pytest.raises(TraceFormatError) as err:
+        write_cohort(ds, tmp_path / "out" / "deep")
+    assert str(err.value) == f"{name} id {bad_id!r} {PATH_RULE}; nothing was written"
+    assert list(tmp_path.rglob("*")) == []

@@ -344,13 +344,13 @@ def test_plain_files_never_reach_the_per_line_parser(tmp_path, monkeypatch):
 
     monkeypatch.setattr(ingest, "_parse_movement_lines", refuse)
     monkeypatch.setattr(ingest, "_parse_traffic_lines", refuse)
-    for rec in ds.records:
+    for rec in ds.traces:
         stem = tmp_path / f"{rec.user_id}_{rec.game_id}"
         t, mv = parse_movement_csv(f"{stem}_movement.csv")
         tt, size, d = parse_traffic_csv(f"{stem}_traffic.csv")
-        assert mv.shape == rec.trace.movement.shape
-        assert np.array_equal(size, rec.trace.traffic_size)
-        assert np.array_equal(d, rec.trace.traffic_dir)
+        assert mv.shape == rec.movement.shape
+        assert np.array_equal(size, rec.traffic_size)
+        assert np.array_equal(d, rec.traffic_dir)
 
 
 # ---- write oracle ---------------------------------------------------------------
@@ -506,9 +506,8 @@ def test_synth_cohorts_never_reach_the_percent_fallback(tmp_path, monkeypatch):
     monkeypatch.setattr(ingest, "_movement_rows_by_percent", refuse)
     monkeypatch.setattr(ingest, "_traffic_rows_by_percent", refuse)
     write_cohort(ds, tmp_path)
-    for rec in ds.records:
-        tr = rec.trace
-        stem = tmp_path / f"{rec.user_id}_{rec.game_id}"
+    for tr in ds.traces:
+        stem = tmp_path / f"{tr.user_id}_{tr.game_id}"
         reference_write_movement(tmp_path / "ref_m.csv", tr.movement_t, tr.movement)
         reference_write_traffic(
             tmp_path / "ref_t.csv", tr.traffic_t, tr.traffic_size, tr.traffic_dir
