@@ -19,16 +19,26 @@ def check_matrix(X, n_features: int | None = None) -> np.ndarray:
     return X
 
 
+# the dtype kinds a model file's values may have, per target kind, and how
+# an error names them: no null, string or float is cast into a bool or an integer
+_SAVED_KINDS = {"b": ("b", "true or false"), "i": ("i", "64-bit integers"), "f": ("iuf", "numbers")}
+
+
 def saved_array(where: str, key: str, values, dtype, shape=None) -> np.ndarray:
     """``values`` read from a model file as an array of ``dtype`` and, when
-    given, ``shape``; otherwise a ValueError naming ``where`` and ``key``."""
+    given, ``shape``; otherwise a ValueError naming ``where`` and ``key``.
+    The values' own dtype must be bool for a bool array, a signed integer
+    for an integer array, and an integer or a float for a float array."""
     try:
-        arr = np.array(values, dtype=dtype)
+        raw = np.array(values)
     except (TypeError, ValueError):
         raise ValueError(f"{where}: {key!r} is not a rectangular array of numbers") from None
-    if shape is not None and arr.shape != shape:
-        raise ValueError(f"{where}: {key!r} has shape {arr.shape}, expected {shape}")
-    return arr
+    if shape is not None and raw.shape != shape:
+        raise ValueError(f"{where}: {key!r} has shape {raw.shape}, expected {shape}")
+    kinds, expected = _SAVED_KINDS[np.dtype(dtype).kind]
+    if raw.size and raw.dtype.kind not in kinds:
+        raise ValueError(f"{where}: {key!r} must hold only {expected}")
+    return raw.astype(dtype, copy=False)
 
 
 def saved_object(where: str, obj, keys) -> None:

@@ -1,4 +1,13 @@
-"""Quadratic discriminant analysis with diagonal covariance loading."""
+"""Quadratic discriminant analysis with diagonal covariance loading.
+
+Each class is fitted from a thin SVD of its n centered rows, C = U S V^T
+with V of shape (d, r) and r = len(s) = min(n, d), so no LU factorization
+is needed. With alpha the ridge load, the loaded covariance
+V diag(s^2/n) V^T + alpha*I has the inverse
+(I - V diag(s^2/(s^2 + n*alpha)) V^T)/alpha and the log-determinant
+(d - r)*log(alpha) + sum(log(s^2/n + alpha)) (Hager, SIAM Review 1989;
+ridge loading as in Friedman, JASA 1989).
+"""
 from __future__ import annotations
 
 import math
@@ -26,8 +35,8 @@ class QuadraticDiscriminant(Classifier):
             raise ValueError(f"ridge must be positive, got {ridge}")
         self.ridge = float(ridge)
         self.means_: np.ndarray | None = None  # (k, d)
-        # one (d, d) inverse per class, kept as np.linalg.inv returns it: a
-        # single (k, d, d) block would need k*d*d contiguous floats at once
+        # one (d, d) precision per class: a single (k, d, d) block would
+        # need k*d*d contiguous floats at once
         self.precisions_: list[np.ndarray] | None = None
         self.logdets_: np.ndarray | None = None  # (k,)
 
@@ -39,25 +48,31 @@ class QuadraticDiscriminant(Classifier):
         self.logdets_ = np.zeros(k)
         for c in range(k):
             rows = X[y_idx == c]
-            if rows.shape[0] < 2:
+            n = rows.shape[0]
+            if n < 2:
                 raise ValueError(
-                    f"user {self.labels_[c]!r} has {rows.shape[0]} training window(s); "
-                    "QDA needs at least 2"
+                    f"user {self.labels_[c]!r} has {n} training window(s); QDA needs at least 2"
                 )
             mu = rows.mean(axis=0)
-            centered = rows - mu
-            cov = centered.T @ centered
-            cov /= rows.shape[0]
-            tr = float(np.trace(cov))
+            try:
+                _, sv, vt = np.linalg.svd(rows - mu, full_matrices=False)
+            except np.linalg.LinAlgError as exc:
+                raise ValueError(f"SVD of user {self.labels_[c]!r}'s rows failed: {exc}") from None
+            s2 = sv * sv
+            tr = float(s2.sum()) / n
             alpha = self.ridge * (tr / d) if tr > 0 else self.ridge
-            cov[np.diag_indices(d)] += alpha
-            sign, logdet = np.linalg.slogdet(cov)
-            if sign <= 0:
+            logdet = math.nan
+            if alpha > 0:
+                logdet = (d - sv.shape[0]) * math.log(alpha) + float(np.log(s2 / n + alpha).sum())
+            if not math.isfinite(logdet):
                 raise ValueError(
                     f"covariance for user {self.labels_[c]!r} is not positive definite"
                 )
+            precision = (vt.T * (-s2 / (s2 + n * alpha))) @ vt
+            precision[np.diag_indices(d)] += 1.0
+            precision /= alpha
             self.means_[c] = mu
-            self.precisions_.append(np.linalg.inv(cov))
+            self.precisions_.append(precision)
             self.logdets_[c] = logdet
 
     def log_densities(self, X) -> np.ndarray:

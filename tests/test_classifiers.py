@@ -624,11 +624,11 @@ def test_save_load_round_trip_ensemble(tmp_path):
 # change to any of them changes the model file format.
 GOLDEN_MODEL_SHA256 = {
     "logistic": "4629255086f8330f4095d94affcfa6dfafeae2629281529f35841c5d013101dc",
-    "qda": "1e255ffda01fb4c2d9e69af1e2e2bb41d74a1344220921aa7be01681334c2d31",
+    "qda": "d7c6eb956345a896c151901707b7a9e268a8bfa9fd2ccc3e3d3dba459ca55f8e",
     "random_forest": "d0e75fd44b2d0adc26a911d14baead415275f482753bda11f99d2255b3e1753f",
     "extra_trees": "57e71f01d1573942738792197433889fdf622166c23aad5f492c2c0b1787dcff",
     "gbm": "45035f4cdaf1dd6bcb1cb281300af2da265d8708839fcd5ee8f9cb5ba98ca8f3",
-    "ensemble": "cbdc508d32cb222afe4d38fd430e52c6bce6ece2d5430557f90639424bd733ac",
+    "ensemble": "cbcbea68499ae9d745091e79a60f89a7734233c1c6bb6e184f6ffe6bac49c309",
 }
 
 
@@ -907,6 +907,33 @@ def test_load_rejects_malformed_model(tmp_path, kind, edit, message):
             "qda model file: 'params' must be an object, got list",
         ),
         ("qda", lambda f: f["model"].update(kind=["qda"]), "unknown model kind ['qda']"),
+        # wrong-typed values used to be cast silently (null -> NaN, "no" ->
+        # True, 1.7 -> 1, "0.25" -> 0.25) or, for 2**70, raise OverflowError
+        (
+            "logistic",
+            lambda f: f["model"]["weights"][1].__setitem__(0, None),
+            "logistic model file: 'weights' must hold only numbers",
+        ),
+        (
+            "logistic",
+            lambda f: f["model"].update(converged=["no", "no", "no"]),
+            "logistic model file: 'converged' must hold only true or false",
+        ),
+        (
+            "random_forest",
+            lambda f: f["model"]["trees"][0]["feature"].__setitem__(0, 1.7),
+            "random_forest model file: 'trees'[0]: 'feature' must hold only 64-bit integers",
+        ),
+        (
+            "extra_trees",
+            lambda f: f["model"]["trees"][0]["threshold"].__setitem__(0, "0.25"),
+            "extra_trees model file: 'trees'[0]: 'threshold' must hold only numbers",
+        ),
+        (
+            "random_forest",
+            lambda f: f["model"]["trees"][0]["feature"].__setitem__(0, 2**70),
+            "random_forest model file: 'trees'[0]: 'feature' must hold only 64-bit integers",
+        ),
     ],
     ids=[
         "model-unknown-key",
@@ -925,6 +952,11 @@ def test_load_rejects_malformed_model(tmp_path, kind, edit, message):
         "train-loss-long",
         "params-not-object",
         "kind-not-string",
+        "weights-null",
+        "converged-strings",
+        "feature-float",
+        "threshold-string",
+        "feature-huge",
     ],
 )
 def test_load_names_the_key_of_a_malformed_model_file(tmp_path, kind, edit, message):
