@@ -1,6 +1,7 @@
 """Shared classifier plumbing: label encoding, validation, prediction."""
 from __future__ import annotations
 
+import itertools
 import numbers
 import sys
 import typing
@@ -28,7 +29,8 @@ def saved_array(where: str, key: str, values, dtype, shape=None) -> np.ndarray:
     """``values`` read from a model file as an array of ``dtype`` and, when
     given, ``shape``; otherwise a ValueError naming ``where`` and ``key``.
     The values' own dtype must be bool for a bool array, a signed integer
-    for an integer array, and an integer or a float for a float array."""
+    for an integer array, and an integer or a float for a float array;
+    a number array holding a bool is refused too."""
     try:
         raw = np.array(values)
     except (TypeError, ValueError):
@@ -36,9 +38,19 @@ def saved_array(where: str, key: str, values, dtype, shape=None) -> np.ndarray:
     if shape is not None and raw.shape != shape:
         raise ValueError(f"{where}: {key!r} has shape {raw.shape}, expected {shape}")
     kinds, expected = _SAVED_KINDS[np.dtype(dtype).kind]
-    if raw.size and raw.dtype.kind not in kinds:
+    # numpy reads true and false beside numbers as 1 and 0
+    typed = raw.dtype.kind in kinds and (kinds == "b" or not _holds_bool(values, raw.ndim))
+    if raw.size and not typed:
         raise ValueError(f"{where}: {key!r} must hold only {expected}")
     return raw.astype(dtype, copy=False)
+
+
+def _holds_bool(values, ndim: int) -> bool:
+    """Whether ``values``, lists nested ``ndim`` deep, hold a bool."""
+    flat = values if ndim else [values]
+    for _ in range(ndim - 1):
+        flat = itertools.chain.from_iterable(flat)
+    return bool in set(map(type, flat))
 
 
 def saved_object(where: str, obj, keys) -> None:

@@ -27,7 +27,7 @@ from .gaussian import QuadraticDiscriminant
 from .logistic import LogisticOneVsRest
 from .trees import ExtraTrees, FlatTree, RandomForest
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 # kind -> class, in MODEL_KINDS order; "ensemble" is built from these
 MODEL_CLASSES = {

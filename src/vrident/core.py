@@ -100,6 +100,8 @@ class Trace:
     windowing; it may exceed the last timestamp (a 600 s capture's final
     movement sample sits at 599.98333 s). Each stream's timestamps must be
     non-decreasing; TraceFormatError names the first sample that goes back.
+    Packet sizes must be >= 1 and directions DIR_UL or DIR_DL, as the
+    traffic CSV requires; TraceFormatError names the first sample that is not.
 
     The arrays are read-only views of the ones given (converted first when
     their dtype differs); the caller's arrays keep their own write flags,
@@ -154,6 +156,19 @@ class Trace:
                 raise TraceFormatError(
                     f"{where}: {name} goes back in time at sample {int(back[0]) + 1}"
                 )
+        small = np.flatnonzero(self.traffic_size < 1)
+        if small.size:
+            i = int(small[0])
+            raise TraceFormatError(
+                f"{where}: traffic_size sample {i} is {int(self.traffic_size[i])}, must be >= 1"
+            )
+        odd = np.flatnonzero((self.traffic_dir != DIR_UL) & (self.traffic_dir != DIR_DL))
+        if odd.size:
+            i = int(odd[0])
+            raise TraceFormatError(
+                f"{where}: traffic_dir sample {i} is {int(self.traffic_dir[i])}, "
+                f"must be DIR_UL ({DIR_UL}) or DIR_DL ({DIR_DL})"
+            )
 
     def __getstate__(self) -> dict:
         return {**self.__dict__, "_features": {}}

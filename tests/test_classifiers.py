@@ -31,6 +31,8 @@ from vrident.classifiers.logistic import (
 from vrident.classifiers.serialize import _model_obj
 from vrident.classifiers.trees import _tree_rng
 
+from test_qda_reference import dense_fit, dense_log_densities
+
 
 def blobs(seed=0, n_per=25, centers=((0.0, 0.0), (4.0, 0.0), (0.0, 4.0)), scale=0.6):
     """Well-separated Gaussian clusters, one string label per center."""
@@ -355,6 +357,112 @@ def test_qda_restore_of_fitted_state_keeps_log_densities():
     assert np.array_equal(restored.log_densities(Xq), model.log_densities(Xq))
 
 
+@pytest.mark.parametrize(
+    "X, y, ridge, message",
+    [
+        (
+            np.array([[0.0], [1.0], [2.0]]),
+            np.array(["solo", "pair", "pair"]),
+            1e-6,
+            "user 'solo' has 1 training window(s); QDA needs at least 2",
+        ),
+        (
+            np.array([[0.0], [1.0], [2.0]]),
+            np.array([7, 3, 3]),
+            1e-6,
+            "user 7 has 1 training window(s); QDA needs at least 2",
+        ),
+        # tr > 0, but ridge * tr / d rounds to 0.0
+        (
+            np.array([[0.0], [2e-161], [0.0], [1.0], [3.0]]),
+            np.array(["tiny", "tiny", "wide", "wide", "wide"]),
+            1e-6,
+            "covariance for user 'tiny' is not positive definite",
+        ),
+        # s^2 = 0.5 and n * alpha = 5e-18 for user "a", so w = 1/(1 + 1e-17)
+        # rounds to 1 and the precision would ignore that direction
+        (
+            np.array([[0.0], [1.0], [5.0], [7.0]]),
+            np.array(["a", "a", "b", "b"]),
+            1e-17,
+            "covariance for user 'a' is not positive definite",
+        ),
+    ],
+    ids=["one-window", "one-window-int-label", "load-underflows", "weight-rounds-to-1"],
+)
+def test_qda_errors_name_the_user(X, y, ridge, message):
+    with pytest.raises(ValueError) as excinfo:
+        QuadraticDiscriminant(ridge=ridge).fit(X, y)
+    assert str(excinfo.value) == message
+
+
+def full_size_classes(n_c, d=511, k=3, seed=5):
+    """k classes of n_c feature rows in [0, 1]^d, as MinMaxScaler leaves
+    them, plus 4 query rows per class near its mean."""
+    rng = np.random.default_rng(seed)
+    centers = rng.uniform(0.2, 0.8, size=(k, d))
+    X = np.vstack([c + rng.normal(scale=0.05, size=(n_c, d)) for c in centers])
+    Xq = np.repeat(centers, 4, axis=0) + rng.normal(scale=0.05, size=(4 * k, d))
+    return X, np.repeat([f"user{c}" for c in range(k)], n_c), Xq
+
+
+@pytest.mark.parametrize("n_c", [2, 48])
+def test_qda_log_densities_match_dense_fit_at_full_size(n_c):
+    # evaluate_matrix's 2 windows per user and the full-size cell's 48, in
+    # 511 features at the default ridge
+    X, y, Xq = full_size_classes(n_c)
+    got = QuadraticDiscriminant().fit(X, y).log_densities(Xq)
+    want = dense_log_densities(dense_fit(X, y, 1e-6), Xq)
+    np.testing.assert_allclose(got, want, rtol=1e-8)
+    assert np.array_equal(np.argmax(got, axis=1), np.argmax(want, axis=1))
+
+
+def test_saved_qda_file_holds_no_d_by_d_array(tmp_path):
+    d = 511
+    X, y, Xq = full_size_classes(48, d)
+    keep = np.r_[0:2, 48:144]  # user0 keeps 2 windows, so the factors are ragged
+    model = QuadraticDiscriminant().fit(X[keep], y[keep])
+    path = tmp_path / "qda.json"
+    save_model(model, str(path))
+    saved = json.loads(path.read_text())["model"]
+    shapes = {key: np.shape(saved[key]) for key in ("means", "loads", "logdets")}
+    for key in ("vts", "weights"):
+        shapes[key] = [np.shape(a) for a in saved[key]]
+    assert shapes == {
+        "means": (3, d),
+        "loads": (3,),
+        "logdets": (3,),
+        "vts": [(2, d), (48, d), (48, d)],
+        "weights": [(2,), (48,), (48,)],
+    }
+    assert np.array_equal(load_model(str(path)).log_densities(Xq), model.log_densities(Xq))
+
+
+def test_load_refuses_a_format_version_1_qda_file(tmp_path):
+    # a qda file as format version 1 saved it, with a dense precision per class
+    path = tmp_path / "qda_v1.json"
+    path.write_text(
+        json.dumps(
+            {
+                "format_version": 1,
+                "model": {
+                    "kind": "qda",
+                    "seed": 0,
+                    "labels": {"dtype": "<U1", "values": ["a", "b"]},
+                    "n_features": 1,
+                    "params": {"ridge": 1e-6},
+                    "means": [[0.5], [5.5]],
+                    "precisions": [[[4.0]], [[4.0]]],
+                    "logdets": [-1.3862943611198906, -1.3862943611198906],
+                },
+            }
+        )
+    )
+    with pytest.raises(ValueError) as excinfo:
+        load_model(str(path))
+    assert str(excinfo.value) == "model file has format version 1, this build reads version 2"
+
+
 # ---------------------------------------------------------------- trees
 
 
@@ -623,12 +731,12 @@ def test_save_load_round_trip_ensemble(tmp_path):
 # sha256 of each saved file below; captured with numpy 2.4.6 on x86-64. A
 # change to any of them changes the model file format.
 GOLDEN_MODEL_SHA256 = {
-    "logistic": "4629255086f8330f4095d94affcfa6dfafeae2629281529f35841c5d013101dc",
-    "qda": "d7c6eb956345a896c151901707b7a9e268a8bfa9fd2ccc3e3d3dba459ca55f8e",
-    "random_forest": "d0e75fd44b2d0adc26a911d14baead415275f482753bda11f99d2255b3e1753f",
-    "extra_trees": "57e71f01d1573942738792197433889fdf622166c23aad5f492c2c0b1787dcff",
-    "gbm": "45035f4cdaf1dd6bcb1cb281300af2da265d8708839fcd5ee8f9cb5ba98ca8f3",
-    "ensemble": "cbcbea68499ae9d745091e79a60f89a7734233c1c6bb6e184f6ffe6bac49c309",
+    "logistic": "63d9eb21dde3cc3e803b1b00c5ad656c97b4bdad24842ede054ce7e71a8e8b68",
+    "qda": "fb9714277bf9ccd8ec571eb4a50e21281279f281b3a733ffa5ee427cf44873a9",
+    "random_forest": "ca81095a66c6c9650d7c29c789c8665c41cdb87f92520f4b9206449738a4d9a8",
+    "extra_trees": "94f4812bc5daf82f0aaf066218dc44194a5489b068530b27076da1b4dacce2ed",
+    "gbm": "6ba434ea8503cca8bdfa3b1b6f59829163b6c064fd9c501fee4329c37aa72321",
+    "ensemble": "3f597b12556eff4d37c746263708bc12e1d21ff3d22cb8c30dee915e45d16d00",
 }
 
 
@@ -751,8 +859,8 @@ def test_load_rejects_version_mismatch(tmp_path):
         ),
         (
             "qda",
-            lambda m: m.update(precisions=[p[:1] for p in m["precisions"]]),
-            "qda model file: 'precisions' has shape (3, 1, 2), expected (3, 2, 2)",
+            lambda m: m["vts"][1].append([0.0, 1.0]),
+            "qda model file: 'vts[1]' has shape (3, 2), expected (r, 2) with r <= 2",
         ),
         ("qda", lambda m: m["logdets"].append(0.0), "qda model file: 'logdets' has shape (4,)"),
         (
@@ -821,7 +929,7 @@ def test_load_rejects_version_mismatch(tmp_path):
         "gbm-round-tree-count",
         "logistic-weights",
         "qda-means",
-        "qda-precisions",
+        "qda-vts",
         "qda-logdets",
         "labels-swapped",
         "labels-repeated",
@@ -934,6 +1042,88 @@ def test_load_rejects_malformed_model(tmp_path, kind, edit, message):
             lambda f: f["model"]["trees"][0]["feature"].__setitem__(0, 2**70),
             "random_forest model file: 'trees'[0]: 'feature' must hold only 64-bit integers",
         ),
+        # numpy reads true/false beside numbers as 1/0
+        (
+            "logistic",
+            lambda f: f["model"]["weights"][1].__setitem__(0, True),
+            "logistic model file: 'weights' must hold only numbers",
+        ),
+        (
+            "extra_trees",
+            lambda f: f["model"]["trees"][0]["feature"].__setitem__(0, True),
+            "extra_trees model file: 'trees'[0]: 'feature' must hold only 64-bit integers",
+        ),
+        (
+            "logistic",
+            lambda f: f["model"]["converged"].__setitem__(0, 1),
+            "logistic model file: 'converged' must hold only true or false",
+        ),
+        (
+            "qda",
+            lambda f: f["model"]["vts"][2][1].__setitem__(0, False),
+            "qda model file: 'vts[2]' must hold only numbers",
+        ),
+        (
+            "qda",
+            lambda f: f["model"]["weights"][0].__setitem__(1, True),
+            "qda model file: 'weights[0]' must hold only numbers",
+        ),
+        (
+            "qda",
+            lambda f: f["model"].update(vts=3),
+            "qda model file: 'vts' must be a list, got int",
+        ),
+        ("qda", lambda f: f["model"]["vts"].pop(), "qda model file: 'vts' holds 2 arrays, expected 3"),
+        (
+            "qda",
+            lambda f: f["model"]["weights"].append([0.5]),
+            "qda model file: 'weights' holds 4 arrays, expected 3",
+        ),
+        (
+            "qda",
+            lambda f: f["model"]["vts"].__setitem__(0, [0.0, 1.0]),
+            "qda model file: 'vts[0]' has shape (2,), expected (r, 2) with r <= 2",
+        ),
+        (
+            "qda",
+            lambda f: f["model"]["vts"][0].pop(),
+            "qda model file: 'weights[0]' has shape (2,), expected (1,)",
+        ),
+        (
+            "qda",
+            lambda f: f["model"]["weights"][1].__setitem__(0, 1.0),
+            "qda model file: 'weights[1]' must lie in [0, 1)",
+        ),
+        (
+            "qda",
+            lambda f: f["model"]["weights"][1].__setitem__(1, -0.5),
+            "qda model file: 'weights[1]' must lie in [0, 1)",
+        ),
+        (
+            "qda",
+            lambda f: f["model"]["loads"].__setitem__(2, 0.0),
+            "qda model file: 'loads' must be finite and > 0",
+        ),
+        (
+            "qda",
+            lambda f: f["model"]["loads"].__setitem__(0, float("inf")),
+            "qda model file: 'loads' must be finite and > 0",
+        ),
+        (
+            "qda",
+            lambda f: f["model"]["vts"][1][0].__setitem__(1, float("nan")),
+            "qda model file: 'vts[1]' must hold only finite numbers",
+        ),
+        (
+            "qda",
+            lambda f: f["model"]["means"][0].__setitem__(0, float("nan")),
+            "qda model file: 'means' must hold only finite numbers",
+        ),
+        (
+            "qda",
+            lambda f: f["model"]["logdets"].__setitem__(1, -float("inf")),
+            "qda model file: 'logdets' must hold only finite numbers",
+        ),
     ],
     ids=[
         "model-unknown-key",
@@ -957,6 +1147,23 @@ def test_load_rejects_malformed_model(tmp_path, kind, edit, message):
         "feature-float",
         "threshold-string",
         "feature-huge",
+        "weights-bool",
+        "feature-bool",
+        "converged-number",
+        "qda-vts-bool",
+        "qda-weights-bool",
+        "qda-vts-not-list",
+        "qda-vts-short",
+        "qda-weights-long",
+        "qda-vts-flat",
+        "qda-weights-longer-than-vts",
+        "qda-weight-one",
+        "qda-weight-negative",
+        "qda-load-zero",
+        "qda-load-inf",
+        "qda-vts-nan",
+        "qda-means-nan",
+        "qda-logdets-inf",
     ],
 )
 def test_load_names_the_key_of_a_malformed_model_file(tmp_path, kind, edit, message):

@@ -471,6 +471,24 @@ def test_trace_rejects_time_going_back(field):
         replace(tr, **{field: getattr(tr, field)[::-1]})
 
 
+@pytest.mark.parametrize(
+    "field,value,expected",
+    [
+        # a size of 0 used to be written to a CSV that load_dataset refuses
+        ("traffic_size", 0, "traffic_size sample 2 is 0, must be >= 1"),
+        ("traffic_size", -5, "traffic_size sample 2 is -5, must be >= 1"),
+        # a dir of 7 used to escape write_cohort as KeyError: 7
+        ("traffic_dir", 7, "traffic_dir sample 2 is 7, must be DIR_UL (0) or DIR_DL (1)"),
+    ],
+)
+def test_trace_rejects_bad_packets(field, value, expected):
+    tr = make_trace(10.0, packet_times=[0.5, 1.0, 2.0, 3.0])
+    arr = getattr(tr, field).copy()
+    arr[[2, 3]] = value  # a later bad sample is not the one named
+    with pytest.raises(TraceFormatError, match=rf"^trace u0/g: {re.escape(expected)}$"):
+        replace(tr, **{field: arr})
+
+
 def test_dataset_duplicate_and_missing_game():
     tr = make_trace(10.0)
     with pytest.raises(ValueError, match="duplicate"):
