@@ -139,11 +139,14 @@ class Classifier:
     def _proba(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def predict_proba(self, X) -> np.ndarray:
+    def _checked(self, X) -> np.ndarray:
+        """``X`` checked as a feature matrix for this fitted model."""
         if self.labels_ is None:
             raise ValueError(f"{self.kind} model is not fitted")
-        X = check_matrix(X, self.n_features_)
-        return self._proba(X)
+        return check_matrix(X, self.n_features_)
+
+    def predict_proba(self, X) -> np.ndarray:
+        return self._proba(self._checked(X))
 
     def predict(self, X) -> np.ndarray:
         return self.labels_[np.argmax(self.predict_proba(X), axis=1)]

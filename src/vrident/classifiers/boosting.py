@@ -219,9 +219,9 @@ class GradientBoosting(Classifier):
 
     def decision_scores(self, X) -> np.ndarray:
         """Accumulated boosting scores before the softmax, shape (n, k)."""
-        if self.labels_ is None:
-            raise ValueError("gbm model is not fitted")
-        X = np.asarray(X, dtype=np.float64)
+        return self._decision_scores(self._checked(X))
+
+    def _decision_scores(self, X: np.ndarray) -> np.ndarray:
         F = np.zeros((X.shape[0], self.labels_.shape[0]))
         for round_trees in self.trees_:
             for c, tree in enumerate(round_trees):
@@ -229,7 +229,7 @@ class GradientBoosting(Classifier):
         return F
 
     def _proba(self, X: np.ndarray) -> np.ndarray:
-        return _softmax(self.decision_scores(X))
+        return _softmax(self._decision_scores(X))
 
     def restore(self, state: dict) -> None:
         k, where = self.labels_.shape[0], "gbm model file: 'trees'"

@@ -10,7 +10,8 @@ class SoftVotingEnsemble:
     """Averages member predict_proba outputs with equal weight.
 
     Members may arrive unfitted (fit() trains each in order on the same
-    data) or already fitted (call predict_proba directly).
+    data) or already fitted (call predict_proba directly); with every member
+    fitted, ``labels_`` is set, and checked, at construction.
     Every member must expose labels_, predict_proba, and fit; after
     fitting, all label vectors must be identical or prediction refuses to
     average incompatible columns.
@@ -23,6 +24,8 @@ class SoftVotingEnsemble:
             raise ValueError(f"ensemble needs at least 2 members, got {len(members)}")
         self.members = list(members)
         self.labels_: np.ndarray | None = None
+        if all(m.labels_ is not None for m in self.members):
+            self._sync_labels()
 
     def _sync_labels(self) -> None:
         first = self.members[0].labels_

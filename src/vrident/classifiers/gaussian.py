@@ -80,9 +80,9 @@ class QuadraticDiscriminant(Classifier):
 
     def log_densities(self, X) -> np.ndarray:
         """Per-class Gaussian log-density of each row, shape (n, k)."""
-        if self.means_ is None:
-            raise ValueError("qda model is not fitted")
-        X = np.asarray(X, dtype=np.float64)
+        return self._log_densities(self._checked(X))
+
+    def _log_densities(self, X: np.ndarray) -> np.ndarray:
         d = X.shape[1]
         out = np.empty((X.shape[0], self.means_.shape[0]))
         for c in range(self.means_.shape[0]):
@@ -94,7 +94,7 @@ class QuadraticDiscriminant(Classifier):
 
     def _proba(self, X: np.ndarray) -> np.ndarray:
         # uniform prior adds a constant, which log-sum-exp cancels
-        ll = self.log_densities(X)
+        ll = self._log_densities(X)
         shifted = ll - ll.max(axis=1, keepdims=True)
         e = np.exp(shifted)
         return e / e.sum(axis=1, keepdims=True)

@@ -104,13 +104,13 @@ class LogisticOneVsRest(Classifier):
 
     def scores(self, X) -> np.ndarray:
         """Per-user sigmoid scores before normalization, shape (n, n_labels)."""
-        if self.weights_ is None:
-            raise ValueError("logistic model is not fitted")
-        X = np.asarray(X, dtype=np.float64)
+        return self._scores(self._checked(X))
+
+    def _scores(self, X: np.ndarray) -> np.ndarray:
         return _sigmoid(np.hstack([X, np.ones((X.shape[0], 1))]) @ self.weights_.T)
 
     def _proba(self, X: np.ndarray) -> np.ndarray:
-        s = self.scores(X)
+        s = self._scores(X)
         return s / s.sum(axis=1, keepdims=True)
 
     def restore(self, state: dict) -> None:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .base import Classifier, check_matrix, check_params, saved_array, saved_list, saved_object
+from .base import Classifier, check_params, saved_array, saved_list, saved_object
 
 #: (tree, walk, count) cells that one block of a forest walk descends at
 #: once, and nodes its pass for parted features stacks at once (see
@@ -387,9 +387,7 @@ class RandomForest(Classifier):
         row at step j, whatever the blocks: the same leaf values are summed
         in the same tree order as in _proba.
         """
-        if self.labels_ is None:
-            raise ValueError(f"{self.kind} model is not fitted")
-        x, baseline = check_matrix(np.stack([x, baseline]), self.n_features_)
+        x, baseline = self._checked(np.stack([x, baseline]))
         trees = self.trees_
         n_walks, d = rank.shape
         sizes = [t.feature.shape[0] for t in trees]

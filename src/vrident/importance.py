@@ -118,10 +118,12 @@ def shapley_attribution(
     A model with a ``walk_proba`` method (random forests and extra trees)
     walks without building the masked rows; every other model scores the
     rows, and ``_CHUNK_ROWS`` bounds how many it scores at once. Neither
-    choice changes a bit of the result. A non-finite baseline value or
-    value in a walked test row is reported, by row and feature name,
-    before any walk starts.
+    choice changes a bit of the result. An unfitted model is refused, and a
+    non-finite baseline value or value in a walked test row is reported, by
+    row and feature name, before any walk starts.
     """
+    if model.labels_ is None:
+        raise ValueError(f"{model.kind} model is not fitted")
     X = np.asarray(X_test, dtype=np.float64)
     y = np.asarray(y_test)
     baseline = np.asarray(baseline, dtype=np.float64)

@@ -9,9 +9,9 @@ line endings. Traffic CSV: header ``t,size_bytes,dir``; ``dir`` is exactly
 must be non-decreasing and finite in both files, and sizes fit in int64.
 Parse errors name the offending 1-based line number; files written here
 re-parse byte-identically. The writers print '%.6f' % x and '%d' % n for
-every value, encoding blocks of values with numpy (exact while
-|x| < 2**52 / 10**6, about 4.5e9) and falling back to '%' for a block that
-holds a value outside that range (see the writing section below).
+every value with a numpy block encoder, and refuse by file, data row, column
+and value what it cannot print exactly: NaN, inf, |x| * 10**6 >= 2**52 (about
+4.5e9), a size outside [1, 10**18), a dir other than DIR_UL or DIR_DL.
 
 Files of plain decimal ASCII rows are read in one ``np.loadtxt`` pass and
 every other file line by line; both readers accept the same grammar and raise
@@ -290,16 +290,14 @@ def _parse_traffic_lines(path: Path, text: str) -> tuple[np.ndarray, np.ndarray,
 # is NUL, so one boolean mask that drops the NUL bytes of a block's word
 # matrix leaves its text.
 #
-# Fallback. A block holding a value outside the kernel's exact range is
-# formatted with '%', row by row: a non-finite value, |x| * 10**6 >= 2**52
-# (|x| >= about 4.5e9), a size that is not an integer or lies outside
-# [0, 10**18), or a dir code other than DIR_UL/DIR_DL (which '%' refuses).
-# No synthetic cohort reaches it.
+# Range. A writer checks a file's values before its header and refuses all
+# but finite floats with |x| * 10**6 < 2**52, integer sizes in [1, 10**18) and
+# the dirs DIR_UL and DIR_DL. No synthetic cohort comes near these limits.
 
 #: Values per block, so that a block's word matrix stays near a megabyte.
 _BLOCK_FIELDS = 1 << 16
-_DIR_ENDINGS = {DIR_UL: ",UL\n", DIR_DL: ",DL\n"}
-_UNITS_LIMIT = 2.0**52
+#: The smallest double with |x| * 10**6 >= 2**52; 2**52 / 10**6 rounds below it.
+_FLOAT_LIMIT = 4503599627.370497
 _SIZE_LIMIT = 10**18
 
 
@@ -321,7 +319,7 @@ def _words() -> tuple[np.ndarray, dict[str, int]]:
         "head": [b".%03d" % g for g in range(1000)],
         "tail": [b"%03d," % g for g in range(1000)],
         "tail_nl": [b"%03d\n" % g for g in range(1000)],
-        "ending": [_DIR_ENDINGS[DIR_UL].encode(), _DIR_ENDINGS[DIR_DL].encode()],
+        "ending": [b",UL\n", b",DL\n"],  # DIR_UL, DIR_DL
     }
     table = np.frombuffer(b"".join(itertools.chain(*kinds.values())), dtype=np.uint32)
     return table, dict(zip(kinds, itertools.accumulate(map(len, kinds.values()), initial=0)))
@@ -340,8 +338,9 @@ def _product_error(a: np.ndarray, b: float, p: np.ndarray) -> np.ndarray:
     return ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
 
 
-def _micro_units(x: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """|round-half-even(x * 10**6)| as int64, given p = fl(x * 1e6) with |p| < 2**52."""
+def _micro_units(x: np.ndarray) -> np.ndarray:
+    """|round-half-even(x * 10**6)| as int64, for |x| < _FLOAT_LIMIT."""
+    p = x * 1e6
     n = np.rint(p)
     tie = np.flatnonzero(np.abs(p - n) == 0.5)
     if tie.size:
@@ -349,13 +348,6 @@ def _micro_units(x: np.ndarray, p: np.ndarray) -> np.ndarray:
         err = _product_error(x[tie], 1e6, pt)
         n[tie] = np.where(err > 0, pt + 0.5, np.where(err < 0, pt - 0.5, n[tie]))
     return np.abs(n).astype(np.int64)
-
-
-def _scaled(x: np.ndarray) -> np.ndarray | None:
-    """fl(x * 1e6), or None when some |x| * 10**6 >= 2**52 or is NaN."""
-    with np.errstate(over="ignore"):
-        p = x * 1e6
-    return p if (np.abs(p) < _UNITS_LIMIT).all() else None
 
 
 def _word_count(v: np.ndarray) -> int:
@@ -395,17 +387,9 @@ def _text(idx: np.ndarray) -> bytes:
     return printed[printed != 0].tobytes()
 
 
-def _movement_rows_by_percent(rows: np.ndarray) -> str:
-    row_format = ",".join(["%.6f"] * rows.shape[1]) + "\n"
-    return "".join([row_format % tuple(row) for row in rows.tolist()])
-
-
-def _movement_block(rows: np.ndarray) -> bytes | str:
+def _movement_block(rows: np.ndarray) -> bytes:
     fields = rows.ravel()
-    p = _scaled(fields)
-    if p is None:
-        return _movement_rows_by_percent(rows)
-    whole, frac = np.divmod(_micro_units(fields, p), 10**6)
+    whole, frac = np.divmod(_micro_units(fields), 10**6)
     n_words = _word_count(whole)
     idx = np.empty((fields.size, n_words + 2), dtype=np.intp)
     _put_integer(idx, n_words, whole, np.signbit(fields), n_words)
@@ -415,53 +399,77 @@ def _movement_block(rows: np.ndarray) -> bytes | str:
     return _text(idx)
 
 
-def write_movement_csv(path: str | Path, movement_t: np.ndarray, movement: np.ndarray) -> None:
-    step = max(1, _BLOCK_FIELDS // (1 + movement.shape[1]))
-
-    def chunks():
-        yield MOVEMENT_HEADER + "\n"
-        for a in range(0, len(movement_t), step):
-            rows = np.column_stack((movement_t[a : a + step], movement[a : a + step]))
-            yield _movement_block(rows)
-
-    atomic_write_text(path, chunks())
-
-
-def _traffic_rows_by_percent(t: np.ndarray, size: np.ndarray, direction: np.ndarray) -> str:
-    endings = [_DIR_ENDINGS[d] for d in direction.tolist()]
-    return "".join(map("%.6f,%d%s".__mod__, zip(t.tolist(), size.tolist(), endings)))
-
-
-def _traffic_block(t: np.ndarray, size: np.ndarray, direction: np.ndarray) -> bytes | str:
-    p = _scaled(t)
-    ul = direction == DIR_UL
-    if not (
-        p is not None
-        and size.dtype.kind in "iu"
-        and ((size >= 0) & (size < _SIZE_LIMIT)).all()
-        and (ul | (direction == DIR_DL)).all()
-    ):
-        return _traffic_rows_by_percent(t, size, direction)
-    whole, frac = np.divmod(_micro_units(t, p), 10**6)
+def _traffic_block(t: np.ndarray, size: np.ndarray, direction: np.ndarray) -> bytes:
+    whole, frac = np.divmod(_micro_units(t), 10**6)
     t_words, size_words = _word_count(whole), _word_count(size)
     idx = np.empty((t.size, t_words + size_words + 3), dtype=np.intp)
     _put_integer(idx, t_words, whole, np.signbit(t), t_words)
     _put_fraction(idx, t_words, frac)
     _put_integer(idx, t_words + 2 + size_words, size, False, size_words)
-    idx[:, -1] = _words()[1]["ending"] + ~ul
+    idx[:, -1] = _words()[1]["ending"] + (direction == DIR_DL)
     return _text(idx)
+
+
+#: what a size or dir must be, as a refusal says it
+_RULES = {"size_bytes": "an integer in [1, 10**18)", "dir": "the integer DIR_UL or DIR_DL"}
+
+
+def _writable(name: str, v: np.ndarray) -> np.ndarray:
+    """Which values of ``v``, in column ``name``, the writers take: each
+    column's range is an interval (DIR_UL and DIR_DL are 0 and 1)."""
+    if name in _RULES:
+        lo, hi = (1, _SIZE_LIMIT - 1) if name == "size_bytes" else (DIR_UL, DIR_DL)
+        return (v >= lo) & (v <= hi) & (v.dtype.kind in "iu")
+    return np.abs(v) < _FLOAT_LIMIT
+
+
+def _refuse_unwritable(path: Path, header: str, *blocks: np.ndarray) -> None:
+    """Raise, naming the first data row and column, when ``blocks`` (a file's
+    columns in ``header`` order, 1-D or several to a 2-D block) hold a value
+    the writers do not take."""
+    names = header.split(",")
+    starts = itertools.accumulate((1 if b.ndim == 1 else b.shape[1] for b in blocks), initial=0)
+    # a block's extremes settle an interval (a NaN is its own extreme)
+    extremes = (np.array([b.min(), b.max()]) if b.size else b for b in blocks)
+    if all(_writable(names[a], e).all() for a, e in zip(starts, extremes)):
+        return
+    columns = [c for b in blocks for c in b.reshape(len(b), -1).T]
+    ok = np.column_stack([_writable(n, c) for n, c in zip(names, columns)])
+    row, col = np.argwhere(~ok)[0]
+    name, value = names[col], columns[col][row].item()
+    rule = _RULES.get(name, "below 2**52 / 10**6 in magnitude")
+    why = f"value {value!r} in column {name} is not {rule}"
+    if name not in _RULES and not math.isfinite(value):
+        why = f"non-finite value {value!r} in column {name}"
+    raise TraceFormatError(f"{path}: data row {row + 1}: {why}; nothing was written")
+
+
+def _movement_text(movement_t: np.ndarray, movement: np.ndarray) -> Iterable[str | bytes]:
+    step = max(1, _BLOCK_FIELDS // (1 + movement.shape[1]))
+    yield MOVEMENT_HEADER + "\n"
+    for a in range(0, len(movement_t), step):
+        yield _movement_block(np.column_stack((movement_t[a : a + step], movement[a : a + step])))
+
+
+def _traffic_text(t: np.ndarray, size: np.ndarray, direction: np.ndarray) -> Iterable[str | bytes]:
+    yield TRAFFIC_HEADER + "\n"
+    for a in range(0, len(t), _BLOCK_FIELDS):
+        b = a + _BLOCK_FIELDS
+        yield _traffic_block(t[a:b], size[a:b], direction[a:b])
+
+
+def write_movement_csv(path: str | Path, movement_t: np.ndarray, movement: np.ndarray) -> None:
+    """Write a movement CSV, or refuse its first unwritable value and write nothing."""
+    _refuse_unwritable(Path(path), MOVEMENT_HEADER, movement_t, movement)
+    atomic_write_text(path, _movement_text(movement_t, movement))
 
 
 def write_traffic_csv(
     path: str | Path, traffic_t: np.ndarray, traffic_size: np.ndarray, traffic_dir: np.ndarray
 ) -> None:
-    def chunks():
-        yield TRAFFIC_HEADER + "\n"
-        for a in range(0, len(traffic_t), _BLOCK_FIELDS):
-            b = a + _BLOCK_FIELDS
-            yield _traffic_block(traffic_t[a:b], traffic_size[a:b], traffic_dir[a:b])
-
-    atomic_write_text(path, chunks())
+    """Write a traffic CSV, or refuse its first unwritable value and write nothing."""
+    _refuse_unwritable(Path(path), TRAFFIC_HEADER, traffic_t, traffic_size, traffic_dir)
+    atomic_write_text(path, _traffic_text(traffic_t, traffic_size, traffic_dir))
 
 
 # ---- manifest ---------------------------------------------------------------
@@ -592,26 +600,13 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
     return Dataset(traces=traces, game_categories=dict(man.games))
 
 
-def _refuse_non_finite(path: Path, header: str, *columns: np.ndarray) -> None:
-    """Raise, naming row and column, when ``columns`` (blocks in ``header``
-    order) hold a value the reader would refuse."""
-    if all(np.isfinite(c).all() for c in columns):
-        return
-    rows = np.column_stack(columns)
-    row, col = np.argwhere(~np.isfinite(rows))[0]
-    raise TraceFormatError(
-        f"{path}: data row {row + 1}: non-finite value {float(rows[row, col])!r} "
-        f"in column {header.split(',')[col]}; nothing was written"
-    )
-
-
 def write_cohort(dataset: Dataset, out_dir: str | Path) -> Path:
     """Write every trace as CSV pairs plus a manifest.json listing them in
     ``dataset.traces`` order; returns its path.
 
-    A non-finite movement value or timestamp, which the reader would refuse,
-    and an id that would name a file outside ``out_dir`` are refused before
-    any file is written.
+    A value the writers do not take (see the module docstring) and an id
+    that would name a file outside ``out_dir`` are refused before any file
+    or directory is written.
     """
     out = Path(out_dir)
     for tr in dataset.traces:
@@ -619,15 +614,17 @@ def write_cohort(dataset: Dataset, out_dir: str | Path) -> Path:
             if _escapes_dir(id_):
                 raise TraceFormatError(f"{name} id {id_!r} {_PATH_RULE}; nothing was written")
         stem = f"{tr.user_id}_{tr.game_id}"
-        movement_csv = out / f"{stem}_movement.csv"
-        _refuse_non_finite(movement_csv, MOVEMENT_HEADER, tr.movement_t, tr.movement)
-        _refuse_non_finite(out / f"{stem}_traffic.csv", TRAFFIC_HEADER, tr.traffic_t)
+        traffic = (tr.traffic_t, tr.traffic_size, tr.traffic_dir)
+        _refuse_unwritable(out / f"{stem}_movement.csv", MOVEMENT_HEADER, tr.movement_t, tr.movement)
+        _refuse_unwritable(out / f"{stem}_traffic.csv", TRAFFIC_HEADER, *traffic)
     out.mkdir(parents=True, exist_ok=True)
     traces = []
     for tr in dataset.traces:
         stem = f"{tr.user_id}_{tr.game_id}"
-        write_movement_csv(out / f"{stem}_movement.csv", tr.movement_t, tr.movement)
-        write_traffic_csv(out / f"{stem}_traffic.csv", tr.traffic_t, tr.traffic_size, tr.traffic_dir)
+        # every value was checked before out was made
+        atomic_write_text(out / f"{stem}_movement.csv", _movement_text(tr.movement_t, tr.movement))
+        traffic = (tr.traffic_t, tr.traffic_size, tr.traffic_dir)
+        atomic_write_text(out / f"{stem}_traffic.csv", _traffic_text(*traffic))
         traces.append(
             {
                 "user_id": tr.user_id,

@@ -108,6 +108,25 @@ def test_unfitted_predict_is_an_error():
         RandomForest().predict_proba(np.zeros((1, 2)))
 
 
+@pytest.mark.parametrize(
+    "kind,scorer", [("logistic", "scores"), ("qda", "log_densities"), ("gbm", "decision_scores")]
+)
+def test_scorers_check_their_matrix_like_predict_proba(kind, scorer):
+    X, y = blobs(seed=61)
+    with pytest.raises(ValueError, match=f"^{kind} model is not fitted$"):
+        getattr(cheap_model(kind), scorer)(X)
+    score = getattr(cheap_model(kind).fit(X, y), scorer)
+    with pytest.raises(ValueError, match="^expected 2 features, got 9$"):
+        score(np.zeros((3, 9)))
+    with pytest.raises(ValueError, match="^expected 2 features, got 1$"):
+        score(np.zeros((3, 1)))
+    bad = X[:3].copy()
+    bad[1, 0] = np.nan
+    with pytest.raises(ValueError, match="^feature matrix contains non-finite values$"):
+        score(bad)
+    assert score(X[:3].tolist()).shape == (3, 3)
+
+
 def test_labels_sorted_at_fit():
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
     y = np.array(["zeta", "alpha", "zeta", "alpha"])
@@ -674,6 +693,16 @@ def test_ensemble_rejects_label_mismatch():
     ]
     with pytest.raises(ValueError, match="different labels"):
         SoftVotingEnsemble(members).predict_proba(np.zeros((1, 1)))
+
+
+def test_ensemble_of_fitted_members_has_labels_at_construction():
+    X, y = blobs(seed=59)
+    members = [LogisticOneVsRest().fit(X, y), QuadraticDiscriminant().fit(X, y)]
+    assert np.array_equal(SoftVotingEnsemble(members).labels_, members[0].labels_)
+    assert SoftVotingEnsemble([LogisticOneVsRest(), members[1]]).labels_ is None
+    other = QuadraticDiscriminant().fit(X, np.where(y == "user0", "user9", y))
+    with pytest.raises(ValueError, match="member 1 was fitted on different labels"):
+        SoftVotingEnsemble([members[0], other])
 
 
 def test_ensemble_needs_two_members():

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from vrident.classifiers import make_model
+from vrident.classifiers import SoftVotingEnsemble, make_model
 from vrident.features import MinMaxScaler, build_features, feature_names
 from vrident.importance import (
     AttributionResult,
@@ -251,6 +251,31 @@ def test_exact_enumeration_refuses_wide_matrices():
     model.labels_ = np.array([0, 1])
     with pytest.raises(ValueError, match="at most 7 features"):
         shapley_attribution(model, np.ones((1, 8)), np.array([1]), np.zeros(8), method="exact")
+
+
+def test_unfitted_model_is_refused_before_any_work():
+    model = make_model("extra_trees")
+    with pytest.raises(ValueError, match="^extra_trees model is not fitted$"):
+        shapley_attribution(model, np.ones((1, 2)), np.array([1]), np.zeros(2))
+    # refused ahead of the argument checks, which would name the baseline
+    with pytest.raises(ValueError, match="^ensemble model is not fitted$"):
+        shapley_attribution(
+            make_model("ensemble"), np.ones((1, 2)), np.array([1]), np.zeros(3)
+        )
+
+
+def test_ensemble_of_fitted_members_attributes_before_any_predict():
+    rng = np.random.default_rng(5)
+    X = np.vstack([rng.normal(0.0, 1.0, (10, 3)), rng.normal(2.0, 1.0, (10, 3))])
+    y = np.repeat([0, 1], 10)
+    members = [make_model(kind).fit(X, y) for kind in ("logistic", "qda")]
+    args = (X[[0, 15]], y[[0, 15]], X.mean(axis=0))
+    fresh = shapley_attribution(SoftVotingEnsemble(members), *args, n_permutations=4)
+    used = SoftVotingEnsemble(members)
+    used.predict(X[:1])
+    again = shapley_attribution(used, *args, n_permutations=4)
+    assert np.array_equal(fresh.per_instance, again.per_instance)
+    assert np.abs(fresh.efficiency_gap).max() < 1e-12
 
 
 # ---- ranking and output --------------------------------------------------------

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -281,6 +282,63 @@ def test_write_cohort_refuses_non_finite_before_writing(tmp_path, kind, index, s
     with pytest.raises(TraceFormatError, match=expected):
         write_cohort(ds, out)
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "kind,index,value,stream,row,column",
+    [
+        ("movement", (4, 8), 5e9, "movement", 5, "left_py"),
+        ("traffic_size", 6, 10**18, "traffic", 7, "size_bytes"),
+        ("traffic_dir", 6, 7, "traffic", 7, "dir"),
+    ],
+)
+def test_write_cohort_refuses_unwritable_values_before_writing(
+    tmp_path, kind, index, value, stream, row, column
+):
+    ds = generate_synthetic_cohort(2, minutes=0.5, seed=13)
+    array = getattr(ds.traces[1], kind)
+    array.flags.writeable = True  # a trace's arrays are read-only views
+    array[index] = value  # in place, past Trace's own checks
+    out = tmp_path / "cohort"
+    expected = f"user01_game_a_{stream}.csv: data row {row}: value {value!r} in column {column} is not "
+    with pytest.raises(TraceFormatError, match=re.escape(expected)) as err:
+        write_cohort(ds, out)
+    assert str(err.value).endswith("; nothing was written")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "t,size,direction,row,message",
+    [
+        ([0.0], [0], [DIR_UL], 1, "value 0 in column size_bytes is not an integer in [1, 10**18)"),
+        ([0.0, 1.0], [5, 5], [DIR_UL, 7], 2, "value 7 in column dir is not the integer DIR_UL or DIR_DL"),
+        ([0.0, 5e9], [5, 5], [DIR_UL] * 2, 2, "value 5000000000.0 in column t is not below 2**52 / 10**6"),
+        ([float("inf")], [5], [DIR_DL], 1, "non-finite value inf in column t"),
+        ([0.0], [2.0], [DIR_DL], 1, "value 2.0 in column size_bytes is not an integer in [1, 10**18)"),
+    ],
+    ids=["size-0", "dir-7", "t-5e9", "t-inf", "size-float"],
+)
+def test_traffic_writer_refuses_unwritable_values_by_name(tmp_path, t, size, direction, row, message):
+    path = tmp_path / "t.csv"
+    with pytest.raises(TraceFormatError) as err:
+        write_traffic_csv(path, np.array(t), np.array(size), np.array(direction))
+    assert str(err.value).startswith(f"{path}: data row {row}: {message}")
+    assert str(err.value).endswith("; nothing was written")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", [-4503599627.370497, float("nan"), 1e300])
+def test_movement_writer_refuses_unwritable_values_by_name(tmp_path, value):
+    path = tmp_path / "m.csv"
+    path.write_text("kept\n")  # a refused write leaves what was there
+    movement = np.zeros((3, 21))
+    movement[2, 20] = value
+    with pytest.raises(TraceFormatError) as err:
+        write_movement_csv(path, np.arange(3.0), movement)
+    assert str(err.value).startswith(f"{path}: data row 3: ")
+    assert f"value {value!r} in column right_qz" in str(err.value)
+    assert path.read_text() == "kept\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["m.csv"]
 
 
 # ---- manifest ----

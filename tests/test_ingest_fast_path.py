@@ -5,15 +5,19 @@
 references below are those per-line parsers as standalone functions: on
 every file, valid or corrupted with hostile tokens, both must return arrays
 equal byte for byte or raise the same ``TraceFormatError`` message. The
-writers print blocks of values with a numpy encoder, or with '%' where a
-block holds a value the encoder cannot take exactly; the references format
-each value with an f-string, and both must write the same bytes.
+writers print blocks of values with a numpy encoder and refuse a value it
+cannot print exactly; the references format each value with an f-string.
+Both must write the same bytes for a file of writable values, and the
+writers must refuse any other file by the row, column and value of its first
+unwritable value, leaving no file.
 """
 from __future__ import annotations
 
 import hashlib
 import math
+import re
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -362,17 +366,55 @@ EDGE_FLOATS = [
 write_floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(width=64))
 
 
+def _first_unwritable(header, *arrays):
+    """(data row, column name, value) of the first value, row by row, that the
+    writers do not take, or None: a float must be finite with
+    |x| * 10**6 < 2**52 (exactly), a size an integer in [1, 10**18), a dir
+    DIR_UL or DIR_DL."""
+    names = header.split(",")
+    parts = [np.reshape(a, (len(a), -1 if len(a) else 1)).tolist() for a in arrays]
+    for row, cells in enumerate(sum(pieces, []) for pieces in zip(*parts)):
+        for name, v in zip(names, cells):
+            if name == "size_bytes":
+                ok = isinstance(v, int) and 1 <= v < 10**18
+            elif name == "dir":
+                ok = v in (DIR_UL, DIR_DL)
+            else:
+                ok = math.isfinite(v) and abs(Fraction(v)) * 10**6 < 2**52
+            if not ok:
+                return row, name, v
+    return None
+
+
+def check_writer(writer, reference, header, *arrays):
+    """``writer`` must write the f-string reference's bytes for writable
+    ``arrays`` and otherwise refuse the first unwritable value by name,
+    leaving nothing in the directory."""
+    bad = _first_unwritable(header, *arrays)
+    with tempfile.TemporaryDirectory() as tmp:
+        a, b = Path(tmp) / "a.csv", Path(tmp) / "b.csv"
+        if bad is None:
+            writer(a, *arrays)
+            reference(b, *arrays)
+            assert a.read_bytes() == b.read_bytes()
+            return
+        row, name, value = bad
+        with pytest.raises(TraceFormatError) as err:
+            writer(a, *arrays)
+        message = str(err.value)
+        assert message.startswith(f"{a}: data row {row + 1}: ")
+        assert f"value {value!r} in column {name}" in message
+        assert message.endswith("; nothing was written")
+        assert not any(Path(tmp).iterdir())
+
+
 @settings(max_examples=150, deadline=None)
 @given(n=st.integers(0, 6), data=st.data())
 def test_movement_writer_matches_fstring_writer(n, data):
     t = np.array(data.draw(st.lists(write_floats, min_size=n, max_size=n)))
     cells = data.draw(st.lists(write_floats, min_size=21 * n, max_size=21 * n))
     mv = np.array(cells).reshape(n, 21)
-    with tempfile.TemporaryDirectory() as tmp:
-        a, b = Path(tmp) / "a.csv", Path(tmp) / "b.csv"
-        write_movement_csv(a, t, mv)
-        reference_write_movement(b, t, mv)
-        assert a.read_bytes() == b.read_bytes()
+    check_writer(write_movement_csv, reference_write_movement, MOVEMENT_HEADER, t, mv)
 
 
 @settings(max_examples=150, deadline=None)
@@ -387,16 +429,12 @@ def test_traffic_writer_matches_fstring_writer(n, data):
         data.draw(st.lists(st.sampled_from([DIR_UL, DIR_DL]), min_size=n, max_size=n)),
         dtype=np.uint8,
     )
-    with tempfile.TemporaryDirectory() as tmp:
-        a, b = Path(tmp) / "a.csv", Path(tmp) / "b.csv"
-        write_traffic_csv(a, t, sizes, dirs)
-        reference_write_traffic(b, t, sizes, dirs)
-        assert a.read_bytes() == b.read_bytes()
+    check_writer(write_traffic_csv, reference_write_traffic, TRAFFIC_HEADER, t, sizes, dirs)
 
 
 # ---- the block encoder ----------------------------------------------------------
 
-UNITS_EDGE = 2**52 / 1e6  # beyond it, a block goes to the '%' fallback
+UNITS_EDGE = 2**52 / 1e6  # beyond it, the writers refuse a value
 # values the encoder prints itself: k / 2**7 are exact ties of x * 10**6,
 # (j + 0.5) / 10**6 round to doubles on either side of one
 kernel_floats = st.one_of(
@@ -413,9 +451,9 @@ straddling_floats = st.one_of(
     st.sampled_from([np.nextafter(UNITS_EDGE, 0), np.nextafter(-UNITS_EDGE, 0), UNITS_EDGE]),
 )
 kernel_sizes = st.one_of(
-    st.integers(0, 10**18 - 1),
+    st.integers(1, 10**18 - 1),
     st.integers(10**18 - 10, 10**18 - 1),
-    st.integers(0, 100_000),
+    st.integers(1, 100_000),
 )
 
 
@@ -456,55 +494,59 @@ def test_encoder_edges_match_fstring_writer(t, sizes):
     t = np.array(t)
     size = np.array(sizes[: len(t)], dtype=np.int64)
     dirs = np.zeros(len(t), dtype=np.uint8)
-    tr_args = (t, size, dirs)
-    assert _written_by(write_traffic_csv, *tr_args) == _written_by(reference_write_traffic, *tr_args)
-    mv_args = (t, np.repeat(t[:, None], 21, axis=1))
-    assert _written_by(write_movement_csv, *mv_args) == _written_by(
-        reference_write_movement, *mv_args
-    )
+    check_writer(write_traffic_csv, reference_write_traffic, TRAFFIC_HEADER, t, size, dirs)
+    mv = np.repeat(t[:, None], 21, axis=1)
+    check_writer(write_movement_csv, reference_write_movement, MOVEMENT_HEADER, t, mv)
 
 
-def test_blocks_mix_the_encoder_and_the_fallback(tmp_path, monkeypatch):
+def test_a_later_block_is_refused_before_any_block_is_encoded(tmp_path, monkeypatch):
     monkeypatch.setattr(ingest, "_BLOCK_FIELDS", 3 * 22)  # 3 movement rows, 66 packets
-    calls = {"movement": 0, "traffic": 0}
+    encoded = []
 
-    def counted(kind, fallback):
+    def counted(block):
         def run(*args):
-            calls[kind] += 1
-            return fallback(*args)
+            encoded.append(block.__name__)
+            return block(*args)
 
         return run
 
-    monkeypatch.setattr(
-        ingest, "_movement_rows_by_percent", counted("movement", ingest._movement_rows_by_percent)
-    )
-    monkeypatch.setattr(
-        ingest, "_traffic_rows_by_percent", counted("traffic", ingest._traffic_rows_by_percent)
-    )
+    for block in (ingest._movement_block, ingest._traffic_block):
+        monkeypatch.setattr(ingest, block.__name__, counted(block))
     rng = np.random.default_rng(11)
-    mv = rng.normal(0.0, 2.0, (10, 21))
-    mv[4, 7], mv[9, 0] = 1e300, float("nan")  # blocks 1 and 3 of 4 fall back
     t = np.arange(10) / 60.0
-    assert _written_by(write_movement_csv, t, mv) == _written_by(reference_write_movement, t, mv)
-    assert calls["movement"] == 2
+    mv = rng.normal(0.0, 2.0, (10, 21))
+    mv[9, 0] = 1e300  # in the last of 4 blocks
+    path = tmp_path / "m.csv"
+    message = f"{path}: data row 10: value 1e+300 in column head_px is not below 2**52 / 10**6"
+    with pytest.raises(TraceFormatError, match=re.escape(message)):
+        write_movement_csv(path, t, mv)
     tt = np.sort(rng.uniform(0.0, 1e9, 200))
     size = rng.integers(1, 1500, 200)
     dirs = rng.integers(0, 2, 200).astype(np.uint8)
-    size[70] = -1  # block 1 of 4 falls back
-    tt[150] = 5e9  # and so does block 2
+    for index, column, array, value in (
+        (150, "t", tt, 5e9),
+        (70, "size_bytes", size, 10**18),
+        (190, "dir", dirs, 7),
+    ):
+        bad = array.copy()
+        bad[index] = value
+        args = [bad if a is array else a for a in (tt, size, dirs)]
+        path = tmp_path / "t.csv"
+        message = f"{path}: data row {index + 1}: value {value!r} in column {column} is not "
+        with pytest.raises(TraceFormatError, match=re.escape(message)):
+            write_traffic_csv(path, *args)
+    assert encoded == []
+    assert list(tmp_path.iterdir()) == []
+    # the same arrays, mended, go through every block
+    mv[9, 0] = 0.5
+    assert _written_by(write_movement_csv, t, mv) == _written_by(reference_write_movement, t, mv)
     args = (tt, size, dirs)
     assert _written_by(write_traffic_csv, *args) == _written_by(reference_write_traffic, *args)
-    assert calls["traffic"] == 2
+    assert encoded == ["_movement_block"] * 4 + ["_traffic_block"] * 4
 
 
-def test_synth_cohorts_never_reach_the_percent_fallback(tmp_path, monkeypatch):
+def test_synth_cohorts_write_the_fstring_bytes(tmp_path):
     ds = generate_synthetic_cohort(3, minutes=0.2, seed=5)
-
-    def refuse(*args):
-        raise AssertionError("a synth trace left the block encoder")
-
-    monkeypatch.setattr(ingest, "_movement_rows_by_percent", refuse)
-    monkeypatch.setattr(ingest, "_traffic_rows_by_percent", refuse)
     write_cohort(ds, tmp_path)
     for tr in ds.traces:
         stem = tmp_path / f"{tr.user_id}_{tr.game_id}"
