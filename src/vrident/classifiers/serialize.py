@@ -96,9 +96,7 @@ def _model_from(state):
     if kind == "ensemble":
         saved_object("ensemble model file", state, ("kind", "members"))
         members = saved_list("ensemble model file: 'members'", state["members"])
-        ens = SoftVotingEnsemble([_model_from(m) for m in members])
-        ens._sync_labels()
-        return ens
+        return SoftVotingEnsemble([_model_from(m) for m in members])
     if not isinstance(kind, str) or kind not in MODEL_CLASSES:
         raise ValueError(f"unknown model kind {kind!r}")
     cls = MODEL_CLASSES[kind]

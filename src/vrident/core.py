@@ -12,8 +12,12 @@ Array conventions: movement data is stored as an (n, 21) float array whose
 columns follow MOVEMENT_CHANNELS (head, left controller, right controller;
 position xyz then quaternion wxyz for each). Packet data is three parallel
 arrays (time, size, direction) with direction encoded as DIR_UL / DIR_DL.
-Both streams' timestamps are finite and non-decreasing. A cohort
-(``Dataset``) is a list of traces, each carrying its user and game ids.
+Both streams' timestamps are non-decreasing. A cohort (``Dataset``) is a
+list of traces, each carrying its user and game ids.
+
+This module holds the whole value contract of a cohort: ``Trace.check`` and
+``Dataset`` refuse, by name, every value a cohort file cannot hold, so
+``ingest`` only reads and writes.
 """
 from __future__ import annotations
 
@@ -75,20 +79,37 @@ class SplitError(ValueError):
     """A trace cannot satisfy the requested train/test layout."""
 
 
-def _read_only(values, dtype) -> np.ndarray:
-    view = np.asarray(values, dtype=dtype).view()
-    view.flags.writeable = False
-    return view
+#: The game categories a cohort tags its games with.
+GAME_CATEGORIES = ("fast", "slow")
 
+# What a cohort file can hold. The trace CSVs print every float as '%.6f' does,
+# which is exact only while |x| * 10**6 < 2**52, and every size as '%d'; the
+# reader takes dirs UL and DL only and a manifest's duration_s only when > 0.
+# A Trace refuses everything else, so any trace that constructs can be written
+# and read back.
 
-#: Trace's array fields and their dtypes
+#: The smallest double with |x| * 10**6 >= 2**52; 2**52 / 10**6 rounds below it.
+_FLOAT_LIMIT = 4503599627.370497
+_SIZE_LIMIT = 10**18
+_FLOAT_RULE = "below 2**52 / 10**6 in magnitude"
+
+#: Trace's array fields: dtype, the open interval that holds their values,
+#: and what a refusal says a value must be
 _TRACE_ARRAYS = {
-    "movement_t": np.float64,
-    "movement": np.float64,
-    "traffic_t": np.float64,
-    "traffic_size": np.int64,
-    "traffic_dir": np.uint8,
+    "movement_t": (np.float64, -_FLOAT_LIMIT, _FLOAT_LIMIT, _FLOAT_RULE),
+    "movement": (np.float64, -_FLOAT_LIMIT, _FLOAT_LIMIT, _FLOAT_RULE),
+    "traffic_t": (np.float64, -_FLOAT_LIMIT, _FLOAT_LIMIT, _FLOAT_RULE),
+    "traffic_size": (np.int64, 0, _SIZE_LIMIT, "an integer in [1, 10**18)"),
+    "traffic_dir": (np.uint8, DIR_UL - 1, DIR_DL + 1, f"DIR_UL ({DIR_UL}) or DIR_DL ({DIR_DL})"),
 }
+
+#: what an id must not hold: a cohort names each trace's CSVs
+#: ``<user>_<game>_...``, and a separator would put them in another directory
+_PATH_RULE = "must not contain '/', '\\' or NUL"
+
+
+def _escapes_dir(id_: str) -> bool:
+    return any(c in id_ for c in "/\\\0")
 
 
 @dataclass
@@ -98,10 +119,8 @@ class Trace:
     Timestamps are re-based so t=0 is the earliest event across both streams
     (see :meth:`assemble`). ``duration_s`` is the capture length used for
     windowing; it may exceed the last timestamp (a 600 s capture's final
-    movement sample sits at 599.98333 s). Each stream's timestamps must be
-    non-decreasing; TraceFormatError names the first sample that goes back.
-    Packet sizes must be >= 1 and directions DIR_UL or DIR_DL, as the
-    traffic CSV requires; TraceFormatError names the first sample that is not.
+    movement sample sits at 599.98333 s). A trace holds only what a cohort
+    file can hold; :meth:`check` lists the rules.
 
     The arrays are read-only views of the ones given (converted first when
     their dtype differs); the caller's arrays keep their own write flags,
@@ -124,8 +143,8 @@ class Trace:
     _features: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for name, dtype in _TRACE_ARRAYS.items():
-            setattr(self, name, _read_only(getattr(self, name), dtype))
+        for name in _TRACE_ARRAYS:
+            setattr(self, name, self._read_only(name, getattr(self, name)))
         if self.movement.ndim != 2 or self.movement.shape[1] != len(MOVEMENT_CHANNELS):
             raise TraceFormatError(
                 f"movement array must be (n, {len(MOVEMENT_CHANNELS)}), got {self.movement.shape}"
@@ -134,21 +153,59 @@ class Trace:
             raise TraceFormatError("movement timestamps and rows disagree in length")
         if not (self.traffic_t.shape[0] == self.traffic_size.shape[0] == self.traffic_dir.shape[0]):
             raise TraceFormatError("traffic arrays disagree in length")
+        self.check()
+
+    def _read_only(self, name: str, values) -> np.ndarray:
+        """``values`` as a read-only view of ``name``'s dtype; a value that the
+        conversion to an integer dtype would change is refused as given."""
+        dtype = _TRACE_ARRAYS[name][0]
+        given = np.asarray(values)
+        with np.errstate(invalid="ignore"):  # NaN and inf cast to int
+            view = given.astype(dtype, copy=False).view()
+        if view.dtype.kind in "iu" and given.dtype != view.dtype:
+            changed = np.argwhere(view != given)
+            if changed.size:
+                self._refuse(name, given, changed[0])
+        view.flags.writeable = False
+        return view
+
+    def _refuse(self, name: str, values: np.ndarray, index) -> None:
+        index = tuple(index)
+        channel = f", channel {MOVEMENT_CHANNELS[index[1]]}," if len(index) == 2 else ""
+        value = values[index].item()
+        why = f"is {value!r}, must be {_TRACE_ARRAYS[name][3]}"
+        if isinstance(value, float) and not math.isfinite(value):
+            why = f"is not finite ({value!r})"
+        raise TraceFormatError(
+            f"trace {self.user_id}/{self.game_id}: {name} sample {index[0]}{channel} {why}"
+        )
+
+    def check(self) -> None:
+        """Refuse what a cohort file cannot hold, naming the trace, and the
+        sample, channel and value: an id that is not a str or that holds '/',
+        '\\' or NUL; a ``duration_s`` that is not a finite int or float > 0
+        (a bool is not); a float that is not finite with |x| * 10**6 < 2**52
+        (about 4.5e9); a size outside [1, 10**18); a dir other than DIR_UL or
+        DIR_DL; a stream whose timestamps go back.
+
+        Construction runs it; ``ingest.write_cohort`` runs it again, because
+        a caller can make the arrays writable and change them in place.
+        """
+        for name in ("user_id", "game_id"):
+            id_ = getattr(self, name)
+            if not isinstance(id_, str) or _escapes_dir(id_):
+                where = f"trace {self.user_id!r}/{self.game_id!r}"
+                raise TraceFormatError(f"{where}: {name} must be a str and {_PATH_RULE}")
         where = f"trace {self.user_id}/{self.game_id}"
-        if not (math.isfinite(self.duration_s) and self.duration_s >= 0):
-            raise TraceFormatError(
-                f"{where}: duration_s must be a finite number >= 0, got {float(self.duration_s)!r}"
-            )
-        for name in ("movement_t", "traffic_t", "movement"):
+        d = self.duration_s
+        # a manifest holds it as a JSON number, and takes no bool
+        if isinstance(d, bool) or not isinstance(d, (int, float)) or not 0 < d < math.inf:
+            raise TraceFormatError(f"{where}: duration_s must be a finite number > 0, got {d!r}")
+        for name, (_, lo, hi, _) in _TRACE_ARRAYS.items():
             values = getattr(self, name)
-            finite = np.isfinite(values)
-            if not finite.all():
-                bad = tuple(np.argwhere(~finite)[0])
-                channel = f", channel {MOVEMENT_CHANNELS[bad[1]]}," if values.ndim == 2 else ""
-                raise TraceFormatError(
-                    f"{where}: {name} sample {bad[0]}{channel} is not finite "
-                    f"({float(values[bad])!r})"
-                )
+            # the extremes settle an interval, and a NaN is its own extreme
+            if values.size and not (lo < values.min() and values.max() < hi):
+                self._refuse(name, values, np.argwhere(~((values > lo) & (values < hi)))[0])
         for name in ("movement_t", "traffic_t"):
             t = getattr(self, name)
             back = np.flatnonzero(t[1:] < t[:-1])
@@ -156,27 +213,14 @@ class Trace:
                 raise TraceFormatError(
                     f"{where}: {name} goes back in time at sample {int(back[0]) + 1}"
                 )
-        small = np.flatnonzero(self.traffic_size < 1)
-        if small.size:
-            i = int(small[0])
-            raise TraceFormatError(
-                f"{where}: traffic_size sample {i} is {int(self.traffic_size[i])}, must be >= 1"
-            )
-        odd = np.flatnonzero((self.traffic_dir != DIR_UL) & (self.traffic_dir != DIR_DL))
-        if odd.size:
-            i = int(odd[0])
-            raise TraceFormatError(
-                f"{where}: traffic_dir sample {i} is {int(self.traffic_dir[i])}, "
-                f"must be DIR_UL ({DIR_UL}) or DIR_DL ({DIR_DL})"
-            )
 
     def __getstate__(self) -> dict:
         return {**self.__dict__, "_features": {}}
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        for name, dtype in _TRACE_ARRAYS.items():
-            setattr(self, name, _read_only(state[name], dtype))
+        for name in _TRACE_ARRAYS:
+            setattr(self, name, self._read_only(name, state[name]))
 
     @classmethod
     def assemble(
@@ -231,6 +275,22 @@ class Dataset:
     game_categories: dict[str, str]
 
     def __post_init__(self) -> None:
+        self.check()
+
+    def check(self) -> None:
+        """Refuse what a manifest cannot hold: no traces, a game id that fails
+        the trace id rule, a category not in GAME_CATEGORIES, a trace whose
+        game has no category, two traces of one (user, game). Construction
+        runs it, and ``ingest.write_cohort`` runs it again."""
+        if not self.traces:
+            raise ValueError("a cohort needs at least one trace")
+        for game, category in self.game_categories.items():
+            if not isinstance(game, str) or _escapes_dir(game):
+                raise ValueError(f"game {game!r}: the id must be a str and {_PATH_RULE}")
+            if category not in GAME_CATEGORIES:
+                raise ValueError(
+                    f"game {game!r}: category must be one of {GAME_CATEGORIES}, got {category!r}"
+                )
         seen = set()
         for t in self.traces:
             key = (t.user_id, t.game_id)

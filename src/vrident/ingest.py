@@ -9,9 +9,12 @@ line endings. Traffic CSV: header ``t,size_bytes,dir``; ``dir`` is exactly
 must be non-decreasing and finite in both files, and sizes fit in int64.
 Parse errors name the offending 1-based line number; files written here
 re-parse byte-identically. The writers print '%.6f' % x and '%d' % n for
-every value with a numpy block encoder, and refuse by file, data row, column
-and value what it cannot print exactly: NaN, inf, |x| * 10**6 >= 2**52 (about
-4.5e9), a size outside [1, 10**18), a dir other than DIR_UL or DIR_DL.
+every value with a numpy block encoder. The cohort contract lives in
+``core``; beyond the readers' grammar and the manifest checks below this
+module applies no rule of its own. ``core.Trace`` refuses, naming the trace,
+every value the encoder cannot print exactly (|x| * 10**6 >= 2**52, about
+4.5e9, or a size >= 10**18), so ``load_dataset`` refuses such a file too, and
+``write_cohort`` checks the cohort and every trace again before it writes.
 
 Files of plain decimal ASCII rows are read in one ``np.loadtxt`` pass and
 every other file line by line; both readers accept the same grammar and raise
@@ -22,6 +25,7 @@ and ``traces`` (user_id, game_id, movement/traffic paths relative to the
 manifest, optional duration_s, a finite number > 0). Ids are strings or
 integers (not booleans), read as strings and unique as (user, game) pairs;
 they name the cohort's files, so they must not contain '/', '\\' or NUL.
+``load_manifest`` refuses these before any CSV is read.
 Paths are strings. duration_s exists because the last sample timestamp
 undercounts the capture length by one sample period.
 
@@ -59,15 +63,17 @@ from .core import (
     DIR_DL,
     DIR_UL,
     Dataset,
+    GAME_CATEGORIES,
     MOVEMENT_CHANNELS,
     SAMPLE_RATE_HZ,
     Trace,
     TraceFormatError,
+    _PATH_RULE,
+    _escapes_dir,
 )
 
 MOVEMENT_HEADER = "t," + ",".join(MOVEMENT_CHANNELS)
 TRAFFIC_HEADER = "t,size_bytes,dir"
-GAME_CATEGORIES = ("fast", "slow")
 _DIR_CODES = {"UL": DIR_UL, "DL": DIR_DL}
 
 
@@ -289,16 +295,9 @@ def _parse_traffic_lines(path: Path, text: str) -> tuple[np.ndarray, np.ndarray,
 # too, and a traffic row ends in the word ",UL\n" or ",DL\n". No printed byte
 # is NUL, so one boolean mask that drops the NUL bytes of a block's word
 # matrix leaves its text.
-#
-# Range. A writer checks a file's values before its header and refuses all
-# but finite floats with |x| * 10**6 < 2**52, integer sizes in [1, 10**18) and
-# the dirs DIR_UL and DIR_DL. No synthetic cohort comes near these limits.
 
 #: Values per block, so that a block's word matrix stays near a megabyte.
 _BLOCK_FIELDS = 1 << 16
-#: The smallest double with |x| * 10**6 >= 2**52; 2**52 / 10**6 rounds below it.
-_FLOAT_LIMIT = 4503599627.370497
-_SIZE_LIMIT = 10**18
 
 
 @functools.cache
@@ -339,7 +338,7 @@ def _product_error(a: np.ndarray, b: float, p: np.ndarray) -> np.ndarray:
 
 
 def _micro_units(x: np.ndarray) -> np.ndarray:
-    """|round-half-even(x * 10**6)| as int64, for |x| < _FLOAT_LIMIT."""
+    """|round-half-even(x * 10**6)| as int64, for |x| * 10**6 < 2**52."""
     p = x * 1e6
     n = np.rint(p)
     tie = np.flatnonzero(np.abs(p - n) == 0.5)
@@ -410,40 +409,6 @@ def _traffic_block(t: np.ndarray, size: np.ndarray, direction: np.ndarray) -> by
     return _text(idx)
 
 
-#: what a size or dir must be, as a refusal says it
-_RULES = {"size_bytes": "an integer in [1, 10**18)", "dir": "the integer DIR_UL or DIR_DL"}
-
-
-def _writable(name: str, v: np.ndarray) -> np.ndarray:
-    """Which values of ``v``, in column ``name``, the writers take: each
-    column's range is an interval (DIR_UL and DIR_DL are 0 and 1)."""
-    if name in _RULES:
-        lo, hi = (1, _SIZE_LIMIT - 1) if name == "size_bytes" else (DIR_UL, DIR_DL)
-        return (v >= lo) & (v <= hi) & (v.dtype.kind in "iu")
-    return np.abs(v) < _FLOAT_LIMIT
-
-
-def _refuse_unwritable(path: Path, header: str, *blocks: np.ndarray) -> None:
-    """Raise, naming the first data row and column, when ``blocks`` (a file's
-    columns in ``header`` order, 1-D or several to a 2-D block) hold a value
-    the writers do not take."""
-    names = header.split(",")
-    starts = itertools.accumulate((1 if b.ndim == 1 else b.shape[1] for b in blocks), initial=0)
-    # a block's extremes settle an interval (a NaN is its own extreme)
-    extremes = (np.array([b.min(), b.max()]) if b.size else b for b in blocks)
-    if all(_writable(names[a], e).all() for a, e in zip(starts, extremes)):
-        return
-    columns = [c for b in blocks for c in b.reshape(len(b), -1).T]
-    ok = np.column_stack([_writable(n, c) for n, c in zip(names, columns)])
-    row, col = np.argwhere(~ok)[0]
-    name, value = names[col], columns[col][row].item()
-    rule = _RULES.get(name, "below 2**52 / 10**6 in magnitude")
-    why = f"value {value!r} in column {name} is not {rule}"
-    if name not in _RULES and not math.isfinite(value):
-        why = f"non-finite value {value!r} in column {name}"
-    raise TraceFormatError(f"{path}: data row {row + 1}: {why}; nothing was written")
-
-
 def _movement_text(movement_t: np.ndarray, movement: np.ndarray) -> Iterable[str | bytes]:
     step = max(1, _BLOCK_FIELDS // (1 + movement.shape[1]))
     yield MOVEMENT_HEADER + "\n"
@@ -456,20 +421,6 @@ def _traffic_text(t: np.ndarray, size: np.ndarray, direction: np.ndarray) -> Ite
     for a in range(0, len(t), _BLOCK_FIELDS):
         b = a + _BLOCK_FIELDS
         yield _traffic_block(t[a:b], size[a:b], direction[a:b])
-
-
-def write_movement_csv(path: str | Path, movement_t: np.ndarray, movement: np.ndarray) -> None:
-    """Write a movement CSV, or refuse its first unwritable value and write nothing."""
-    _refuse_unwritable(Path(path), MOVEMENT_HEADER, movement_t, movement)
-    atomic_write_text(path, _movement_text(movement_t, movement))
-
-
-def write_traffic_csv(
-    path: str | Path, traffic_t: np.ndarray, traffic_size: np.ndarray, traffic_dir: np.ndarray
-) -> None:
-    """Write a traffic CSV, or refuse its first unwritable value and write nothing."""
-    _refuse_unwritable(Path(path), TRAFFIC_HEADER, traffic_t, traffic_size, traffic_dir)
-    atomic_write_text(path, _traffic_text(traffic_t, traffic_size, traffic_dir))
 
 
 # ---- manifest ---------------------------------------------------------------
@@ -506,15 +457,6 @@ _ENTRY_TYPES = (
     ("movement", str, "a string"),
     ("traffic", str, "a string"),
 )
-
-
-#: what an id must not hold: ``write_cohort`` names each trace's CSVs
-#: ``<user>_<game>_...``, and a separator would put them in another directory
-_PATH_RULE = "must not contain '/', '\\' or NUL"
-
-
-def _escapes_dir(id_: str) -> bool:
-    return any(c in id_ for c in "/\\\0")
 
 
 def load_manifest(path: str | Path) -> Manifest:
@@ -604,24 +546,18 @@ def write_cohort(dataset: Dataset, out_dir: str | Path) -> Path:
     """Write every trace as CSV pairs plus a manifest.json listing them in
     ``dataset.traces`` order; returns its path.
 
-    A value the writers do not take (see the module docstring) and an id
-    that would name a file outside ``out_dir`` are refused before any file
-    or directory is written.
+    Every trace and the cohort are checked again (``Trace.check`` and
+    ``Dataset.check``) before any file or directory is written, since a
+    caller can change them in place.
     """
-    out = Path(out_dir)
     for tr in dataset.traces:
-        for name, id_ in (("user", tr.user_id), ("game", tr.game_id)):
-            if _escapes_dir(id_):
-                raise TraceFormatError(f"{name} id {id_!r} {_PATH_RULE}; nothing was written")
-        stem = f"{tr.user_id}_{tr.game_id}"
-        traffic = (tr.traffic_t, tr.traffic_size, tr.traffic_dir)
-        _refuse_unwritable(out / f"{stem}_movement.csv", MOVEMENT_HEADER, tr.movement_t, tr.movement)
-        _refuse_unwritable(out / f"{stem}_traffic.csv", TRAFFIC_HEADER, *traffic)
+        tr.check()
+    dataset.check()
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     traces = []
     for tr in dataset.traces:
         stem = f"{tr.user_id}_{tr.game_id}"
-        # every value was checked before out was made
         atomic_write_text(out / f"{stem}_movement.csv", _movement_text(tr.movement_t, tr.movement))
         traffic = (tr.traffic_t, tr.traffic_size, tr.traffic_dir)
         atomic_write_text(out / f"{stem}_traffic.csv", _traffic_text(*traffic))

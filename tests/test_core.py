@@ -95,7 +95,7 @@ def quat_trace(quats, user_id="u0") -> Trace:
     return Trace(
         user_id=user_id,
         game_id="g",
-        duration_s=n / 60.0,
+        duration_s=max(n, 1) / 60.0,  # a trace lasts more than 0 s
         movement_t=np.arange(n) / 60.0,
         movement=movement,
         traffic_t=np.array([]),
@@ -424,8 +424,22 @@ def test_trace_rejects_bad_duration(duration_s):
         replace(tr, duration_s=duration_s)
 
 
-def test_trace_accepts_zero_duration():
-    assert replace(make_trace(10.0), duration_s=0.0).duration_s == 0.0
+def test_trace_rejects_zero_duration():
+    # a manifest takes only duration_s > 0, so such a trace could not be loaded back
+    expected = r"^trace u0/g: duration_s must be a finite number > 0, got 0\.0$"
+    with pytest.raises(TraceFormatError, match=expected):
+        replace(make_trace(10.0), duration_s=0.0)
+
+
+@pytest.mark.parametrize("duration_s", [True, "10", None, np.int64(10)])
+def test_trace_rejects_a_duration_a_manifest_cannot_hold(duration_s):
+    # write_cohort used to write true into manifest.json, or fail on json.dumps
+    # after writing every CSV
+    with pytest.raises(TraceFormatError) as err:
+        replace(make_trace(10.0), duration_s=duration_s)
+    assert str(err.value) == (
+        f"trace u0/g: duration_s must be a finite number > 0, got {duration_s!r}"
+    )
 
 
 def test_trace_arrays_are_read_only_views():
@@ -475,8 +489,14 @@ def test_trace_rejects_time_going_back(field):
     "field,value,expected",
     [
         # a size of 0 used to be written to a CSV that load_dataset refuses
-        ("traffic_size", 0, "traffic_size sample 2 is 0, must be >= 1"),
-        ("traffic_size", -5, "traffic_size sample 2 is -5, must be >= 1"),
+        ("traffic_size", 0, "traffic_size sample 2 is 0, must be an integer in [1, 10**18)"),
+        ("traffic_size", -5, "traffic_size sample 2 is -5, must be an integer in [1, 10**18)"),
+        # '%d' of 10**18 prints, but the contract stops below it
+        (
+            "traffic_size",
+            10**18,
+            "traffic_size sample 2 is 1000000000000000000, must be an integer in [1, 10**18)",
+        ),
         # a dir of 7 used to escape write_cohort as KeyError: 7
         ("traffic_dir", 7, "traffic_dir sample 2 is 7, must be DIR_UL (0) or DIR_DL (1)"),
     ],
@@ -487,6 +507,87 @@ def test_trace_rejects_bad_packets(field, value, expected):
     arr[[2, 3]] = value  # a later bad sample is not the one named
     with pytest.raises(TraceFormatError, match=rf"^trace u0/g: {re.escape(expected)}$"):
         replace(tr, **{field: arr})
+
+
+#: the smallest double with |x| * 10**6 >= 2**52
+OUTSIDE = 4503599627.370497
+FLOAT_RULE = "must be below 2**52 / 10**6 in magnitude"
+
+
+@pytest.mark.parametrize(
+    "field,index,value,where",
+    [
+        ("movement", (4, 8), 5e9, "movement sample 4, channel left_py,"),
+        ("movement", (2, 20), -OUTSIDE, "movement sample 2, channel right_qz,"),
+        ("movement_t", 5, OUTSIDE, "movement_t sample 5"),
+        ("traffic_t", 1, 1e300, "traffic_t sample 1"),
+    ],
+)
+def test_trace_rejects_floats_a_cohort_file_cannot_print(field, index, value, where):
+    # '%.6f' is printed exactly only while |x| * 10**6 < 2**52
+    tr = make_trace(10.0, packet_times=[0.5, 1.0, 2.0])
+    arr = getattr(tr, field).copy()
+    arr[index] = value
+    with pytest.raises(TraceFormatError) as err:
+        replace(tr, **{field: arr})
+    assert str(err.value) == f"trace u0/g: {where} is {value!r}, {FLOAT_RULE}"
+
+
+@pytest.mark.parametrize(
+    "field,given,expected",
+    [
+        ("traffic_size", [7, 1.5], "is 1.5, must be an integer in [1, 10**18)"),
+        ("traffic_dir", [0, 256], "is 256, must be DIR_UL (0) or DIR_DL (1)"),
+        ("traffic_dir", [1, -1], "is -1, must be DIR_UL (0) or DIR_DL (1)"),
+    ],
+)
+def test_trace_refuses_what_its_dtype_would_change(field, given, expected):
+    # int64 and uint8 used to store these silently as 1, 0 and 255
+    tr = make_trace(10.0, packet_times=[0.5, 1.0])
+    with pytest.raises(TraceFormatError) as err:
+        replace(tr, **{field: given})
+    assert str(err.value) == f"trace u0/g: {field} sample 1 {expected}"
+    # an exact float and an empty list still convert
+    assert replace(tr, traffic_size=[2.0, 3.0]).traffic_size.tolist() == [2, 3]
+    empty = make_trace(10.0)
+    assert replace(empty, traffic_size=[], traffic_dir=[]).traffic_dir.dtype == np.uint8
+
+
+@pytest.mark.parametrize(
+    "field,bad_id",
+    [
+        ("user_id", "a/b"),
+        ("user_id", "a\\b"),
+        ("game_id", "g\0"),
+        ("user_id", 3),
+        ("game_id", None),
+    ],
+)
+def test_trace_rejects_ids_that_cannot_name_files(field, bad_id):
+    # a cohort names each trace's CSVs after its ids
+    ids = {"user_id": "u0", "game_id": "g", field: bad_id}
+    expected = (
+        f"trace {ids['user_id']!r}/{ids['game_id']!r}: {field} must be a str "
+        "and must not contain '/', '\\' or NUL"
+    )
+    with pytest.raises(TraceFormatError) as err:
+        replace(make_trace(10.0), **{field: bad_id})
+    assert str(err.value) == expected
+
+
+def test_dataset_refuses_what_a_manifest_cannot_hold():
+    tr = make_trace(10.0)
+    with pytest.raises(ValueError, match="^a cohort needs at least one trace$"):
+        Dataset(traces=[], game_categories={"g": "fast"})
+    with pytest.raises(ValueError) as err:
+        Dataset(traces=[tr], game_categories={"g": "medium"})
+    assert str(err.value) == "game 'g': category must be one of ('fast', 'slow'), got 'medium'"
+    for game in ("x/y", 3):
+        with pytest.raises(ValueError) as err:
+            Dataset(traces=[tr], game_categories={"g": "fast", game: "slow"})
+        assert str(err.value) == (
+            f"game {game!r}: the id must be a str and must not contain '/', '\\' or NUL"
+        )
 
 
 def test_dataset_duplicate_and_missing_game():

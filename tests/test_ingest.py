@@ -11,11 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vrident.core import DIR_DL, DIR_UL, MOVEMENT_CHANNELS, Dataset, TraceFormatError
+import vrident.ingest as ingest
+from vrident.core import DIR_DL, DIR_UL, MOVEMENT_CHANNELS, Dataset, Trace, TraceFormatError
 from vrident.ingest import (
     GameProfile,
     MOVEMENT_HEADER,
     TRAFFIC_HEADER,
+    atomic_write_text,
     default_profiles,
     generate_synthetic_cohort,
     load_dataset,
@@ -23,8 +25,6 @@ from vrident.ingest import (
     parse_movement_csv,
     parse_traffic_csv,
     write_cohort,
-    write_movement_csv,
-    write_traffic_csv,
 )
 
 VALID_MOVEMENT = (
@@ -34,6 +34,16 @@ VALID_MOVEMENT = (
     + "\n"
 )
 VALID_TRAFFIC = TRAFFIC_HEADER + "\n0.001000,1200,DL\n0.002000,64,UL\n"
+
+
+def write_movement(path, t, movement):
+    """One trace's movement CSV, as ``write_cohort`` writes it."""
+    atomic_write_text(path, ingest._movement_text(t, movement))
+
+
+def write_traffic(path, t, size, direction):
+    """One trace's traffic CSV, as ``write_cohort`` writes it."""
+    atomic_write_text(path, ingest._traffic_text(t, size, direction))
 
 
 # ---- movement parsing ----
@@ -163,7 +173,7 @@ def test_movement_round_trip_byte_identical(tmp_path):
     dst = tmp_path / "b.csv"
     src.write_text(VALID_MOVEMENT)
     t, mv = parse_movement_csv(src)
-    write_movement_csv(dst, t, mv)
+    write_movement(dst, t, mv)
     assert dst.read_bytes() == src.read_bytes()
 
 
@@ -171,7 +181,7 @@ def test_traffic_round_trip_byte_identical(tmp_path):
     src = tmp_path / "a.csv"
     dst = tmp_path / "b.csv"
     src.write_text(VALID_TRAFFIC)
-    write_traffic_csv(dst, *parse_traffic_csv(src))
+    write_traffic(dst, *parse_traffic_csv(src))
     assert dst.read_bytes() == src.read_bytes()
 
 
@@ -195,8 +205,8 @@ def test_movement_write_read_round_trip_and_corrupted_cell(seed, n, bad):
     movement = rng.uniform(-1e6, 1e6, (n, 21)) * rng.choice([1.0, 1e-7, 0.0], (n, 21))
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp) / "a.csv", Path(tmp) / "b.csv"
-        write_movement_csv(first, t, movement)
-        write_movement_csv(second, *parse_movement_csv(first))
+        write_movement(first, t, movement)
+        write_movement(second, *parse_movement_csv(first))
         assert second.read_bytes() == first.read_bytes()
         row, col = int(rng.integers(n)), int(rng.integers(22))
         corrupt_cell(first, row, col, bad)
@@ -216,8 +226,8 @@ def test_traffic_write_read_round_trip_and_corrupted_cell(seed, n, bad):
     dirs = rng.choice([DIR_UL, DIR_DL], n)
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp) / "a.csv", Path(tmp) / "b.csv"
-        write_traffic_csv(first, t, sizes, dirs)
-        write_traffic_csv(second, *parse_traffic_csv(first))
+        write_traffic(first, t, sizes, dirs)
+        write_traffic(second, *parse_traffic_csv(first))
         assert second.read_bytes() == first.read_bytes()
         row, col = int(rng.integers(n)), int(rng.integers(2))
         corrupt_cell(first, row, col, bad)
@@ -229,7 +239,7 @@ def test_traffic_write_read_round_trip_and_corrupted_cell(seed, n, bad):
 
 def test_written_files_use_lf_and_six_decimals(tmp_path):
     p = tmp_path / "m.csv"
-    write_movement_csv(p, np.array([1.23456789]), np.full((1, 21), 1 / 3))
+    write_movement(p, np.array([1.23456789]), np.full((1, 21), 1 / 3))
     raw = p.read_bytes()
     assert b"\r" not in raw
     text = raw.decode("utf-8").splitlines()
@@ -257,8 +267,14 @@ def test_synthetic_cohort_round_trip(tmp_path):
         assert np.array_equal(a.traffic_size, b.traffic_size)
         assert np.array_equal(a.traffic_dir, b.traffic_dir)
         second = tmp_path / "again.csv"
-        write_movement_csv(second, b.movement_t, b.movement)
+        write_movement(second, b.movement_t, b.movement)
         assert second.read_bytes() == (tmp_path / f"{a.user_id}_{a.game_id}_movement.csv").read_bytes()
+
+
+def _changed_in_place(trace, kind, index, value):
+    array = getattr(trace, kind)
+    array.flags.writeable = True  # a trace's arrays are read-only views
+    array[index] = value  # in place, past the checks Trace ran when it was built
 
 
 @pytest.mark.parametrize(
@@ -270,17 +286,15 @@ def test_synthetic_cohort_round_trip(tmp_path):
     ],
 )
 def test_write_cohort_refuses_non_finite_before_writing(tmp_path, kind, index, stream, row, column):
+    # the value would sit on data row ``row`` of the ``stream`` CSV, in ``column``
     ds = generate_synthetic_cohort(2, minutes=0.5, seed=13)
-    array = getattr(ds.traces[1], kind)
-    array.flags.writeable = True  # a trace's arrays are read-only views
-    array[index] = np.nan  # in place, past Trace's own checks
+    _changed_in_place(ds.traces[1], kind, index, np.nan)
     out = tmp_path / "cohort"
-    expected = (
-        rf"user01_game_a_{stream}\.csv: data row {row}: "
-        rf"non-finite value nan in column {column}; nothing was written"
-    )
-    with pytest.raises(TraceFormatError, match=expected):
+    channel = f", channel {column}," if kind == "movement" else ""
+    with pytest.raises(TraceFormatError) as err:
         write_cohort(ds, out)
+    expected = f"trace user01/game_a: {kind} sample {row - 1}{channel} is not finite (nan)"
+    assert str(err.value) == expected
     assert not out.exists()
 
 
@@ -295,50 +309,110 @@ def test_write_cohort_refuses_non_finite_before_writing(tmp_path, kind, index, s
 def test_write_cohort_refuses_unwritable_values_before_writing(
     tmp_path, kind, index, value, stream, row, column
 ):
+    # the value would sit on data row ``row`` of the ``stream`` CSV, in ``column``
     ds = generate_synthetic_cohort(2, minutes=0.5, seed=13)
-    array = getattr(ds.traces[1], kind)
-    array.flags.writeable = True  # a trace's arrays are read-only views
-    array[index] = value  # in place, past Trace's own checks
+    _changed_in_place(ds.traces[1], kind, index, value)
     out = tmp_path / "cohort"
-    expected = f"user01_game_a_{stream}.csv: data row {row}: value {value!r} in column {column} is not "
-    with pytest.raises(TraceFormatError, match=re.escape(expected)) as err:
+    channel = f", channel {column}," if kind == "movement" else ""
+    expected = f"trace user01/game_a: {kind} sample {row - 1}{channel} is {value!r}, must be "
+    with pytest.raises(TraceFormatError, match=re.escape(expected)):
         write_cohort(ds, out)
-    assert str(err.value).endswith("; nothing was written")
     assert not out.exists()
 
 
 @pytest.mark.parametrize(
-    "t,size,direction,row,message",
+    "t,size,direction,message",
     [
-        ([0.0], [0], [DIR_UL], 1, "value 0 in column size_bytes is not an integer in [1, 10**18)"),
-        ([0.0, 1.0], [5, 5], [DIR_UL, 7], 2, "value 7 in column dir is not the integer DIR_UL or DIR_DL"),
-        ([0.0, 5e9], [5, 5], [DIR_UL] * 2, 2, "value 5000000000.0 in column t is not below 2**52 / 10**6"),
-        ([float("inf")], [5], [DIR_DL], 1, "non-finite value inf in column t"),
-        ([0.0], [2.0], [DIR_DL], 1, "value 2.0 in column size_bytes is not an integer in [1, 10**18)"),
+        ([0.0], [0], [DIR_UL], "traffic_size sample 0 is 0, must be an integer in [1, 10**18)"),
+        (
+            [0.0, 1.0],
+            [5, 5],
+            [DIR_UL, 7],
+            "traffic_dir sample 1 is 7, must be DIR_UL (0) or DIR_DL (1)",
+        ),
+        (
+            [0.0, 5e9],
+            [5, 5],
+            [DIR_UL] * 2,
+            "traffic_t sample 1 is 5000000000.0, must be below 2**52 / 10**6 in magnitude",
+        ),
+        ([float("inf")], [5], [DIR_DL], "traffic_t sample 0 is not finite (inf)"),
+        ([0.0], [2.5], [DIR_DL], "traffic_size sample 0 is 2.5, must be an integer in [1, 10**18)"),
     ],
     ids=["size-0", "dir-7", "t-5e9", "t-inf", "size-float"],
 )
-def test_traffic_writer_refuses_unwritable_values_by_name(tmp_path, t, size, direction, row, message):
-    path = tmp_path / "t.csv"
+def test_traffic_writer_refuses_unwritable_values_by_name(t, size, direction, message):
+    # a Trace refuses what the traffic writer cannot print, so the writer never sees it
     with pytest.raises(TraceFormatError) as err:
-        write_traffic_csv(path, np.array(t), np.array(size), np.array(direction))
-    assert str(err.value).startswith(f"{path}: data row {row}: {message}")
-    assert str(err.value).endswith("; nothing was written")
-    assert list(tmp_path.iterdir()) == []
+        Trace("u", "g", 10.0, [], np.zeros((0, 21)), t, np.array(size), np.array(direction))
+    assert str(err.value) == f"trace u/g: {message}"
 
 
 @pytest.mark.parametrize("value", [-4503599627.370497, float("nan"), 1e300])
 def test_movement_writer_refuses_unwritable_values_by_name(tmp_path, value):
-    path = tmp_path / "m.csv"
-    path.write_text("kept\n")  # a refused write leaves what was there
-    movement = np.zeros((3, 21))
+    ds = generate_synthetic_cohort(2, minutes=0.1, seed=13)
+    movement = ds.traces[0].movement.copy()
     movement[2, 20] = value
     with pytest.raises(TraceFormatError) as err:
-        write_movement_csv(path, np.arange(3.0), movement)
-    assert str(err.value).startswith(f"{path}: data row 3: ")
-    assert f"value {value!r} in column right_qz" in str(err.value)
+        replace(ds.traces[0], movement=movement)
+    message = str(err.value)
+    assert message.startswith("trace user00/game_a: movement sample 2, channel right_qz, is ")
+    assert repr(value) in message
+    # changed in place, the value is refused by write_cohort, which leaves what was there
+    path = tmp_path / "m.csv"
+    path.write_text("kept\n")
+    _changed_in_place(ds.traces[0], "movement", (2, 20), value)
+    with pytest.raises(TraceFormatError) as err:
+        write_cohort(ds, tmp_path)
+    assert str(err.value) == message
     assert path.read_text() == "kept\n"
     assert [p.name for p in tmp_path.iterdir()] == ["m.csv"]
+
+
+@pytest.mark.parametrize(
+    "case, named", [("no traces", "trace"), ("category", "'medium'"), ("game id", "'x/y'")]
+)
+def test_cohorts_a_manifest_refuses_do_not_construct(tmp_path, case, named):
+    # write_cohort used to write each of these cohorts, and load_dataset refused it
+    ds = generate_synthetic_cohort(2, minutes=0.1, seed=13)
+    manifest = write_cohort(ds, tmp_path)
+    data = json.loads(manifest.read_text())
+    traces, categories = ds.traces, dict(ds.game_categories)
+    if case == "no traces":
+        traces, data["traces"] = [], []
+    elif case == "category":
+        categories["game_a"] = data["games"]["game_a"]["category"] = "medium"
+    else:
+        categories["x/y"] = "fast"
+        data["games"]["x/y"] = {"category": "fast"}
+    manifest.write_text(json.dumps(data))
+    with pytest.raises(TraceFormatError):
+        load_dataset(manifest)
+    with pytest.raises(ValueError) as err:
+        Dataset(traces=traces, game_categories=categories)
+    assert named in str(err.value)
+
+
+@pytest.mark.parametrize("change", ["category", "duplicate"])
+def test_write_cohort_checks_a_cohort_changed_in_place(tmp_path, change):
+    # both cohorts used to be written, and load_dataset refused them
+    ds = generate_synthetic_cohort(2, minutes=0.1, seed=13)
+    if change == "category":
+        ds.game_categories["game_a"] = "medium"
+        expected = "game 'game_a': category must be one of ('fast', 'slow'), got 'medium'"
+    else:
+        ds.traces[1].user_id = "user00"  # its files would overwrite user00's
+        expected = "duplicate trace for user 'user00' game 'game_a'"
+    out = tmp_path / "cohort"
+    with pytest.raises(ValueError) as err:
+        write_cohort(ds, out)
+    assert str(err.value) == expected
+    assert not out.exists()
+
+
+def test_synth_refuses_an_unknown_category():
+    with pytest.raises(ValueError, match="category must be one of"):
+        generate_synthetic_cohort(2, minutes=0.1, games=[GameProfile("ga", category="medium")])
 
 
 # ---- manifest ----
@@ -614,10 +688,16 @@ def test_load_dataset_refuses_a_user_id_that_leaves_the_cohort(tmp_path):
 )
 def test_write_cohort_refuses_ids_that_name_paths_before_writing(tmp_path, field, bad_id, name):
     ds = generate_synthetic_cohort(2, minutes=0.1, seed=13)
-    bad = replace(ds.traces[1], **{field: bad_id})
-    categories = {**ds.game_categories, bad.game_id: "fast"}
-    ds = Dataset(traces=[ds.traces[0], bad], game_categories=categories)
+    tr = ds.traces[1]
+    ids = {"user_id": tr.user_id, "game_id": tr.game_id, field: bad_id}
+    expected = (
+        f"trace {ids['user_id']!r}/{ids['game_id']!r}: {name}_id must be a str and {PATH_RULE}"
+    )
+    with pytest.raises(TraceFormatError) as err:
+        replace(tr, **{field: bad_id})
+    assert str(err.value) == expected
+    setattr(tr, field, bad_id)  # in place, past the checks Trace ran when it was built
     with pytest.raises(TraceFormatError) as err:
         write_cohort(ds, tmp_path / "out" / "deep")
-    assert str(err.value) == f"{name} id {bad_id!r} {PATH_RULE}; nothing was written"
+    assert str(err.value) == expected
     assert list(tmp_path.rglob("*")) == []

@@ -5,11 +5,11 @@
 references below are those per-line parsers as standalone functions: on
 every file, valid or corrupted with hostile tokens, both must return arrays
 equal byte for byte or raise the same ``TraceFormatError`` message. The
-writers print blocks of values with a numpy encoder and refuse a value it
-cannot print exactly; the references format each value with an f-string.
-Both must write the same bytes for a file of writable values, and the
-writers must refuse any other file by the row, column and value of its first
-unwritable value, leaving no file.
+writers print blocks of values with a numpy encoder; the references format
+each value with an f-string. Both must write the same bytes for arrays of
+values the encoder prints exactly, and a ``Trace`` that holds any other value
+must refuse its first one by field, sample and value, so that no writer and
+no ``write_cohort`` call sees it.
 """
 from __future__ import annotations
 
@@ -26,16 +26,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vrident.ingest as ingest
-from vrident.core import DIR_DL, DIR_UL, MOVEMENT_CHANNELS, TraceFormatError
+from vrident.core import DIR_DL, DIR_UL, MOVEMENT_CHANNELS, Dataset, Trace, TraceFormatError
 from vrident.ingest import (
     MOVEMENT_HEADER,
     TRAFFIC_HEADER,
+    atomic_write_text,
     generate_synthetic_cohort,
     parse_movement_csv,
     parse_traffic_csv,
     write_cohort,
-    write_movement_csv,
-    write_traffic_csv,
 )
 
 # ---- per-line references --------------------------------------------------------
@@ -365,47 +364,61 @@ EDGE_FLOATS = [
 ]
 write_floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(width=64))
 
+MOVEMENT_FIELDS = ("movement_t", "movement")
+TRAFFIC_FIELDS = ("traffic_t", "traffic_size", "traffic_dir")
 
-def _first_unwritable(header, *arrays):
-    """(data row, column name, value) of the first value, row by row, that the
-    writers do not take, or None: a float must be finite with
-    |x| * 10**6 < 2**52 (exactly), a size an integer in [1, 10**18), a dir
-    DIR_UL or DIR_DL."""
-    names = header.split(",")
-    parts = [np.reshape(a, (len(a), -1 if len(a) else 1)).tolist() for a in arrays]
-    for row, cells in enumerate(sum(pieces, []) for pieces in zip(*parts)):
-        for name, v in zip(names, cells):
-            if name == "size_bytes":
-                ok = isinstance(v, int) and 1 <= v < 10**18
-            elif name == "dir":
-                ok = v in (DIR_UL, DIR_DL)
-            else:
-                ok = math.isfinite(v) and abs(Fraction(v)) * 10**6 < 2**52
-            if not ok:
-                return row, name, v
+
+def write_movement(path, movement_t, movement):
+    """One trace's movement CSV, as ``write_cohort`` writes it."""
+    atomic_write_text(path, ingest._movement_text(movement_t, movement))
+
+
+def write_traffic(path, traffic_t, traffic_size, traffic_dir):
+    """One trace's traffic CSV, as ``write_cohort`` writes it."""
+    atomic_write_text(path, ingest._traffic_text(traffic_t, traffic_size, traffic_dir))
+
+
+def _first_unwritable(fields, *arrays):
+    """(field, sample, channel or None, value) of the first value, field by
+    field and row by row, that the writers cannot print, or None: a float
+    must be finite with |x| * 10**6 < 2**52 (exactly), a size an integer in
+    [1, 10**18), a dir DIR_UL or DIR_DL."""
+    for name, array in zip(fields, arrays):
+        rows = np.reshape(array, (len(array), -1 if len(array) else 1)).tolist()
+        for sample, cells in enumerate(rows):
+            for col, v in enumerate(cells):
+                if name == "traffic_size":
+                    ok = isinstance(v, int) and 1 <= v < 10**18
+                elif name == "traffic_dir":
+                    ok = v in (DIR_UL, DIR_DL)
+                else:
+                    ok = math.isfinite(v) and abs(Fraction(v)) * 10**6 < 2**52
+                if not ok:
+                    return name, sample, col if np.ndim(array) == 2 else None, v
     return None
 
 
-def check_writer(writer, reference, header, *arrays):
+def check_writer(writer, reference, fields, *arrays):
     """``writer`` must write the f-string reference's bytes for writable
-    ``arrays`` and otherwise refuse the first unwritable value by name,
-    leaving nothing in the directory."""
-    bad = _first_unwritable(header, *arrays)
-    with tempfile.TemporaryDirectory() as tmp:
-        a, b = Path(tmp) / "a.csv", Path(tmp) / "b.csv"
-        if bad is None:
+    ``arrays``; a Trace that holds any other value must refuse its first
+    unwritable value by name, so that no writer sees it."""
+    bad = _first_unwritable(fields, *arrays)
+    if bad is None:
+        with tempfile.TemporaryDirectory() as tmp:
+            a, b = Path(tmp) / "a.csv", Path(tmp) / "b.csv"
             writer(a, *arrays)
             reference(b, *arrays)
             assert a.read_bytes() == b.read_bytes()
-            return
-        row, name, value = bad
-        with pytest.raises(TraceFormatError) as err:
-            writer(a, *arrays)
-        message = str(err.value)
-        assert message.startswith(f"{a}: data row {row + 1}: ")
-        assert f"value {value!r} in column {name}" in message
-        assert message.endswith("; nothing was written")
-        assert not any(Path(tmp).iterdir())
+        return
+    name, sample, col, value = bad
+    streams = {"movement_t": [], "movement": np.zeros((0, 21)), "traffic_t": [],
+               "traffic_size": [], "traffic_dir": []}
+    with pytest.raises(TraceFormatError) as err:
+        Trace("u", "g", 1.0, **{**streams, **dict(zip(fields, arrays))})
+    channel = "" if col is None else f", channel {MOVEMENT_CHANNELS[col]},"
+    message = str(err.value)
+    assert message.startswith(f"trace u/g: {name} sample {sample}{channel} is ")
+    assert repr(value) in message
 
 
 @settings(max_examples=150, deadline=None)
@@ -414,7 +427,7 @@ def test_movement_writer_matches_fstring_writer(n, data):
     t = np.array(data.draw(st.lists(write_floats, min_size=n, max_size=n)))
     cells = data.draw(st.lists(write_floats, min_size=21 * n, max_size=21 * n))
     mv = np.array(cells).reshape(n, 21)
-    check_writer(write_movement_csv, reference_write_movement, MOVEMENT_HEADER, t, mv)
+    check_writer(write_movement, reference_write_movement, MOVEMENT_FIELDS, t, mv)
 
 
 @settings(max_examples=150, deadline=None)
@@ -429,12 +442,12 @@ def test_traffic_writer_matches_fstring_writer(n, data):
         data.draw(st.lists(st.sampled_from([DIR_UL, DIR_DL]), min_size=n, max_size=n)),
         dtype=np.uint8,
     )
-    check_writer(write_traffic_csv, reference_write_traffic, TRAFFIC_HEADER, t, sizes, dirs)
+    check_writer(write_traffic, reference_write_traffic, TRAFFIC_FIELDS, t, sizes, dirs)
 
 
 # ---- the block encoder ----------------------------------------------------------
 
-UNITS_EDGE = 2**52 / 1e6  # beyond it, the writers refuse a value
+UNITS_EDGE = 2**52 / 1e6  # beyond it, a Trace refuses a value
 # values the encoder prints itself: k / 2**7 are exact ties of x * 10**6,
 # (j + 0.5) / 10**6 round to doubles on either side of one
 kernel_floats = st.one_of(
@@ -471,16 +484,14 @@ def test_encoder_matches_fstring_writer_over_its_range(n, data):
     rows = np.array(cells).reshape(n, 22)
     assert isinstance(ingest._movement_block(rows), bytes)  # not the fallback
     mv_args = (rows[:, 0], rows[:, 1:])
-    assert _written_by(write_movement_csv, *mv_args) == _written_by(
-        reference_write_movement, *mv_args
-    )
+    assert _written_by(write_movement, *mv_args) == _written_by(reference_write_movement, *mv_args)
     t = rows[:, 0]
     size = np.array(data.draw(st.lists(kernel_sizes, min_size=n, max_size=n)), dtype=np.int64)
     dirs = np.array(data.draw(st.lists(st.sampled_from([DIR_UL, DIR_DL]), min_size=n, max_size=n)))
     dirs = dirs.astype(np.uint8)
     assert isinstance(ingest._traffic_block(t, size, dirs), bytes)
     tr_args = (t, size, dirs)
-    assert _written_by(write_traffic_csv, *tr_args) == _written_by(reference_write_traffic, *tr_args)
+    assert _written_by(write_traffic, *tr_args) == _written_by(reference_write_traffic, *tr_args)
 
 
 @settings(max_examples=100, deadline=None)
@@ -494,9 +505,9 @@ def test_encoder_edges_match_fstring_writer(t, sizes):
     t = np.array(t)
     size = np.array(sizes[: len(t)], dtype=np.int64)
     dirs = np.zeros(len(t), dtype=np.uint8)
-    check_writer(write_traffic_csv, reference_write_traffic, TRAFFIC_HEADER, t, size, dirs)
+    check_writer(write_traffic, reference_write_traffic, TRAFFIC_FIELDS, t, size, dirs)
     mv = np.repeat(t[:, None], 21, axis=1)
-    check_writer(write_movement_csv, reference_write_movement, MOVEMENT_HEADER, t, mv)
+    check_writer(write_movement, reference_write_movement, MOVEMENT_FIELDS, t, mv)
 
 
 def test_a_later_block_is_refused_before_any_block_is_encoded(tmp_path, monkeypatch):
@@ -515,33 +526,33 @@ def test_a_later_block_is_refused_before_any_block_is_encoded(tmp_path, monkeypa
     rng = np.random.default_rng(11)
     t = np.arange(10) / 60.0
     mv = rng.normal(0.0, 2.0, (10, 21))
-    mv[9, 0] = 1e300  # in the last of 4 blocks
-    path = tmp_path / "m.csv"
-    message = f"{path}: data row 10: value 1e+300 in column head_px is not below 2**52 / 10**6"
-    with pytest.raises(TraceFormatError, match=re.escape(message)):
-        write_movement_csv(path, t, mv)
     tt = np.sort(rng.uniform(0.0, 1e9, 200))
     size = rng.integers(1, 1500, 200)
     dirs = rng.integers(0, 2, 200).astype(np.uint8)
-    for index, column, array, value in (
-        (150, "t", tt, 5e9),
-        (70, "size_bytes", size, 10**18),
-        (190, "dir", dirs, 7),
+    trace = Trace("u", "g", 1e9, t, mv, tt, size, dirs)
+    cohort = Dataset(traces=[trace], game_categories={"g": "fast"})
+    out = tmp_path / "cohort"
+    for index, field, value, named in (
+        ((9, 0), "movement", 1e300, "movement sample 9, channel head_px, is 1e+300"),  # last block
+        (150, "traffic_t", 5e9, "traffic_t sample 150 is 5000000000.0"),
+        (70, "traffic_size", 10**18, "traffic_size sample 70 is 1000000000000000000"),
+        (190, "traffic_dir", 7, "traffic_dir sample 190 is 7"),
     ):
-        bad = array.copy()
-        bad[index] = value
-        args = [bad if a is array else a for a in (tt, size, dirs)]
-        path = tmp_path / "t.csv"
-        message = f"{path}: data row {index + 1}: value {value!r} in column {column} is not "
-        with pytest.raises(TraceFormatError, match=re.escape(message)):
-            write_traffic_csv(path, *args)
+        array = getattr(trace, field)
+        kept = array[index]
+        array.flags.writeable = True  # a trace's arrays are read-only views
+        array[index] = value  # in place, past the checks Trace ran when it was built
+        with pytest.raises(TraceFormatError, match=re.escape(f"trace u/g: {named}, must be ")):
+            write_cohort(cohort, out)
+        array[index] = kept
     assert encoded == []
-    assert list(tmp_path.iterdir()) == []
+    assert not out.exists()
     # the same arrays, mended, go through every block
-    mv[9, 0] = 0.5
-    assert _written_by(write_movement_csv, t, mv) == _written_by(reference_write_movement, t, mv)
-    args = (tt, size, dirs)
-    assert _written_by(write_traffic_csv, *args) == _written_by(reference_write_traffic, *args)
+    write_cohort(cohort, out)
+    reference_write_movement(tmp_path / "m.csv", t, mv)
+    reference_write_traffic(tmp_path / "t.csv", tt, size, dirs)
+    assert (out / "u_g_movement.csv").read_bytes() == (tmp_path / "m.csv").read_bytes()
+    assert (out / "u_g_traffic.csv").read_bytes() == (tmp_path / "t.csv").read_bytes()
     assert encoded == ["_movement_block"] * 4 + ["_traffic_block"] * 4
 
 
