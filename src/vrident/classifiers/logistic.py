@@ -32,7 +32,10 @@ def binary_gradient(w_aug: np.ndarray, X_aug: np.ndarray, y01: np.ndarray, lam: 
     return grad
 
 
-def _fit_binary(X_aug, y01, lam, tol, max_iter):
+def _fit_binary(X_aug, y01, lam, tol, max_iter, scaled, hess):
+    """Damped Newton fit of one binary problem. ``scaled`` (the shape of
+    X_aug) and ``hess`` (d+1, d+1) are work buffers, overwritten at every
+    step, so that a fit's steps reuse the same memory."""
     n, d1 = X_aug.shape
     w = np.zeros(d1)
     reg = np.ones(d1)
@@ -46,7 +49,8 @@ def _fit_binary(X_aug, y01, lam, tol, max_iter):
             break
         p = _sigmoid(X_aug @ w)
         curv = p * (1.0 - p)
-        hess = (X_aug * curv[:, None]).T @ X_aug
+        np.multiply(X_aug, curv[:, None], out=scaled)
+        np.matmul(scaled.T, X_aug, out=hess)
         hess /= n
         # adding lam * diag(reg) also added +0.0 off the diagonal, which turns
         # a -0.0 into +0.0 and leaves every other value as it is
@@ -93,12 +97,14 @@ class LogisticOneVsRest(Classifier):
 
     def _fit(self, X: np.ndarray, y_idx: np.ndarray) -> None:
         X_aug = np.hstack([X, np.ones((X.shape[0], 1))])
-        self.weights_ = np.zeros((self.labels_.shape[0], X_aug.shape[1]))
+        d1 = X_aug.shape[1]
+        self.weights_ = np.zeros((self.labels_.shape[0], d1))
         self.converged_ = []
+        # one scaled-rows and one Hessian buffer serve every class and step
+        work = np.empty_like(X_aug), np.empty((d1, d1))
         for c in range(self.labels_.shape[0]):
-            w, ok = _fit_binary(
-                X_aug, (y_idx == c).astype(np.float64), self.lam, self.tol, self.max_iter
-            )
+            y01 = (y_idx == c).astype(np.float64)
+            w, ok = _fit_binary(X_aug, y01, self.lam, self.tol, self.max_iter, *work)
             self.weights_[c] = w
             self.converged_.append(ok)
 

@@ -9,6 +9,23 @@ train on the full sample (no bootstrap). Left branches take values <=
 threshold. Tree t uses an independent Philox stream keyed by
 SeedSequence(entropy=seed, spawn_key=(t,)), so training is deterministic.
 
+A fit grows all its trees in lock step (``_grow_forest``). Each tree keeps
+its own depth-first stack and node numbering. At each step every unfinished
+tree pops its next impure node, and the step's nodes are searched together,
+in blocks of at most ``_GROW_CELLS`` (node, candidate, row) cells with each
+node's rows padded to the block's largest node. The trees are bit for bit
+those of growing each tree alone, whatever the blocks:
+
+- each tree draws from its own stream in the same order: its bootstrap
+  sample, then per impure node its candidates and, for extra trees when
+  some candidate spreads, their thresholds. A pure node draws nothing, so
+  it is a leaf as soon as it is made;
+- class counts are integers, exact in float64 whatever the order of their
+  sums, and so are the sums of squared counts that the Gini cost takes;
+- pads are neutral: a pad repeats its node's first row and has no class,
+  so it moves no minimum, maximum or count, and the forest search sorts
+  pads last and scores no boundary at or past a node's last row.
+
 One boundary rule, ``_best_boundary``, serves the forest search and
 gradient boosting: no split between equal values, a midpoint threshold,
 and ties to the lowest candidate feature, then the lowest boundary (extra
@@ -29,6 +46,10 @@ from .base import Classifier, check_params, saved_array, saved_list, saved_objec
 #: RandomForest.walk_proba); bounds the walk's memory, and no result
 #: depends on it
 _WALK_CELLS = 1 << 16
+#: (node, candidate, row) cells that one block of a forest fit's step
+#: searches at once (see _grow_forest); bounds the search's memory, and no
+#: result depends on it
+_GROW_CELLS = 1 << 15
 
 
 @dataclass
@@ -136,91 +157,204 @@ class _TreeBuffers:
 def _best_boundary(score, xs, lo=0):
     """The boundary rule shared by every tree learner.
 
-    ``score[f, j]`` (higher is better) scores the boundary after sorted
-    position ``lo + j`` of candidate f, whose sorted values are ``xs[f]``.
+    ``score[..., f, j]`` (higher is better) scores the boundary after sorted
+    position ``lo + j`` of candidate f, whose sorted values are
+    ``xs[..., f, :]``; leading axes, if any, index nodes searched together.
     No split falls between equal values: those boundaries score -inf (in
-    place). The first argmax wins, i.e. the lowest candidate, then the
-    lowest boundary. Returns (score, candidate row, midpoint threshold).
+    place). Each node takes its first argmax, i.e. the lowest candidate,
+    then the lowest boundary. Returns (score, candidate row, midpoint
+    threshold), each of the leading shape.
     """
-    m = score.shape[1]
-    score[xs[:, lo + 1 : lo + m + 1] <= xs[:, lo : lo + m]] = -np.inf
-    f, j = np.unravel_index(np.argmax(score), score.shape)
+    m = score.shape[-1]
+    score[xs[..., lo + 1 : lo + m + 1] <= xs[..., lo : lo + m]] = -np.inf
+    f, j = np.divmod(score.reshape(*score.shape[:-2], -1).argmax(axis=-1), m)
+    node = np.indices(f.shape, sparse=True)
     b = lo + j
-    return score[f, j], int(f), float(0.5 * (xs[f, b] + xs[f, b + 1]))
+    return score[(*node, f, j)], f, 0.5 * (xs[(*node, f, b)] + xs[(*node, f, b + 1)])
 
 
-def _gini_cost(left_counts, totals, n_left, n):
+def _gini_cost(sq_left, sq_right, n_left, n):
     """Weighted child Gini n_side * (1 - sum p^2) = n_side - sq/n_side,
-    summed over both sides, from the class counts left of each split and
-    the node's class totals; an empty side costs 0."""
+    summed over both sides, from each side's sum of squared class counts;
+    an empty side costs 0. The sums are exact integers, however formed."""
     n_right = n - n_left
-    right_counts = totals - left_counts
-    sq_left = np.einsum("...c,...c->...", left_counts, left_counts)
-    sq_right = np.einsum("...c,...c->...", right_counts, right_counts)
     return (n_left - sq_left / np.maximum(n_left, 1.0)) + (
         n_right - sq_right / np.maximum(n_right, 1.0)
     )
 
 
-def _best_split_exhaustive(Xc, yn, counts, rng):
-    """Lowest weighted child Gini over all midpoints of the candidate
-    columns ``Xc`` (node rows, candidates); (column, threshold) or None
-    when every candidate is constant within the node. ``rng`` is unused:
-    both searches take the same arguments."""
-    n = Xc.shape[0]
-    order = np.argsort(Xc.T, axis=1, kind="stable")
-    xs = np.take_along_axis(Xc.T, order, axis=1)
-    onehot = yn[order][:, :, None] == np.arange(counts.shape[0])
-    left_counts = np.cumsum(onehot, axis=1, dtype=np.float64)[:, :-1]
-    n_left = np.arange(1, n, dtype=np.float64)
-    best, j, thr = _best_boundary(-_gini_cost(left_counts, counts, n_left, n), xs)
-    return (j, thr) if np.isfinite(best) else None
+def _take_last(a, index):
+    """``np.take_along_axis(a, index, axis=-1)`` by one flat take; the
+    leading axes of ``a`` broadcast against those of ``index``."""
+    a = np.ascontiguousarray(a)
+    flat, step = index, a.shape[-1]
+    for axis in range(a.ndim - 2, -1, -1):
+        if a.shape[axis] > 1:
+            shape = [1] * a.ndim
+            shape[axis] = a.shape[axis]
+            flat = flat + (np.arange(a.shape[axis]) * step).reshape(shape)
+        step *= a.shape[axis]
+    return a.take(flat)
 
 
-def _best_split_random(Xc, yn, counts, rng):
-    """One uniform threshold in [min, max) per candidate column, best by
-    Gini (first minimum: lowest candidate)."""
-    lo, hi = Xc.min(axis=0), Xc.max(axis=0)
+def _search_exhaustive(Xb, yb, counts, sizes, rngs):
+    """Lowest weighted child Gini over all midpoints of each node's
+    candidate columns (the block's arrays are described in _search_step).
+
+    Pads sort last as +inf, and the boundaries at or past a node's last row
+    score -inf. Rows of equal value may sort in any order: no boundary
+    falls between them, and the rows left of any other boundary are the
+    same set. ``rngs`` is unused: both searches take the same arguments.
+    """
+    n_nodes, _, width = Xb.shape
+    n_classes = counts.shape[1]
+    pos = np.arange(width)
+    Xb = np.where(pos < sizes[:, None, None], Xb, np.inf)
+    order = np.argsort(Xb, axis=2)
+    xs = _take_last(Xb, order)
+    ys = _take_last(yb[:, None, :], order)
+    # the r-th row of a class on the left raises the left side's sum of
+    # squared class counts by 2r + 1; rows sort by class, then position
+    by_class = np.argsort(ys * width + pos, axis=2)
+    totals = np.zeros((n_nodes, 1, n_classes + 1), dtype=np.int64)
+    totals[:, 0, :n_classes] = counts
+    first = np.cumsum(totals, axis=2) - totals
+    r = np.empty_like(ys)
+    np.put_along_axis(r, by_class, pos - _take_last(first, _take_last(ys, by_class)), axis=2)
+    sq_left = np.cumsum(2 * r + 1, axis=2)[:, :, :-1]
+    # right counts are totals T - left counts L, so their sum of squares is
+    # sum T^2 - 2 sum T L + sum L^2, where sum T L adds the T of each left row's class
+    t_left = np.cumsum(_take_last(totals, ys), axis=2)[:, :, :-1]
+    sq_right = np.einsum("...c,...c->...", totals, totals)[..., None] - 2 * t_left + sq_left
+    n_left = pos[1:].astype(np.float64)
+    n = sizes[:, None, None]
+    cost = _gini_cost(sq_left.astype(np.float64), sq_right.astype(np.float64), n_left, n)
+    best, j, thr = _best_boundary(np.where(n_left < n, -cost, -np.inf), xs)
+    return np.isfinite(best), j, thr
+
+
+def _search_random(Xb, yb, counts, sizes, rngs):
+    """One uniform threshold in [min, max) per candidate column, drawn from
+    the node's stream when some candidate spreads; best by Gini, first
+    minimum (lowest candidate)."""
+    lo, hi = Xb.min(axis=2), Xb.max(axis=2)
     spread = hi > lo
-    if not spread.any():
-        return None
-    thr = rng.uniform(lo, hi)
-    onehot = (yn[:, None] == np.arange(counts.shape[0])).astype(np.float64)
-    c_left = (Xc <= thr).T.astype(np.float64) @ onehot
-    n_left = c_left.sum(axis=1)
-    valid = spread & (n_left > 0) & (n_left < yn.shape[0])
-    if not valid.any():
-        return None
-    w = np.where(valid, _gini_cost(c_left, counts, n_left, yn.shape[0]), np.inf)
-    j = int(np.argmin(w))
-    return j, float(thr[j])
+    thr = np.zeros(lo.shape)
+    for i in np.flatnonzero(spread.any(axis=1)).tolist():
+        thr[i] = rngs[i].uniform(lo[i], hi[i])
+    onehot = (yb[:, :, None] == np.arange(counts.shape[1])).astype(np.float64)
+    c_left = (Xb <= thr[:, :, None]).astype(np.float64) @ onehot
+    n_left = c_left.sum(axis=2)
+    n = sizes[:, None]
+    valid = spread & (n_left > 0) & (n_left < n)
+    c_right = counts[:, None, :] - c_left
+    sq_left = np.einsum("...c,...c->...", c_left, c_left)
+    sq_right = np.einsum("...c,...c->...", c_right, c_right)
+    w = np.where(valid, _gini_cost(sq_left, sq_right, n_left, n), np.inf)
+    j = np.argmin(w, axis=1)
+    return valid.any(axis=1), j, thr[np.arange(j.size), j]
 
 
-def _grow_classification_tree(X, y_idx, n_classes, rng, sample_idx, max_features, search):
-    """Depth-first Gini tree on rows ``sample_idx``; each impure node draws
-    ``max_features`` candidates and splits where ``search`` says."""
-    buf = _TreeBuffers()
-    stack = [(buf.alloc(), sample_idx)]
+_SEARCHES = {"random_forest": _search_exhaustive, "extra_trees": _search_random}
+
+
+def _blocks(sizes, k):
+    """(start, stop) of consecutive runs of nodes with ascending row counts
+    ``sizes`` whose padded (node, candidate, row) block holds at most
+    ``_GROW_CELLS`` cells for k candidates; a node over the bound makes a
+    block of its own."""
+    starts = [0]
+    for i, n in enumerate(sizes):
+        if i > starts[-1] and (i + 1 - starts[-1]) * k * n > _GROW_CELLS:
+            starts.append(i)
+    return list(zip(starts, starts[1:] + [len(sizes)])) if sizes else []
+
+
+def _search_step(X, y_idx, rows, sizes, counts, rngs, k, search):
+    """Split feature (-1 for none) and threshold of each node of a step,
+    node i holding ``sizes[i]`` of ``rows`` in turn and drawing from
+    ``rngs[i]``.
+
+    ``search`` takes a block of nodes: their candidate columns ``Xb``
+    (node, candidate, row) and labels ``yb`` (node, row), padded to the
+    block's largest node, then their class counts, row counts and streams.
+    A pad repeats its node's first row and is labelled n_classes, so it
+    adds to no class count. It returns per node whether it splits, the
+    candidate and the threshold.
+    """
+    d = X.shape[1]
+    starts = np.cumsum(sizes) - sizes
+    feat = np.full(sizes.size, -1)
+    thr = np.full(sizes.size, np.inf)
+    # nodes of like size pad least; each tree has one node per step, so
+    # their order draws nothing differently
+    by_size = np.argsort(sizes, kind="stable")
+    for a, b in _blocks(sizes[by_size].tolist(), k):
+        node = by_size[a:b]
+        node_rngs = [rngs[i] for i in node.tolist()]
+        feats = np.sort([rng.choice(d, size=k, replace=False) for rng in node_rngs], axis=1)
+        n = sizes[node]
+        pos = np.arange(n[-1])
+        pad = pos >= n[:, None]
+        at = rows[starts[node, None] + np.where(pad, 0, pos)]
+        Xb = X.take(at[:, None, :] * d + feats[:, :, None])
+        yb = np.where(pad, counts.shape[1], y_idx[at])
+        ok, j, cut = search(Xb, yb, counts[node], n, node_rngs)
+        feat[node[ok]] = feats[ok, j[ok]]
+        thr[node[ok]] = cut[ok]
+    return feat, thr
+
+
+def _grow_forest(X, y_idx, n_classes, rngs, samples, max_features, search):
+    """Depth-first Gini trees, tree t on rows ``samples[t]`` with stream
+    ``rngs[t]``, grown in lock step (see the module docstring); ``search``
+    is ``_search_exhaustive`` or ``_search_random``."""
+    X = np.ascontiguousarray(X)  # gathered by flat index
     d = X.shape[1]
     k = min(max_features, d)
-    while stack:
-        nid, idx = stack.pop()
-        yn = y_idx[idx]
-        counts = np.bincount(yn, minlength=n_classes).astype(np.float64)
-        split = None
+    bufs = [_TreeBuffers() for _ in rngs]
+    # a tree's stack holds its impure nodes still to search, as (node, rows,
+    # class counts); a pure node draws nothing, so it is a leaf at once
+    stacks = [[] for _ in rngs]
+    for buf, stack, idx in zip(bufs, stacks, samples):
+        counts = np.bincount(y_idx[idx], minlength=n_classes).astype(np.float64)
         if counts.max() < idx.size:
-            feats = np.sort(rng.choice(d, size=k, replace=False))
-            split = search(X[np.ix_(idx, feats)], yn, counts, rng)
-        if split is None:
-            buf.value[nid] = counts / idx.size
-            continue
-        j, thr = split
-        feat = int(feats[j])
-        mask = X[idx, feat] <= thr
-        lid, rid = buf.split(nid, feat, thr)
-        stack.append((rid, idx[~mask]))
-        stack.append((lid, idx[mask]))
-    return buf.pack(n_classes)
+            stack.append((buf.alloc(), idx, counts))
+        else:
+            buf.value[buf.alloc()] = counts / idx.size
+    live = [t for t, stack in enumerate(stacks) if stack]
+    while live:
+        nids, idxs, counts = zip(*[stacks[t].pop() for t in live])
+        m = len(live)
+        counts = np.array(counts)
+        sizes = np.array([idx.size for idx in idxs])
+        rows = np.concatenate(idxs)
+        feat, thr = _search_step(X, y_idx, rows, sizes, counts, [rngs[t] for t in live], k, search)
+        # child 2i (left) and 2i + 1 (right) of node i: their rows, in their
+        # order in the node, and class counts; a node that does not split
+        # has all its rows on the left
+        owner = np.repeat(np.arange(m), sizes)
+        side = 2 * owner + (X.take(rows * d + np.maximum(feat, 0)[owner]) > thr[owner])
+        child_counts = np.bincount(side * n_classes + y_idx[rows], minlength=2 * m * n_classes)
+        child_counts = child_counts.reshape(2 * m, n_classes).astype(np.float64)
+        child_sizes = np.bincount(side, minlength=2 * m)
+        rows = rows[np.argsort(side, kind="stable")]
+        bounds = [0, *np.cumsum(child_sizes).tolist()]
+        pure = (child_counts.max(axis=1) == child_sizes).tolist()
+        value = counts / sizes[:, None]
+        child_value = child_counts / np.maximum(child_sizes, 1)[:, None]
+        for i, (t, nid, f, th) in enumerate(zip(live, nids, feat.tolist(), thr.tolist())):
+            if f < 0:
+                bufs[t].value[nid] = value[i]
+                continue
+            lid, rid = bufs[t].split(nid, f, th)
+            for c, cid in ((2 * i + 1, rid), (2 * i, lid)):
+                if pure[c]:
+                    bufs[t].value[cid] = child_value[c]
+                else:
+                    stacks[t].append((cid, rows[bounds[c] : bounds[c + 1]], child_counts[c]))
+        live = [t for t in live if stacks[t]]
+    return [buf.pack(n_classes) for buf in bufs]
 
 
 def _tree_rng(seed: int, tree_index: int) -> np.random.Generator:
@@ -325,7 +459,6 @@ class RandomForest(Classifier):
     kind = "random_forest"
     param_names = ("n_trees", "bootstrap", "max_features")
     state_names = ("trees",)
-    _search = staticmethod(_best_split_exhaustive)
 
     def __init__(
         self,
@@ -352,13 +485,9 @@ class RandomForest(Classifier):
         n, d = X.shape
         n_classes = int(self.labels_.shape[0])
         k = self.max_features if self.max_features is not None else math.ceil(math.sqrt(d))
-        self.trees_ = []
-        for t in range(self.n_trees):
-            rng = _tree_rng(self.seed, t)
-            idx = rng.integers(0, n, size=n) if self.bootstrap else np.arange(n)
-            self.trees_.append(
-                _grow_classification_tree(X, y_idx, n_classes, rng, idx, k, self._search)
-            )
+        rngs = [_tree_rng(self.seed, t) for t in range(self.n_trees)]
+        samples = [rng.integers(0, n, size=n) if self.bootstrap else np.arange(n) for rng in rngs]
+        self.trees_ = _grow_forest(X, y_idx, n_classes, rngs, samples, k, _SEARCHES[self.kind])
 
     def _proba(self, X: np.ndarray) -> np.ndarray:
         acc = np.zeros((X.shape[0], self.labels_.shape[0]))
@@ -421,7 +550,6 @@ class ExtraTrees(RandomForest):
     """No bootstrap; a single uniform-random threshold per candidate feature."""
 
     kind = "extra_trees"
-    _search = staticmethod(_best_split_random)
 
     def __init__(self, n_trees: int = 800, seed: int = 0, max_features: int | None = None) -> None:
         super().__init__(n_trees=n_trees, seed=seed, bootstrap=False, max_features=max_features)

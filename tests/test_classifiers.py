@@ -7,6 +7,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vrident.classifiers import (
     MODEL_FORMAT_VERSION,
@@ -272,10 +274,82 @@ def test_logistic_hessian_in_place_is_bit_identical(lam, n, d):
     X_aug = np.hstack([X, np.ones((n, 1))])
     y01 = (rng.random(n) < 0.5).astype(np.float64)
     y01[:2] = (0.0, 1.0)
-    w, ok = _fit_binary(X_aug, y01, lam, 1e-6, 25)
+    w, ok = _fit_binary(X_aug, y01, lam, 1e-6, 25, *_work_buffers(X_aug))
     ref_w, ref_ok = _fit_binary_reference(X_aug, y01, lam, 1e-6, 25)
     assert w.tobytes() == ref_w.tobytes()
     assert ok == ref_ok
+
+
+def _work_buffers(X_aug):
+    """Fresh (scaled rows, Hessian) work buffers of _fit_binary, filled with
+    garbage: a fit must not read what they held before."""
+    d1 = X_aug.shape[1]
+    return np.full(X_aug.shape, np.nan), np.full((d1, d1), -7.0)
+
+
+def _fit_binary_fresh_hessian(X_aug, y01, lam, tol, max_iter):
+    """The Newton fit as it was before its Hessian had one buffer per fit:
+    a new Hessian at every step."""
+    n, d1 = X_aug.shape
+    w = np.zeros(d1)
+    reg = np.ones(d1)
+    reg[-1] = 0.0
+    diag = np.diag_indices(d1)
+    converged = False
+    for _ in range(max_iter):
+        grad = binary_gradient(w, X_aug, y01, lam)
+        if np.linalg.norm(grad) <= tol:
+            converged = True
+            break
+        p = _sigmoid(X_aug @ w)
+        curv = p * (1.0 - p)
+        hess = (X_aug * curv[:, None]).T @ X_aug
+        hess /= n
+        hess += 0.0
+        hess[diag] += lam * reg
+        try:
+            step = np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
+            step = grad
+        slope = float(grad @ step)
+        if slope <= 0:
+            step = grad
+            slope = float(grad @ grad)
+        j0 = binary_objective(w, X_aug, y01, lam)
+        t = 1.0
+        while t > 1e-12:
+            w_new = w - t * step
+            if binary_objective(w_new, X_aug, y01, lam) <= j0 - 1e-4 * t * slope:
+                break
+            t *= 0.5
+        w = w_new
+    else:
+        converged = bool(np.linalg.norm(binary_gradient(w, X_aug, y01, lam)) <= tol)
+    return w, converged
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n=st.integers(2, 30),
+    d=st.integers(1, 40),
+    lam=st.sampled_from([0.0, 1e-3, 0.05, 1.0, 10.0]),
+    positive=st.floats(0.0, 1.0),
+)
+def test_logistic_buffers_give_the_fresh_hessian_weights(seed, n, d, lam, positive):
+    """One Hessian buffer per fit, reused by every class and step, gives the
+    bytes of a new Hessian at every step; lam 0 may leave the Hessian
+    singular, where both fall back to the gradient."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d)) * rng.choice([0.0, 1.0, 30.0], size=d)
+    X_aug = np.hstack([X, np.ones((n, 1))])
+    buffers = _work_buffers(X_aug)
+    for c in range(2):
+        y01 = (rng.random(n) < positive).astype(np.float64)
+        w, ok = _fit_binary(X_aug, y01, lam, 1e-6, 8, *buffers)
+        ref_w, ref_ok = _fit_binary_fresh_hessian(X_aug, y01, lam, 1e-6, 8)
+        assert w.tobytes() == ref_w.tobytes()
+        assert ok == ref_ok
 
 
 # ---------------------------------------------------------------- qda

@@ -1,25 +1,27 @@
 """The forest split search against the per-node search it replaced.
 
-``RandomForest`` and ``ExtraTrees`` pick each split through the boundary
-rule and Gini cost that ``trees.py`` shares with gradient boosting, and
-gather only the candidate columns of a node. The reference below is the
-earlier grower, kept as it was: it gathers every column of the node's rows,
-ranks tied exhaustive splits by a lexsort and scores the random search on
-its own. Both must grow identical trees, ties included, so the inputs here
-are heavily tied.
+``RandomForest`` and ``ExtraTrees`` grow all their trees in lock step and
+search each step's nodes together, in padded blocks, through the boundary
+rule and Gini cost that ``trees.py`` shares with gradient boosting. The
+reference below is the earlier grower, kept as it was: it grows one tree
+at a time, gathers every column of the node's rows, ranks tied exhaustive
+splits by a lexsort and scores the random search on its own. Both must grow
+identical trees, ties included, so the inputs here are heavily tied.
 """
 from __future__ import annotations
 
+import math
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_gbm_presort import _assert_same_tree, _tied_matrix
 
-from vrident.classifiers import ExtraTrees, RandomForest
+from vrident.classifiers import ExtraTrees, RandomForest, save_model
 from vrident.classifiers import trees
-from vrident.classifiers.trees import _TreeBuffers
+from vrident.classifiers.trees import _TreeBuffers, _tree_rng
 
 
 def _reference_split_exhaustive(Xn, yn, n_classes, feats):
@@ -117,11 +119,6 @@ def _reference_grow_tree(
     return buf.pack(n_classes)
 
 
-def _reference_grow(X, y_idx, n_classes, rng, sample_idx, max_features, search):
-    randomized = search is trees._best_split_random
-    return _reference_grow_tree(X, y_idx, n_classes, rng, sample_idx, max_features, randomized)
-
-
 def _tied_data(rng, n, d, n_levels, n_classes):
     """Heavily tied rows (see ``_tied_matrix``) and labels in which every
     class appears at least once."""
@@ -151,22 +148,24 @@ def test_node_searches_match_the_reference(case):
     X, y = _tied_data(rng, case["n"], case["d"], case["n_levels"], n_classes)
     feats = np.sort(rng.choice(case["d"], size=min(case["k"], case["d"]), replace=False))
     counts = np.bincount(y, minlength=n_classes).astype(np.float64)
-    Xc = X[:, feats]
+    # a block of one node: (node, candidate, row) columns, (node, row) labels
+    Xb = X[:, feats].T[None]
     draw = int(rng.integers(2**31))
     for search, reference in (
-        (trees._best_split_exhaustive, lambda: _reference_split_exhaustive(X, y, n_classes, feats)),
+        (trees._search_exhaustive, lambda: _reference_split_exhaustive(X, y, n_classes, feats)),
         (
-            trees._best_split_random,
+            trees._search_random,
             lambda: _reference_split_random(X, y, n_classes, feats, np.random.default_rng(draw)),
         ),
     ):
-        got = search(Xc, y, counts, np.random.default_rng(draw))
+        rngs = [np.random.default_rng(draw)]
+        ok, j, thr = search(Xb, y[None], counts[None], np.array([case["n"]]), rngs)
         want = reference()
         if want is None:
-            assert got is None
+            assert not ok[0]
         else:
-            assert got is not None
-            assert (int(feats[got[0]]), got[1]) == want[:2]
+            assert ok[0]
+            assert (int(feats[j[0]]), float(thr[0])) == want[:2]
 
 
 forest_cases = st.fixed_dictionaries(
@@ -178,9 +177,35 @@ forest_cases = st.fixed_dictionaries(
         "d": st.integers(1, 12),
         "n_levels": st.integers(2, 4),
         "max_features": st.none() | st.integers(1, 12),
-        "n_trees": st.integers(1, 4),
+        "n_trees": st.integers(1, 12),
     }
 )
+
+
+def _reference_forest(X, y, n_classes, cls, params):
+    """Tree t of ``cls(**params)``, grown alone by the reference grower from
+    the stream ``_tree_rng(seed, t)``, bootstrap draw first."""
+    n, d = X.shape
+    k = params.get("max_features", math.ceil(math.sqrt(d)))
+    bootstrap = params.get("bootstrap", cls is RandomForest)
+    grown = []
+    for t in range(params["n_trees"]):
+        rng = _tree_rng(params["seed"], t)
+        idx = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
+        grown.append(_reference_grow_tree(X, y, n_classes, rng, idx, k, cls is ExtraTrees))
+    return grown
+
+
+def _assert_forest_matches_the_reference(X, y, n_classes, cls, params):
+    """Every tree equals the reference's, whatever the block bound: one
+    node per block, the default, and every step in one block."""
+    reference = _reference_forest(X, y, n_classes, cls, params)
+    for cells in (1, trees._GROW_CELLS, 1 << 40):
+        with mock.patch.object(trees, "_GROW_CELLS", cells):
+            fast = cls(**params).fit(X, y)
+        for a, b in zip(fast.trees_, reference, strict=True):
+            _assert_same_tree(a, b)
+    return fast
 
 
 @settings(max_examples=200, deadline=None)
@@ -196,8 +221,31 @@ def test_forest_trees_match_the_reference_grower(case):
         params["max_features"] = min(case["max_features"], d)
     if cls is RandomForest:
         params["bootstrap"] = bootstrap
-    fast = cls(**params).fit(X, y)
-    with mock.patch.object(trees, "_grow_classification_tree", _reference_grow):
-        slow = cls(**params).fit(X, y)
-    for a, b in zip(fast.trees_, slow.trees_, strict=True):
-        _assert_same_tree(a, b)
+    _assert_forest_matches_the_reference(X, y, case["n_classes"], cls, params)
+
+
+def test_trees_that_finish_early_leave_the_others_intact():
+    """Two rows of class 1 among 40: some bootstrap samples miss both, so
+    their tree is one pure leaf that never joins the lock step, while
+    another tree of the forest splits 8 nodes, one per step."""
+    rng = np.random.default_rng(4)
+    X = _tied_matrix(rng, 40, 6, 3)
+    y = np.zeros(40, dtype=np.int64)
+    y[[7, 23]] = 1
+    params = dict(n_trees=12, seed=15, bootstrap=True, max_features=2)
+    forest = _assert_forest_matches_the_reference(X, y, 2, RandomForest, params)
+    sizes = [t.feature.shape[0] for t in forest.trees_]
+    assert min(sizes) == 1
+    assert max(sizes) >= 17
+
+
+@pytest.mark.parametrize("cls", [RandomForest, ExtraTrees])
+def test_saved_forest_bytes_do_not_depend_on_the_block_bound(tmp_path, cls):
+    X, y = _tied_data(np.random.default_rng(5), 60, 8, 3, 4)
+    saved = set()
+    for cells in (1, 1000, trees._GROW_CELLS, 1 << 40):
+        path = tmp_path / f"{cells}.json"
+        with mock.patch.object(trees, "_GROW_CELLS", cells):
+            save_model(cls(n_trees=12, seed=3).fit(X, y), str(path))
+        saved.add(path.read_bytes())
+    assert len(saved) == 1
