@@ -122,6 +122,8 @@ class Classifier:
 
     def fit(self, X, y) -> "Classifier":
         X = check_matrix(X)
+        if X.shape[1] == 0:
+            raise ValueError(f"training needs >= 1 feature column, got shape {X.shape}")
         y = np.asarray(y)
         if y.shape != (X.shape[0],):
             raise ValueError(f"y has shape {y.shape}, expected ({X.shape[0]},)")

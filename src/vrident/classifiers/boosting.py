@@ -23,14 +23,31 @@ a per-node sort, and so are the trees. The boundary rule (no split between
 equal values, first best boundary: lowest feature, then lowest boundary,
 midpoint threshold) is the forests' ``trees._best_boundary``.
 
+The left sums of g and h are running sums over a node's sorted positions:
+each row's (g, h) pair is gathered once, position-major, and position j's
+sums are position j - 1's plus row j, one vector add over every feature's
+g and h at once. Each feature's sums take the same additions in the same
+order as ``np.cumsum`` along its sorted rows, so they are bit-for-bit the
+same, without a serial chain of adds per feature. The gather, the sums and
+the gains are written into one workspace per tree, sized for its root,
+which every node search of that tree reuses.
+
+A column that is constant over the training rows cannot split (every one of
+its boundaries falls between equal values), so a fit presorts and searches
+only the columns that vary and maps each tree's features back to the
+columns of X. Which columns are constant depends on the data: on the
+synthetic cohort 126 of the 511 ``combined`` columns are (all features of
+the synthetic quaternion x and z channels), on recorded traces few or none
+may be. When no column varies, every column is kept and each tree is one leaf.
+
 The k class trees of a round depend only on that round's softmax, so they
 grow concurrently on up to min(k, CPUs // jobs) threads: CPUs is the
 process's CPU affinity, and jobs the number of processes ``run_matrix``
-fans cells out over. The split search's large gathers, cumulative sums and
-element-wise passes release the interpreter lock. Each tree is a pure
-function of its inputs, and the scores take the trees' leaf values in class
-order afterwards, so trees, losses and saved models do not depend on the
-thread count or on CPU affinity.
+fans cells out over. The split search's large gathers and element-wise
+passes release the interpreter lock; the running sums take it once per
+sorted position. Each tree is a pure function of its inputs, and the scores
+take the trees' leaf values in class order afterwards, so trees, losses and
+saved models do not depend on the thread count or on CPU affinity.
 """
 from __future__ import annotations
 
@@ -82,12 +99,55 @@ def _presort(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, np.take_along_axis(Xt, order, axis=1)
 
 
-def _best_reg_split(order, xs, g, h, g_tot, h_tot, min_leaf):
+def _pairs(g: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Each row's (g, h) as one complex number, bit for bit, so that a single
+    gather fetches both."""
+    return np.stack((g, h), axis=-1).view(np.complex128)[:, 0]
+
+
+def _workspace(n: int, d: int) -> tuple[np.ndarray, ...]:
+    """One tree's work buffers, (n, d) each for a root of n rows over d
+    features: the gather's index, the gathered (g, h) pairs, and the right
+    sums of g and of h. A tree searches its nodes one after another and keeps
+    no view of these, so every search reuses them; fresh arrays per node
+    would page-fault again at every node."""
+    return (
+        np.empty((n, d), dtype=np.intp),
+        np.empty((n, d), dtype=np.complex128),
+        np.empty((n, d)),
+        np.empty((n, d)),
+    )
+
+
+def _running_sums(gh: np.ndarray, order: np.ndarray, hi: int, work) -> np.ndarray:
+    """Left sums of g and h after each of the first ``hi`` sorted positions of
+    every feature, as a (hi, 2d) view into ``work``: position j's row holds
+    feature f's g sum in lane 2f and its h sum in lane 2f + 1.
+
+    ``gh`` is ``_pairs(g, h)``, ``order`` a node's (d, n) sorted rows and
+    ``work`` a ``_workspace`` of at least hi rows. The rows are gathered
+    position-major and summed by one vector add per position, so every lane
+    adds the same values in the same order as ``np.cumsum(g[order], axis=1)``
+    does, bit for bit, without its serial chain of adds per feature.
+    """
+    index, pairs = work[0][:hi], work[1][:hi]
+    np.copyto(index, order.T[:hi])
+    # the indices are in range: under mode="wrap" take writes straight to
+    # ``pairs``, where the default mode="raise" buffers its output first
+    sums = np.take(gh, index, out=pairs, mode="wrap").view(np.float64)
+    rows = list(sums)
+    for prev, row in zip(rows, rows[1:]):
+        np.add(prev, row, out=row)
+    return sums
+
+
+def _best_reg_split(order, xs, gh, g_tot, h_tot, min_leaf, work):
     """Best Newton-gain split of one node, or None when no boundary clears
     min_leaf on both sides with positive gain.
 
     ``order`` and ``xs`` are the node's presorted rows and values per
-    feature, (d, n); ``g_tot``/``h_tot`` its gradient and hessian sums.
+    feature, (d, n); ``gh`` is ``_pairs(g, h)`` and ``g_tot``/``h_tot`` the
+    node's gradient and hessian sums; ``work`` is the tree's ``_workspace``.
     Boundary b puts the first b + 1 sorted rows on the left; the boundary
     rule is ``trees._best_boundary``.
     """
@@ -95,13 +155,13 @@ def _best_reg_split(order, xs, g, h, g_tot, h_tot, min_leaf):
     if n < 2 * min_leaf:
         return None
     lo, hi = min_leaf - 1, n - min_leaf  # boundaries leaving min_leaf per side
-    gl = np.cumsum(g[order], axis=1)[:, lo:hi]
-    hl = np.cumsum(h[order], axis=1)[:, lo:hi]
-    gr = g_tot - gl
-    hr = h_tot - hl
+    sums = _running_sums(gh, order, hi, work)[lo:]
+    gl = sums[:, 0::2].T  # (d, m) views
+    hl = sums[:, 1::2].T
+    gr = np.subtract(g_tot, gl, out=work[2][: hi - lo].T)
+    hr = np.subtract(h_tot, hl, out=work[3][: hi - lo].T)
     # gl**2 / (hl + eps) + gr**2 / (hr + eps) - g_tot**2 / (h_tot + eps), the
-    # same operations in the same order, in place: concurrent searches each
-    # hold four (d, n) buffers, not six
+    # same operations in the same order, in place
     gain = np.square(gl, out=gl)
     hl += _EPS
     gain /= hl
@@ -123,10 +183,12 @@ def _grow_regression_tree(X, order, xs, g, h, max_leaves, min_leaf) -> FlatTree:
     heap = []
     n, d = X.shape
     member = np.zeros(n, dtype=bool)
+    gh = _pairs(g, h)
+    work = _workspace(n, d)
 
     def push(nid, idx, order, xs):
         nonlocal counter
-        split = _best_reg_split(order, xs, g, h, g[idx].sum(), h[idx].sum(), min_leaf)
+        split = _best_reg_split(order, xs, gh, g[idx].sum(), h[idx].sum(), min_leaf, work)
         if split is not None:
             gain, feat, thr = split
             heapq.heappush(heap, (-gain, counter, nid, idx, order, xs, feat, thr))
@@ -196,7 +258,14 @@ class GradientBoosting(Classifier):
         F = np.zeros((n, k))
         self.trees_ = []
         self.train_loss_ = [_log_loss(F, y_idx)]
-        order, xs = _presort(X)
+        # a column constant over the training rows scores -inf at every
+        # boundary, so no split takes it: the trees grow on the other columns
+        # (on all of them when none varies) and their features map back
+        cols = np.flatnonzero(X.min(axis=0) < X.max(axis=0))
+        if cols.size == 0:
+            cols = np.arange(X.shape[1])
+        Xv = X[:, cols]
+        order, xs = _presort(Xv)
         with ThreadPoolExecutor(max_workers=_tree_threads(k)) as pool:
             for _ in range(self.n_rounds):
                 P = _softmax(F)
@@ -206,13 +275,14 @@ class GradientBoosting(Classifier):
                 round_trees = list(
                     pool.map(
                         lambda g, h: _grow_regression_tree(
-                            X, order, xs, g, h, self.max_leaves, self.min_leaf
+                            Xv, order, xs, g, h, self.max_leaves, self.min_leaf
                         ),
                         grad.T,
                         hess.T,
                     )
                 )
                 for c, tree in enumerate(round_trees):
+                    tree.feature = np.where(tree.feature < 0, tree.feature, cols[tree.feature])
                     F[:, c] += self.learning_rate * tree.value[tree.apply(X), 0]
                 self.trees_.append(round_trees)
                 self.train_loss_.append(_log_loss(F, y_idx))

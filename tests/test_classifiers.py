@@ -98,6 +98,13 @@ def test_fit_rejects_non_finite():
         QuadraticDiscriminant().fit(X, np.array(["a", "a", "b", "b"]))
 
 
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_fit_rejects_a_matrix_with_no_columns(kind):
+    y = np.arange(12) % 3
+    with pytest.raises(ValueError, match=r"1 feature column, got shape \(12, 0\)"):
+        make_model(kind).fit(np.zeros((12, 0)), y)
+
+
 def test_predict_rejects_width_mismatch():
     X, y = blobs()
     model = LogisticOneVsRest().fit(X, y)
