@@ -9,7 +9,9 @@ values are second-order (Newton) estimates:
 
 with G/H the summed gradients p - y and hessians p(1-p). Scores start at
 zero (uniform probabilities), and each accepted tree moves them by
-learning_rate * leaf value.
+learning_rate * leaf value, one tree at a time: round by round, and class
+by class within a round. A fit finds a round's k trees' leaves in one
+stacked descent (``trees._leaves``), a prediction every tree's.
 
 The exact split search sorts each column once per fit, not at every node
 (the "column block" of XGBoost's exact greedy method, Chen & Guestrin 2016,
@@ -58,7 +60,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .base import Classifier, check_params, saved_array, saved_list
-from .trees import FlatTree, _TreeBuffers, _best_boundary
+from .trees import FlatTree, _TreeBuffers, _best_boundary, _leaves, _stack
 
 _EPS = 1e-16
 
@@ -281,9 +283,11 @@ class GradientBoosting(Classifier):
                         hess.T,
                     )
                 )
-                for c, tree in enumerate(round_trees):
+                for tree in round_trees:
                     tree.feature = np.where(tree.feature < 0, tree.feature, cols[tree.feature])
-                    F[:, c] += self.learning_rate * tree.value[tree.apply(X), 0]
+                stack, root = _stack(round_trees)
+                for c, leaf in enumerate(_leaves(stack, root, X)):
+                    F[:, c] += self.learning_rate * stack.value[leaf, 0]
                 self.trees_.append(round_trees)
                 self.train_loss_.append(_log_loss(F, y_idx))
 
@@ -293,9 +297,10 @@ class GradientBoosting(Classifier):
 
     def _decision_scores(self, X: np.ndarray) -> np.ndarray:
         F = np.zeros((X.shape[0], self.labels_.shape[0]))
-        for round_trees in self.trees_:
-            for c, tree in enumerate(round_trees):
-                F[:, c] += self.learning_rate * tree.value[tree.apply(X), 0]
+        if self.trees_:
+            stack, root = _stack([tree for round_trees in self.trees_ for tree in round_trees])
+            for t, leaf in enumerate(_leaves(stack, root, X)):
+                F[:, t % F.shape[1]] += self.learning_rate * stack.value[leaf, 0]
         return F
 
     def _proba(self, X: np.ndarray) -> np.ndarray:

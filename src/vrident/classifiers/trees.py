@@ -31,6 +31,10 @@ gradient boosting: no split between equal values, a midpoint threshold,
 and ties to the lowest candidate feature, then the lowest boundary (extra
 trees also take the first minimum over candidates). ``_gini_cost`` scores
 both forest searches.
+
+One stacked descent (``_stack``, ``_leaves``) serves forest prediction,
+boosting and the forest Shapley walk. Leaf values are still summed tree by
+tree, in tree order, so no sum depends on the descent's blocks.
 """
 from __future__ import annotations
 
@@ -41,10 +45,10 @@ import numpy as np
 
 from .base import Classifier, check_params, saved_array, saved_list, saved_object
 
-#: (tree, walk, count) cells that one block of a forest walk descends at
-#: once, and nodes its pass for parted features stacks at once (see
-#: RandomForest.walk_proba); bounds the walk's memory, and no result
-#: depends on it
+#: cells that one block of a stacked descent moves at once: (tree, row)
+#: cells of a prediction (see _leaves) and (tree, walk, count) cells of a
+#: forest walk (see RandomForest.walk_proba); bounds the descents' memory,
+#: and no result depends on it
 _WALK_CELLS = 1 << 16
 #: (node, candidate, row) cells that one block of a forest fit's step
 #: searches at once (see _grow_forest); bounds the search's memory, and no
@@ -64,23 +68,12 @@ class FlatTree:
     right: np.ndarray
     value: np.ndarray
 
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        """Leaf index reached by every row of X."""
-        pos = np.zeros(X.shape[0], dtype=np.int64)
-        active = np.flatnonzero(self.feature[pos] >= 0)
-        while active.size:
-            node = pos[active]
-            vals = X[active, self.feature[node]]
-            pos[active] = np.where(vals <= self.threshold[node], self.left[node], self.right[node])
-            active = active[self.feature[pos[active]] >= 0]
-        return pos
-
     def to_json(self) -> dict:
         return {f.name: getattr(self, f.name).tolist() for f in fields(self)}
 
     @classmethod
     def from_json(cls, obj: dict, n_features: int, width: int, where: str) -> "FlatTree":
-        """The tree saved by to_json, checked so that ``apply`` on rows of
+        """The tree saved by to_json, checked so that a descent of rows of
         ``n_features`` values only reads nodes that exist and always ends
         in a leaf with ``width`` values; otherwise a ValueError naming
         ``where`` and the key."""
@@ -376,59 +369,59 @@ def _runs(counts, bound):
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _stacked_sides(block, x, baseline):
-    """The stacked node features of a block of trees, and the side (left or
-    not) that x and the baseline take at each node. A leaf's feature -1
-    reads the last value; callers mask leaves out."""
-    feature = np.concatenate([t.feature for t in block])
-    threshold = np.concatenate([t.threshold for t in block])
-    return feature, x[feature] <= threshold, baseline[feature] <= threshold
+def _stack(trees):
+    """The nodes of ``trees`` as one FlatTree, each tree's children offset by
+    the nodes before it, and the node of each tree's root."""
+    sizes = [t.feature.shape[0] for t in trees]
+    root = np.cumsum(sizes) - sizes
+    nodes = {f.name: np.concatenate([getattr(t, f.name) for t in trees]) for f in fields(FlatTree)}
+    nodes["left"] += np.repeat(root, sizes)
+    nodes["right"] += np.repeat(root, sizes)
+    return FlatTree(**nodes), root
 
 
-def _walk_block(acc, block, x, baseline, col, parted, n_parted, ranks):
+def _leaves(stack, root, X):
+    """The leaf that every row of X reaches in each tree of ``stack`` rooted
+    at ``root``, one array of rows per tree in tree order. The trees are
+    descended together, at most ``_WALK_CELLS`` (tree, row) cells at a time
+    unless one tree has more rows."""
+    (n, d), split, flat = X.shape, stack.feature >= 0, X.ravel()
+    # child[2 * node + go_left]: the node's right, then its left child
+    child = np.stack([stack.right, stack.left], axis=1).ravel()
+    for a, b in _runs([n] * root.size, _WALK_CELLS):
+        at, pos = np.tile(np.arange(n) * d, b - a), np.repeat(root[a:b], n)
+        active = np.flatnonzero(split[pos])
+        while active.size:
+            node = pos[active]
+            go_left = flat.take(at[active] + stack.feature[node]) <= stack.threshold[node]
+            pos[active] = child[2 * node + go_left]
+            active = active[split[pos[active]]]
+        yield from pos.reshape(b - a, n)
+
+
+def _walk_block(acc, stack, root, jump, child, col, keys, n_parted, ranks):
     """Add a block of trees' leaf values at every step of the walks into
     ``acc``, tree by tree (see RandomForest.walk_proba).
 
-    ``parted`` lists each tree's ``n_parted`` parted features in turn, and
+    The block's trees are rooted at ``root`` in the forest's ``stack``
+    (``jump`` and ``child`` as in walk_proba). ``keys`` holds each tree's
+    ``n_parted`` parted features in turn, as tree * d + feature, and
     ``ranks`` is the flattened (walks, d + 1) rank matrix with step d in
-    its last column. A cell is a (tree, walk, count) triple, in that
-    order. Its ``cut`` is the step at which the walk flips the tree's
-    (count+1)-th parted feature (d after the last), so the walk holds that
-    cell's leaf for the ``held`` steps since the previous cut. One sort of
+    its last column. A cell is a (tree, walk, count) triple, in that order.
+    Its ``cut`` is the step at which the walk flips the tree's (count+1)-th
+    parted feature (d after the last), so the walk holds that cell's leaf
+    for the ``held`` steps since the previous cut. One sort of
     rank + (tree, walk) * (d + 1) orders every tree's cuts within each
-    walk, and one descent moves every cell through the block's stacked
-    nodes, from one parted node to the next: the nodes in between send x
-    and the baseline the same way.
+    walk, and one descent moves every cell from one parted node to the
+    next: the nodes in between send x and the baseline the same way.
     """
     n_walks, d = acc.shape
-    feature, x_left, b_left = _stacked_sides(block, x, baseline)
-    split = feature >= 0
-    sizes = [t.feature.shape[0] for t in block]
-    root = np.cumsum(sizes) - sizes
-    off = np.repeat(root, sizes)
-    left = np.concatenate([t.left for t in block]) + off
-    right = np.concatenate([t.right for t in block]) + off
-    value = np.concatenate([t.value[:, col] for t in block])
-    # jump[node]: the first node at or below ``node`` that is a leaf or parts
-    # x and the baseline, following the side both take (pointer doubling)
-    same = split & (x_left == b_left)
-    jump = np.where(same, np.where(x_left, left, right), np.arange(split.size))
-    while True:
-        further = jump[jump]
-        if np.array_equal(further, jump):
-            break
-        jump = further
-    # child[2 * node + flipped]: where the walked row goes from a parted node,
-    # by the side the baseline (not flipped) or x (flipped) takes, jumped
-    sides = np.stack([b_left, x_left], axis=1)
-    child = jump[np.where(sides, left[:, None], right[:, None])].ravel()
-
     width = n_parted + 1
     # each tree's parted features, then column d
-    cols = np.insert(parted, np.cumsum(n_parted), d)
+    cols = np.insert(keys % d, np.cumsum(n_parted), d)
     n_cells = n_walks * width
     cell_start = np.cumsum(n_cells) - n_cells
-    tree = np.repeat(np.arange(len(block)), n_cells)
+    tree = np.repeat(np.arange(root.size), n_cells)
     walk, count = np.divmod(np.arange(n_cells.sum()) - cell_start[tree], width[tree])
     row = walk * (d + 1)
     shift = (tree * n_walks + walk) * (d + 1)
@@ -440,14 +433,15 @@ def _walk_block(acc, block, x, baseline, col, parted, n_parted, ranks):
     first = count == 0
     held[first] = cut[first]
 
+    split = stack.feature >= 0
     pos = jump[root][tree]
     active = np.flatnonzero(split[pos])
     while active.size:
         node = pos[active]
-        flipped = ranks[row[active] + feature[node]] < cut[active]
+        flipped = ranks[row[active] + stack.feature[node]] < cut[active]
         pos[active] = child[2 * node + flipped]
         active = active[split[pos[active]]]
-    leaf_value = value[pos]
+    leaf_value = stack.value[pos, col]
     flat = acc.reshape(-1)
     for s, e in zip(cell_start.tolist(), (cell_start + n_cells).tolist()):
         flat += np.repeat(leaf_value[s:e], held[s:e])
@@ -490,9 +484,10 @@ class RandomForest(Classifier):
         self.trees_ = _grow_forest(X, y_idx, n_classes, rngs, samples, k, _SEARCHES[self.kind])
 
     def _proba(self, X: np.ndarray) -> np.ndarray:
+        stack, root = _stack(self.trees_)
         acc = np.zeros((X.shape[0], self.labels_.shape[0]))
-        for tree in self.trees_:
-            acc += tree.value[tree.apply(X)]
+        for leaf in _leaves(stack, root, X):
+            acc += stack.value[leaf]
         return acc / len(self.trees_)
 
     def walk_proba(self, x, baseline, rank: np.ndarray, col: int) -> np.ndarray:
@@ -508,33 +503,43 @@ class RandomForest(Classifier):
         most m + 1 leaves of that tree, one per count of those features
         flipped, and the tree is descended once per (walk, count) cell.
 
-        Every tree's parted features come from one pass over the nodes, at
-        most ``_WALK_CELLS`` nodes at a time; then the trees are walked a
-        block at a time (see ``_walk_block``), at most ``_WALK_CELLS`` cells
-        per block unless one tree has more.
+        One pass over the forest's stacked nodes finds every tree's parted
+        features and where a walk goes from each node; then the trees are
+        walked a block at a time (see ``_walk_block``), at most
+        ``_WALK_CELLS`` cells per block unless one tree has more.
         Entry [p, j] equals, bit for bit, ``predict_proba`` of the walked
         row at step j, whatever the blocks: the same leaf values are summed
         in the same tree order as in _proba.
         """
-        x, baseline = self._checked(np.stack([x, baseline]))
-        trees = self.trees_
+        rows = self._checked(np.stack([x, baseline]))
         n_walks, d = rank.shape
-        sizes = [t.feature.shape[0] for t in trees]
-        keys = []
-        for a, b in _runs(sizes, _WALK_CELLS):
-            feature, x_left, b_left = _stacked_sides(trees[a:b], x, baseline)
-            parts = np.flatnonzero((feature >= 0) & (x_left != b_left))
-            tree = a + np.searchsorted(np.cumsum(sizes[a:b]), parts, side="right")
-            keys.append(tree * d + feature[parts])
+        stack, root = _stack(self.trees_)
+        split = stack.feature >= 0
+        # a leaf's feature -1 reads the last value; ``split`` masks leaves out
+        x_left, b_left = rows[:, stack.feature] <= stack.threshold
+        parts = np.flatnonzero(split & (x_left != b_left))
         # every tree's parted features as (tree, feature) keys, tree by tree
-        keys = np.unique(np.concatenate(keys))
-        n_parted = np.bincount(keys // d, minlength=len(trees))
+        keys = np.unique((np.digitize(parts, root) - 1) * d + stack.feature[parts])
+        n_parted = np.bincount(keys // d, minlength=root.size)
+        # jump[node]: the first node at or below ``node`` that is a leaf or parts
+        # x and the baseline, following the side both take (pointer doubling)
+        same = split & (x_left == b_left)
+        jump = np.where(same, np.where(x_left, stack.left, stack.right), np.arange(split.size))
+        while True:
+            further = jump[jump]
+            if np.array_equal(further, jump):
+                break
+            jump = further
+        # child[2 * node + flipped]: where the walked row goes from a parted node,
+        # by the side the baseline (not flipped) or x (flipped) takes, jumped
+        sides = np.stack([b_left, x_left], axis=1)
+        child = jump[np.where(sides, stack.left[:, None], stack.right[:, None])].ravel()
         ranks = np.hstack([rank, np.full((n_walks, 1), d)]).reshape(-1)
         acc = np.zeros(rank.shape)
         for a, b in _runs((n_walks * (n_parted + 1)).tolist(), _WALK_CELLS):
             lo, hi = np.searchsorted(keys, [a * d, b * d])
-            _walk_block(acc, trees[a:b], x, baseline, col, keys[lo:hi] % d, n_parted[a:b], ranks)
-        return acc / len(trees)
+            _walk_block(acc, stack, root[a:b], jump, child, col, keys[lo:hi], n_parted[a:b], ranks)
+        return acc / root.size
 
     def restore(self, state: dict) -> None:
         k, where = self.labels_.shape[0], f"{self.kind} model file: 'trees'"

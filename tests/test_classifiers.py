@@ -14,7 +14,6 @@ from vrident.classifiers import (
     MODEL_FORMAT_VERSION,
     MODEL_KINDS,
     ExtraTrees,
-    FlatTree,
     GradientBoosting,
     LogisticOneVsRest,
     QuadraticDiscriminant,
@@ -31,9 +30,10 @@ from vrident.classifiers.logistic import (
     binary_objective,
 )
 from vrident.classifiers.serialize import _model_obj
-from vrident.classifiers.trees import _tree_rng
+from vrident.classifiers.trees import _leaves, _stack, _tree_rng
 
 from test_qda_reference import dense_fit, dense_log_densities
+from tree_fixtures import hand_walk
 
 
 def blobs(seed=0, n_per=25, centers=((0.0, 0.0), (4.0, 0.0), (0.0, 4.0)), scale=0.6):
@@ -566,24 +566,16 @@ def test_load_refuses_a_format_version_1_qda_file(tmp_path):
 # ---------------------------------------------------------------- trees
 
 
-def hand_walk(tree: FlatTree, row: np.ndarray) -> int:
-    node = 0
-    while tree.feature[node] >= 0:
-        if row[tree.feature[node]] <= tree.threshold[node]:
-            node = tree.left[node]
-        else:
-            node = tree.right[node]
-    return node
-
-
-def test_flat_tree_apply_matches_hand_walk():
+def test_leaves_match_hand_walk():
     X, y = blobs(seed=17)
     model = RandomForest(n_trees=3, seed=2).fit(X, y)
     Xq = np.random.default_rng(5).normal(size=(30, 2), scale=3.0)
-    for tree in model.trees_:
-        applied = tree.apply(Xq)
+    stack, root = _stack(model.trees_)
+    leaves = list(_leaves(stack, root, Xq))
+    assert len(leaves) == len(model.trees_)
+    for tree, start, stacked in zip(model.trees_, root, leaves):
         manual = np.array([hand_walk(tree, row) for row in Xq])
-        assert np.array_equal(applied, manual)
+        assert np.array_equal(stacked - start, manual)
 
 
 def test_single_tree_memorizes_two_points():

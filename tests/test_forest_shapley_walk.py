@@ -9,8 +9,8 @@ builds the rows and scores them with ``predict_proba``, as every walk did
 before. Both must agree bit for bit, whatever the blocks: the walk values,
 the per-feature sums and sums of squares of the marginal contributions, and
 v(instance). ``_tree_walk`` is the per-tree walk the forests took before
-their trees were walked together; its leaves are checked against
-``FlatTree.apply`` on the walked rows.
+their trees were walked together; its leaves are checked against a
+per-row ``hand_walk`` of the walked rows.
 """
 from __future__ import annotations
 
@@ -23,6 +23,8 @@ from hypothesis import strategies as st
 
 from vrident.classifiers import ExtraTrees, RandomForest, trees
 from vrident.importance import _marginal_sums, _step_ranks, _walk_values, shapley_attribution
+
+from tree_fixtures import hand_leaves
 
 
 def _reference_walk(model, col, x, baseline, v_base, perms, chunk_perms):
@@ -193,7 +195,7 @@ def test_forest_walk_matches_row_walk(case):
     rows = np.where(rank[:, None, :] <= steps[None, :, None], x, baseline).reshape(-1, d)
     for tree in model.trees_:
         leaves, held = _tree_walk(tree, x, baseline, rank)
-        assert np.array_equal(np.repeat(leaves, held).reshape(rank.shape).ravel(), tree.apply(rows))
+        assert np.array_equal(np.repeat(leaves, held), hand_leaves(tree, rows))
 
 
 def test_walk_blocks_follow_the_cell_bound():

@@ -11,6 +11,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_gbm_presort import _assert_same_tree, _reference_tree, _tied_matrix, tree_cases
+from tree_fixtures import hand_leaves
 
 from vrident.classifiers import FlatTree, GradientBoosting
 from vrident.classifiers import boosting
@@ -67,7 +68,7 @@ def _reference_fit(X, y, n_rounds, learning_rate, max_leaves, min_leaf):
             _reference_tree(X, grad[:, c], hess[:, c], max_leaves, min_leaf) for c in range(k)
         ]
         for c, tree in enumerate(round_trees):
-            F[:, c] += learning_rate * tree.value[tree.apply(X), 0]
+            F[:, c] += learning_rate * tree.value[hand_leaves(tree, X), 0]
         trees.append(round_trees)
         losses.append(boosting._log_loss(F, y_idx))
     return trees, losses
