@@ -9,6 +9,13 @@ import typing
 import numpy as np
 
 
+def _softmax(F: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of scores ``F``, shifted by each row's maximum."""
+    z = F - F.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
 def check_matrix(X, n_features: int | None = None) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:

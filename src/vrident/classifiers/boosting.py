@@ -59,7 +59,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .base import Classifier, check_params, saved_array, saved_list
+from .base import Classifier, _softmax, check_params, saved_array, saved_list
 from .trees import FlatTree, _TreeBuffers, _best_boundary, _leaves, _stack
 
 _EPS = 1e-16
@@ -79,12 +79,6 @@ def _available_cpus() -> int:
 def _tree_threads(k: int) -> int:
     """Threads growing a round's k class trees: min(k, CPUs // jobs), at least 1."""
     return max(1, min(k, _available_cpus() // _jobs))
-
-
-def _softmax(F: np.ndarray) -> np.ndarray:
-    z = F - F.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def _log_loss(F: np.ndarray, y_idx: np.ndarray) -> float:

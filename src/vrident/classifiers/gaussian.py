@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .base import Classifier, check_params, saved_array, saved_list
+from .base import Classifier, _softmax, check_params, saved_array, saved_list
 
 
 class QuadraticDiscriminant(Classifier):
@@ -93,11 +93,8 @@ class QuadraticDiscriminant(Classifier):
         return out
 
     def _proba(self, X: np.ndarray) -> np.ndarray:
-        # uniform prior adds a constant, which log-sum-exp cancels
-        ll = self._log_densities(X)
-        shifted = ll - ll.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        return e / e.sum(axis=1, keepdims=True)
+        # uniform prior adds a constant, which the softmax cancels
+        return _softmax(self._log_densities(X))
 
     def restore(self, state: dict) -> None:
         k, d = self.labels_.shape[0], self.n_features_

@@ -6,8 +6,7 @@ subset of ceil(sqrt(d)) candidate features per node. The forest searches
 all midpoints between consecutive distinct values of each candidate; extra
 trees draw one uniform threshold in [min, max) per candidate instead and
 train on the full sample (no bootstrap). Left branches take values <=
-threshold. Tree t uses an independent Philox stream keyed by
-SeedSequence(entropy=seed, spawn_key=(t,)), so training is deterministic.
+threshold. Tree t draws from ``core.philox_stream(seed, (t,))``.
 
 A fit grows all its trees in lock step (``_grow_forest``). Each tree keeps
 its own depth-first stack and node numbering. At each step every unfinished
@@ -43,6 +42,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from ..core import philox_stream
 from .base import Classifier, check_params, saved_array, saved_list, saved_object
 
 #: cells that one block of a stacked descent moves at once: (tree, row)
@@ -153,13 +153,13 @@ def _best_boundary(score, xs, lo=0):
     ``score[..., f, j]`` (higher is better) scores the boundary after sorted
     position ``lo + j`` of candidate f, whose sorted values are
     ``xs[..., f, :]``; leading axes, if any, index nodes searched together.
-    No split falls between equal values: those boundaries score -inf (in
-    place). Each node takes its first argmax, i.e. the lowest candidate,
-    then the lowest boundary. Returns (score, candidate row, midpoint
-    threshold), each of the leading shape.
+    No split falls between equal values: those boundaries score -inf. Each
+    node takes its first argmax, i.e. the lowest candidate, then the lowest
+    boundary. ``score`` is left as it is. Returns (score, candidate row,
+    midpoint threshold), each of the leading shape.
     """
     m = score.shape[-1]
-    score[xs[..., lo + 1 : lo + m + 1] <= xs[..., lo : lo + m]] = -np.inf
+    score = np.where(xs[..., lo + 1 : lo + m + 1] <= xs[..., lo : lo + m], -np.inf, score)
     f, j = np.divmod(score.reshape(*score.shape[:-2], -1).argmax(axis=-1), m)
     node = np.indices(f.shape, sparse=True)
     b = lo + j
@@ -350,12 +350,6 @@ def _grow_forest(X, y_idx, n_classes, rngs, samples, max_features, search):
     return [buf.pack(n_classes) for buf in bufs]
 
 
-def _tree_rng(seed: int, tree_index: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(tree_index,)))
-    )
-
-
 def _runs(counts, bound):
     """(start, stop) of consecutive runs of items whose ``counts`` sum to at
     most ``bound``; an item over the bound makes a run of its own."""
@@ -479,7 +473,7 @@ class RandomForest(Classifier):
         n, d = X.shape
         n_classes = int(self.labels_.shape[0])
         k = self.max_features if self.max_features is not None else math.ceil(math.sqrt(d))
-        rngs = [_tree_rng(self.seed, t) for t in range(self.n_trees)]
+        rngs = [philox_stream(self.seed, (t,)) for t in range(self.n_trees)]
         samples = [rng.integers(0, n, size=n) if self.bootstrap else np.arange(n) for rng in rngs]
         self.trees_ = _grow_forest(X, y_idx, n_classes, rngs, samples, k, _SEARCHES[self.kind])
 

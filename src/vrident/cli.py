@@ -21,8 +21,9 @@ from pathlib import Path
 from . import __version__
 from .classifiers import MODEL_CLASSES, MODEL_KINDS, make_model
 from .classifiers.base import check_param_type
-from .core import DEFAULT_WINDOW_S, whole_windows
+from .core import DEFAULT_TEST_S, DEFAULT_TRAIN_S, DEFAULT_WINDOW_S, positive_number, whole_windows
 from .evaluation import (
+    SUBSET_UNIT,
     ExperimentSpec,
     cell_matrices,
     majority_vote_eval,
@@ -36,9 +37,8 @@ from .evaluation import (
     write_table_csv,
 )
 from .features import (
-    _TRAFFIC_SETS,
     DEFAULT_BIN_S,
-    FEATURE_SET_NAMES,
+    FEATURE_SETS,
     _bin_count,
     build_features,
     feature_names,
@@ -50,10 +50,6 @@ from .ingest import atomic_write_text, generate_synthetic_cohort, load_dataset, 
 
 class UsageError(ValueError):
     """Bad flags, config, or input files; maps to exit code 2."""
-
-
-#: Users per unit of the subset curve; ``subset_sizes`` are multiples of it.
-SUBSET_UNIT = 5
 
 
 # ---- run config ----------------------------------------------------------------
@@ -74,8 +70,8 @@ class RunConfig:
     out_dir: str = "reports"
     window_s: float = DEFAULT_WINDOW_S
     bin_s: float = DEFAULT_BIN_S
-    train_s: float = 480.0
-    test_s: float = 120.0
+    train_s: float = DEFAULT_TRAIN_S
+    test_s: float = DEFAULT_TEST_S
     vote_k: tuple[int, ...] = (1,)
     subset_sizes: tuple[int, ...] = ()
     model_params: dict = field(default_factory=dict)
@@ -119,9 +115,7 @@ def _int_tuple(obj: dict, key: str, where: str, minimum: int = 0) -> tuple[int, 
 
 def _positive_number(obj: dict, key: str, where: str) -> float:
     val = obj[key]
-    # json.loads takes NaN and Infinity, and bool is an int subclass
-    number = isinstance(val, (int, float)) and not isinstance(val, bool)
-    if not number or not 0 < val <= sys.float_info.max:
+    if not positive_number(val):
         raise UsageError(f"{where}: {key!r} must be a finite positive number, got {val!r}")
     return float(val)
 
@@ -184,7 +178,7 @@ def load_run_config(path: str) -> RunConfig:
     for key in ("window_s", "bin_s", "train_s", "test_s"):
         if key in obj:
             kwargs[key] = _positive_number(obj, key, where)
-    if _TRAFFIC_SETS.intersection(kwargs["feature_sets"]):
+    if any(FEATURE_SETS[fs].traffic for fs in kwargs["feature_sets"]):
         try:
             _bin_count(kwargs.get("window_s", DEFAULT_WINDOW_S), kwargs.get("bin_s", DEFAULT_BIN_S))
         except ValueError as exc:
@@ -344,16 +338,13 @@ def cmd_featurize(args) -> int:
     for flag, value in (("--window", args.window), ("--bin", args.bin_s)):
         if not 0 < value <= sys.float_info.max:
             raise UsageError(f"{flag} must be a finite positive number, got {value}")
-    feature_set = args.feature_set
+    feature_set, blocks = args.feature_set, FEATURE_SETS[args.feature_set]
     if args.normalize_height:
-        mapped = {
-            "movement": "movement_norm_height",
-            "combined": "combined_norm_height",
-        }.get(feature_set, feature_set)
-        if feature_set == "traffic":
+        if not blocks.movement:
             raise UsageError("height normalization does not apply to the traffic feature set")
-        feature_set = mapped
-    if feature_set in _TRAFFIC_SETS:
+        blocks = blocks._replace(norm_height=True)
+        feature_set = next(name for name, fs in FEATURE_SETS.items() if fs == blocks)
+    if blocks.traffic:
         _bin_count(args.window, args.bin_s)
     dataset = load_dataset(args.manifest)
     out_dir = _resolve_out_dir(args.out, "features")
@@ -536,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     feat = sub.add_parser("featurize", help="write per-game feature matrices")
     feat.add_argument("--manifest", required=True, help="manifest path")
     feat.add_argument(
-        "--feature-set", default="combined", choices=sorted(FEATURE_SET_NAMES)
+        "--feature-set", default="combined", choices=sorted(FEATURE_SETS)
     )
     feat.add_argument("--window", type=float, default=DEFAULT_WINDOW_S, help="window seconds")
     feat.add_argument(

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,6 +113,20 @@ def _escapes_dir(id_: str) -> bool:
     return any(c in id_ for c in "/\\\0")
 
 
+def positive_number(val) -> bool:
+    """Whether ``val`` is a positive JSON number: an int or float, not a bool,
+    with 0 < val <= sys.float_info.max (json.loads takes NaN and Infinity)."""
+    number = isinstance(val, (int, float)) and not isinstance(val, bool)
+    return number and 0 < val <= sys.float_info.max
+
+
+def philox_stream(seed: int, key: tuple[int, ...]) -> np.random.Generator:
+    """The random stream of unit of work ``key`` under ``seed``: numpy's
+    counter-based Philox keyed by SeedSequence(entropy=seed, spawn_key=key)."""
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=key)
+    return np.random.Generator(np.random.Philox(seq))
+
+
 @dataclass
 class Trace:
     """One user's paired movement + traffic capture for one game.
@@ -183,8 +198,8 @@ class Trace:
     def check(self) -> None:
         """Refuse what a cohort file cannot hold, naming the trace, and the
         sample, channel and value: an id that is not a str or that holds '/',
-        '\\' or NUL; a ``duration_s`` that is not a finite int or float > 0
-        (a bool is not); a float that is not finite with |x| * 10**6 < 2**52
+        '\\' or NUL; a ``duration_s`` that is not a ``positive_number``, as a
+        manifest's must be; a float that is not finite with |x| * 10**6 < 2**52
         (about 4.5e9); a size outside [1, 10**18); a dir other than DIR_UL or
         DIR_DL; a stream whose timestamps go back.
 
@@ -198,8 +213,7 @@ class Trace:
                 raise TraceFormatError(f"{where}: {name} must be a str and {_PATH_RULE}")
         where = f"trace {self.user_id}/{self.game_id}"
         d = self.duration_s
-        # a manifest holds it as a JSON number, and takes no bool
-        if isinstance(d, bool) or not isinstance(d, (int, float)) or not 0 < d < math.inf:
+        if not positive_number(d):
             raise TraceFormatError(f"{where}: duration_s must be a finite number > 0, got {d!r}")
         for name, (_, lo, hi, _) in _TRACE_ARRAYS.items():
             values = getattr(self, name)

@@ -23,23 +23,11 @@ from .core import (
     split_train_test,
     whole_windows,
 )
-from .features import (
-    DEFAULT_BIN_S,
-    FEATURE_SET_NAMES,
-    MinMaxScaler,
-    build_features,
-)
+from .features import DEFAULT_BIN_S, FEATURE_SETS, MinMaxScaler, build_features, feature_names
 from .ingest import atomic_write_text
 
-#: Feature-set column order used by the summary accuracy table.
-TABLE_FEATURE_ORDER = (
-    "movement",
-    "traffic",
-    "movement_norm_height",
-    "combined",
-    "combined_norm_height",
-)
-
+#: Users per unit of the subset curve; subset sizes are multiples of it.
+SUBSET_UNIT = 5
 DEFAULT_SUBSET_SIZES = (5, 10, 15, 20, 25, 30)
 
 
@@ -78,11 +66,16 @@ def macro_f1(y_true, y_pred, labels=None) -> float:
         tp = float(np.sum((y_true == lab) & (y_pred == lab)))
         n_pred = float(np.sum(y_pred == lab))
         n_true = float(np.sum(y_true == lab))
-        precision = tp / n_pred if n_pred else 0.0
-        recall = tp / n_true if n_true else 0.0
-        denom = precision + recall
-        scores.append(2.0 * precision * recall / denom if denom else 0.0)
+        scores.append(_precision_recall_f1(tp, n_pred, n_true)[2])
     return float(np.mean(scores))
+
+
+def _precision_recall_f1(tp: float, n_pred: float, n_true: float) -> tuple[float, float, float]:
+    """Precision, recall and F1 of one label's counts; an empty ratio counts as 0."""
+    precision = tp / n_pred if n_pred else 0.0
+    recall = tp / n_true if n_true else 0.0
+    denom = precision + recall
+    return precision, recall, 2.0 * precision * recall / denom if denom else 0.0
 
 
 def confusion_matrix(y_true, y_pred, labels) -> np.ndarray:
@@ -104,14 +97,8 @@ def per_label_metrics(confusion: np.ndarray, labels) -> dict[str, dict[str, floa
         tp = float(confusion[i, i])
         n_pred = float(confusion[:, i].sum())
         n_true = float(confusion[i, :].sum())
-        precision = tp / n_pred if n_pred else 0.0
-        recall = tp / n_true if n_true else 0.0
-        denom = precision + recall
-        out[str(lab)] = {
-            "precision": precision,
-            "recall": recall,
-            "f1": 2.0 * precision * recall / denom if denom else 0.0,
-        }
+        precision, recall, f1 = _precision_recall_f1(tp, n_pred, n_true)
+        out[str(lab)] = {"precision": precision, "recall": recall, "f1": f1}
     return out
 
 
@@ -133,9 +120,7 @@ class ExperimentSpec:
     model_params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.feature_set not in FEATURE_SET_NAMES:
-            known = ", ".join(sorted(FEATURE_SET_NAMES))
-            raise ValueError(f"unknown feature set {self.feature_set!r}; expected one of: {known}")
+        feature_names(self.feature_set)  # validates the name
         if self.model_kind not in MODEL_KINDS:
             raise ValueError(
                 f"unknown model kind {self.model_kind!r}; expected one of {MODEL_KINDS}"
@@ -322,7 +307,7 @@ def user_subset_experiment(
     spec: ExperimentSpec,
     dataset: Dataset,
     sizes=DEFAULT_SUBSET_SIZES,
-    unit: int = 5,
+    unit: int = SUBSET_UNIT,
     full_report: EvaluationReport | None = None,
 ) -> SubsetResult:
     """Mean identification accuracy as the user count grows.
@@ -512,9 +497,9 @@ def write_table_csv(path: str, reports: list[EvaluationReport]) -> None:
     for rep in reports:
         key = (rep.spec.game_id, rep.spec.model_kind)
         cells.setdefault(key, {})[rep.spec.feature_set] = rep.accuracy
-    lines = ["game,model," + ",".join(TABLE_FEATURE_ORDER)]
+    lines = ["game,model," + ",".join(FEATURE_SETS)]
     for (game, model), row in sorted(cells.items()):
-        vals = [repr(row[fs]) if fs in row else "" for fs in TABLE_FEATURE_ORDER]
+        vals = [repr(row[fs]) if fs in row else "" for fs in FEATURE_SETS]
         lines.append(f"{game},{model}," + ",".join(vals))
     atomic_write_text(path, "\n".join(lines) + "\n")
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -155,28 +156,33 @@ MOVEMENT_FEATURE_NAMES = _movement_names()
 TRAFFIC_FEATURE_NAMES = _traffic_names()
 COMBINED_FEATURE_NAMES = MOVEMENT_FEATURE_NAMES + TRAFFIC_FEATURE_NAMES
 
-#: Selectable feature sets. The *_norm_height variants divide each device's
-#: vertical position channel by its full-trace mean before statistics
-#: (geometry still uses the unscaled positions); names are unchanged.
-FEATURE_SET_NAMES = {
-    "movement": MOVEMENT_FEATURE_NAMES,
-    "movement_norm_height": MOVEMENT_FEATURE_NAMES,
-    "traffic": TRAFFIC_FEATURE_NAMES,
-    "combined": COMBINED_FEATURE_NAMES,
-    "combined_norm_height": COMBINED_FEATURE_NAMES,
-}
 
-_NORMALIZED_SETS = frozenset({"movement_norm_height", "combined_norm_height"})
-_MOVEMENT_SETS = frozenset({"movement", "movement_norm_height", "combined", "combined_norm_height"})
-_TRAFFIC_SETS = frozenset({"traffic", "combined", "combined_norm_height"})
+class FeatureSet(NamedTuple):
+    movement: bool  # has the movement block, first
+    traffic: bool  # has the traffic block, last
+    norm_height: bool  # heights are normalized
+
+
+#: Selectable feature sets, in summary-table order. The *_norm_height
+#: variants divide each device's vertical position channel by its full-trace
+#: mean before statistics (geometry still uses the unscaled positions);
+#: names are unchanged.
+FEATURE_SETS = {
+    "movement": FeatureSet(True, False, False),
+    "traffic": FeatureSet(False, True, False),
+    "movement_norm_height": FeatureSet(True, False, True),
+    "combined": FeatureSet(True, True, False),
+    "combined_norm_height": FeatureSet(True, True, True),
+}
 
 
 def feature_names(feature_set: str) -> tuple[str, ...]:
     try:
-        return FEATURE_SET_NAMES[feature_set]
+        fs = FEATURE_SETS[feature_set]
     except KeyError:
-        known = ", ".join(sorted(FEATURE_SET_NAMES))
+        known = ", ".join(sorted(FEATURE_SETS))
         raise ValueError(f"unknown feature set {feature_set!r}; expected one of: {known}") from None
+    return MOVEMENT_FEATURE_NAMES * fs.movement + TRAFFIC_FEATURE_NAMES * fs.traffic
 
 
 # ---- per-trace blocks -------------------------------------------------------
@@ -344,11 +350,12 @@ def build_features(
     Each call returns new ``window_index`` and ``values`` arrays.
     """
     feature_names(feature_set)  # validates the name
-    n_bins = _bin_count(window_s, bin_s) if feature_set in _TRAFFIC_SETS else 0
+    fs = FEATURE_SETS[feature_set]
+    n_bins = _bin_count(window_s, bin_s) if fs.traffic else 0
     keys = [("kept", window_s)]
-    if feature_set in _MOVEMENT_SETS:
-        keys.append(("movement", window_s, feature_set in _NORMALIZED_SETS))
-    if feature_set in _TRAFFIC_SETS:
+    if fs.movement:
+        keys.append(("movement", window_s, fs.norm_height))
+    if fs.traffic:
         keys.append(("traffic", window_s, bin_s))
     memo = trace._features
     if any(key not in memo for key in keys):

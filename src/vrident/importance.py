@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import philox_stream
 from .ingest import atomic_write_text
 
 _EXACT_LIMIT = 5040  # 7!
@@ -47,12 +48,6 @@ def _subsample_rows(y: np.ndarray, max_per_label: int) -> np.ndarray:
             taken[label] = count + 1
             keep.append(i)
     return np.array(keep, dtype=np.int64)
-
-
-def _instance_rng(seed: int, position: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(position,)))
-    )
 
 
 def _step_ranks(perms: np.ndarray) -> np.ndarray:
@@ -110,8 +105,8 @@ def shapley_attribution(
 ) -> AttributionResult:
     """Per-feature Shapley values of ``model`` over the test instances.
 
-    ``method="sampling"`` draws ``n_permutations`` feature orders per
-    instance from a per-instance Philox stream (deterministic given seed);
+    ``method="sampling"`` draws ``n_permutations`` feature orders for the
+    i-th instance from ``core.philox_stream(seed, (i,))``;
     ``method="exact"`` enumerates all d! orders and ignores both the seed
     and ``n_permutations`` (refused above 7 features).
 
@@ -189,7 +184,7 @@ def shapley_attribution(
         if method == "exact":
             perms = exact_perms
         else:
-            rng = _instance_rng(seed, pos)
+            rng = philox_stream(seed, (pos,))
             perms = np.stack([rng.permutation(d) for _ in range(n_permutations)])
         v = _walk_values(model, col, X[row], baseline, perms, chunk_perms)
         sums, sumsq, v_full = _marginal_sums(v, perms, v_base)

@@ -31,10 +31,9 @@ undercounts the capture length by one sample period.
 
 Synthetic cohorts
 -----------------
-``generate_synthetic_cohort`` builds fully deterministic cohorts from the
-Philox counter-based 64-bit generator (numpy), one stream per (user, game)
-derived via SeedSequence spawn keys, so identical seeds reproduce identical
-cohorts on any platform. Per-user parameters are evenly spaced across
+``generate_synthetic_cohort`` builds fully deterministic cohorts from one
+``core.philox_stream`` per (user, game), so identical seeds reproduce
+identical cohorts on any platform. Per-user parameters are evenly spaced across
 documented ranges: head height 1.50-1.95 m, sweep frequency 0.5-2.5 Hz,
 uplink 50-200 pkt/s, downlink 200-1000 pkt/s. Heads hover at the profile
 height plus Gaussian tremor, controllers sweep sinusoidally, orientations
@@ -70,6 +69,8 @@ from .core import (
     TraceFormatError,
     _PATH_RULE,
     _escapes_dir,
+    philox_stream,
+    positive_number,
 )
 
 MOVEMENT_HEADER = "t," + ",".join(MOVEMENT_CHANNELS)
@@ -508,12 +509,7 @@ def load_manifest(path: str | Path) -> Manifest:
             raise TraceFormatError(f"{path}: {where}: duplicate trace for {key}")
         seen.add(key)
         dur = item.get("duration_s")
-        # json.loads takes NaN and Infinity, and bool is an int subclass
-        if dur is not None and (
-            isinstance(dur, bool)
-            or not isinstance(dur, (int, float))
-            or not 0 < dur <= sys.float_info.max
-        ):
+        if dur is not None and not positive_number(dur):
             raise TraceFormatError(
                 f"{path}: {where}: duration_s must be a positive finite number, got {dur!r}"
             )
@@ -780,9 +776,7 @@ def generate_synthetic_cohort(
     traces = []
     for u, prof in enumerate(profiles):
         for g, game in enumerate(games):
-            rng = np.random.Generator(
-                np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(u, g)))
-            )
+            rng = philox_stream(seed, (u, g))
             mt, mv = _synth_movement(prof, game, duration, rng)
             tt, ts, td = _synth_traffic(prof, game, duration, rng)
             traces.append(

@@ -30,7 +30,8 @@ from vrident.classifiers.logistic import (
     binary_objective,
 )
 from vrident.classifiers.serialize import _model_obj
-from vrident.classifiers.trees import _leaves, _stack, _tree_rng
+from vrident.classifiers.trees import _leaves, _stack
+from vrident.core import philox_stream
 
 from test_qda_reference import dense_fit, dense_log_densities
 from tree_fixtures import hand_walk
@@ -605,7 +606,7 @@ def test_bootstrap_stream_is_reproducible():
     the resample drawn from the documented per-tree stream."""
     X, y = blobs(seed=23, n_per=20)
     seed = 11
-    rng = _tree_rng(seed, 0)
+    rng = philox_stream(seed, (0,))
     idx = rng.integers(0, X.shape[0], size=X.shape[0])
     assert np.unique(y[idx]).shape[0] == 3  # resample keeps all classes
     auto = RandomForest(n_trees=1, seed=seed, bootstrap=True, max_features=2).fit(X, y)

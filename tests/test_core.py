@@ -431,10 +431,13 @@ def test_trace_rejects_zero_duration():
         replace(make_trace(10.0), duration_s=0.0)
 
 
-@pytest.mark.parametrize("duration_s", [True, "10", None, np.int64(10)])
+@pytest.mark.parametrize(
+    "duration_s", [True, "10", None, np.int64(10), pytest.param(10**400, id="10**400")]
+)
 def test_trace_rejects_a_duration_a_manifest_cannot_hold(duration_s):
     # write_cohort used to write true into manifest.json, or fail on json.dumps
-    # after writing every CSV
+    # after writing every CSV; a manifest's duration_s must also be at most
+    # sys.float_info.max, which 10**400 is not
     with pytest.raises(TraceFormatError) as err:
         replace(make_trace(10.0), duration_s=duration_s)
     assert str(err.value) == (

@@ -569,7 +569,9 @@ def test_write_table_csv(tmp_path, cohort):
     path = str(tmp_path / "table.csv")
     write_table_csv(path, reports)
     lines = open(path).read().splitlines()
-    assert lines[0].startswith("game,model,movement,traffic,")
+    assert lines[0] == (
+        "game,model,movement,traffic,movement_norm_height,combined,combined_norm_height"
+    )
     assert len(lines) == 2
     cells = lines[1].split(",")
     assert cells[:2] == ["game_a", "logistic"]

@@ -28,7 +28,7 @@ from vrident.core import (
     canonical_movement,
 )
 from vrident.features import (
-    FEATURE_SET_NAMES,
+    FEATURE_SETS,
     _stats_columns,
     build_features,
     feature_names,
@@ -244,7 +244,7 @@ def test_build_features_matches_reference(
 ):
     rng = np.random.default_rng(seed)
     trace = _jittered_trace(rng, seconds, jitter, drop, gap, quantize, hold, empty_windows)
-    for feature_set in FEATURE_SET_NAMES:
+    for feature_set in FEATURE_SETS:
         got = build_features(trace, feature_set, bin_s=bin_s)
         want = reference_build_features(trace, feature_set, 10.0, bin_s)
         starts = got.window_index * 10.0

@@ -21,7 +21,7 @@ from vrident.core import (
 )
 from vrident.features import (
     COMBINED_FEATURE_NAMES,
-    FEATURE_SET_NAMES,
+    FEATURE_SETS,
     MOVEMENT_FEATURE_NAMES,
     MinMaxScaler,
     TRAFFIC_FEATURE_NAMES,
@@ -388,7 +388,7 @@ def test_movement_features_ignore_bin():
 
 
 @pytest.mark.parametrize("window_s", [math.nan, math.inf, -math.inf, 0.0, -10.0])
-@pytest.mark.parametrize("feature_set", sorted(FEATURE_SET_NAMES))
+@pytest.mark.parametrize("feature_set", sorted(FEATURE_SETS))
 def test_build_features_rejects_bad_window(feature_set, window_s):
     message = f"window_s must be a finite positive number, got {window_s}"
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -523,7 +523,7 @@ MEMO_PAIRS = ((10.0, 1.0), (10.0, 2.5), (5.0, 1.0), (20.0, 4.0), (15.0, 0.5))
 @settings(max_examples=25, deadline=None)
 @given(
     st.lists(
-        st.tuples(st.sampled_from(sorted(FEATURE_SET_NAMES)), st.sampled_from(MEMO_PAIRS)),
+        st.tuples(st.sampled_from(sorted(FEATURE_SETS)), st.sampled_from(MEMO_PAIRS)),
         min_size=1,
         max_size=10,
     )

@@ -21,7 +21,8 @@ from test_gbm_presort import _assert_same_tree, _tied_matrix
 
 from vrident.classifiers import ExtraTrees, RandomForest, save_model
 from vrident.classifiers import trees
-from vrident.classifiers.trees import _TreeBuffers, _tree_rng
+from vrident.classifiers.trees import _TreeBuffers
+from vrident.core import philox_stream
 
 
 def _reference_split_exhaustive(Xn, yn, n_classes, feats):
@@ -168,6 +169,47 @@ def test_node_searches_match_the_reference(case):
             assert (int(feats[j[0]]), float(thr[0])) == want[:2]
 
 
+boundary_cases = st.fixed_dictionaries(
+    {
+        "seed": st.integers(0, 2**31 - 1),
+        "nodes": st.lists(st.integers(1, 3), max_size=2),  # leading node axes
+        "d": st.integers(1, 4),
+        "m": st.integers(1, 6),
+        "lo": st.integers(0, 3),
+        "tail": st.integers(0, 2),  # sorted values past the last boundary
+        "n_levels": st.integers(1, 3),  # one level: no valid boundary at all
+        "transposed": st.booleans(),  # gbm hands in a transposed view
+    }
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(boundary_cases)
+def test_best_boundary_matches_a_scan_in_feature_then_boundary_order(case):
+    rng = np.random.default_rng(case["seed"])
+    lead, d, m, lo = tuple(case["nodes"]), case["d"], case["m"], case["lo"]
+    width = lo + m + 1 + case["tail"]
+    xs = np.sort(rng.integers(0, case["n_levels"], size=(*lead, d, width)), axis=-1) * 0.5
+    # few distinct scores, so that ties are common
+    score = rng.choice([-np.inf, -1.0, 0.0, 0.25, 2.0], size=(*lead, d, m))
+    if case["transposed"]:
+        score = np.ascontiguousarray(score.swapaxes(-1, -2)).swapaxes(-1, -2)
+    given_score = score.copy()
+    best, f, thr = trees._best_boundary(score, xs, lo)
+    np.testing.assert_array_equal(score, given_score)
+    for node in np.ndindex(*lead):
+        x, s = xs[node], score[node]
+        # the first strictly better boundary wins; none at all leaves (0, 0) at -inf
+        top, at = -np.inf, (0, 0)
+        for fi in range(d):
+            for j in range(m):
+                if x[fi, lo + j] < x[fi, lo + j + 1] and s[fi, j] > top:
+                    top, at = s[fi, j], (fi, j)
+        fi, j = at
+        assert (best[node], f[node]) == (top, fi)
+        assert thr[node] == 0.5 * (x[fi, lo + j] + x[fi, lo + j + 1])
+
+
 forest_cases = st.fixed_dictionaries(
     {
         "seed": st.integers(0, 2**31 - 1),
@@ -184,13 +226,13 @@ forest_cases = st.fixed_dictionaries(
 
 def _reference_forest(X, y, n_classes, cls, params):
     """Tree t of ``cls(**params)``, grown alone by the reference grower from
-    the stream ``_tree_rng(seed, t)``, bootstrap draw first."""
+    the stream ``philox_stream(seed, (t,))``, bootstrap draw first."""
     n, d = X.shape
     k = params.get("max_features", math.ceil(math.sqrt(d)))
     bootstrap = params.get("bootstrap", cls is RandomForest)
     grown = []
     for t in range(params["n_trees"]):
-        rng = _tree_rng(params["seed"], t)
+        rng = philox_stream(params["seed"], (t,))
         idx = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
         grown.append(_reference_grow_tree(X, y, n_classes, rng, idx, k, cls is ExtraTrees))
     return grown

@@ -15,6 +15,7 @@ from tree_fixtures import hand_leaves
 
 from vrident.classifiers import FlatTree, GradientBoosting
 from vrident.classifiers import boosting
+from vrident.classifiers.base import _softmax
 
 # ties, both zeros, subnormals and magnitudes 1e-300 to 1e300 apart, bounded
 # so that 64 of them cannot overflow
@@ -62,7 +63,7 @@ def _reference_fit(X, y, n_rounds, learning_rate, max_leaves, min_leaf):
     F = np.zeros((n, k))
     trees, losses = [], [boosting._log_loss(F, y_idx)]
     for _ in range(n_rounds):
-        P = boosting._softmax(F)
+        P = _softmax(F)
         grad, hess = P - onehot, P * (1.0 - P)
         round_trees = [
             _reference_tree(X, grad[:, c], hess[:, c], max_leaves, min_leaf) for c in range(k)

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from vrident.classifiers import SoftVotingEnsemble, make_model
+from vrident.core import philox_stream
 from vrident.features import MinMaxScaler, build_features, feature_names
 from vrident.importance import (
     AttributionResult,
-    _instance_rng,
     ranked_features,
     shapley_attribution,
     top_k_features,
@@ -118,7 +118,7 @@ def test_vectorized_walk_matches_scalar_replay_of_the_same_stream():
         model, x[None, :], np.array(["b"]), baseline, n_permutations=n_perm, seed=seed
     )
 
-    rng = _instance_rng(seed, 0)
+    rng = philox_stream(seed, (0,))
     perms = [rng.permutation(4) for _ in range(n_perm)]
     totals = np.zeros(4)
     for perm in perms:
