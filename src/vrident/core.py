@@ -264,10 +264,14 @@ class Trace:
         traffic_t = traffic_t - offset
         if duration_s is None:
             duration_s = max(a[-1] for a in (movement_t, traffic_t) if a.size)
+        try:
+            duration_s = float(duration_s)
+        except OverflowError:  # an int past the float range: check names the trace
+            pass
         return cls(
             user_id=user_id,
             game_id=game_id,
-            duration_s=float(duration_s),
+            duration_s=duration_s,
             movement_t=movement_t,
             movement=np.asarray(movement, dtype=np.float64),
             traffic_t=traffic_t,

@@ -16,9 +16,11 @@ every value the encoder cannot print exactly (|x| * 10**6 >= 2**52, about
 4.5e9, or a size >= 10**18), so ``load_dataset`` refuses such a file too, and
 ``write_cohort`` checks the cohort and every trace again before it writes.
 
-Files of plain decimal ASCII rows are read in one ``np.loadtxt`` pass and
-every other file line by line; both readers accept the same grammar and raise
-the same error messages (see the parsing section below).
+Files in the grammar the writers print are decoded from their bytes, a block
+of rows at a time; any other file, such as one with repr-printed floats or
+CRLF endings, is read line by line. Both readers return the same arrays, and
+the per-line reader raises every error message (see the parsing section
+below).
 
 Manifest: a JSON file with ``games`` (id -> {"category": "fast"|"slow"})
 and ``traces`` (user_id, game_id, movement/traffic paths relative to the
@@ -44,17 +46,15 @@ every user identical parameters but independent noise streams.
 from __future__ import annotations
 
 import functools
-import io
 import itertools
 import json
 import math
 import os
 import sys
 import tempfile
-import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -96,19 +96,67 @@ def atomic_write_text(path: str | Path, text: str | Iterable[str | bytes]) -> No
 
 # ---- parsing ----------------------------------------------------------------
 #
-# Each parser first reads the whole file in one ``np.loadtxt`` pass. That pass
-# only takes files in a plain grammar on which it agrees with the per-line
-# parser: the verbatim header, then rows of plain decimal ASCII with no blank
-# line (loadtxt would skip one). Any other file, and any file whose fast read
-# turns up a non-finite value, a decreasing timestamp, a size below 1 or a bad
-# dir, goes to the per-line parser, the one source of every error message.
-# ``comments=None`` keeps ``#`` from starting a comment: by default loadtxt
-# reads ``1.0#x`` as 1.0, which float() rejects.
+# A file in the grammar the writers print is decoded from its bytes, a block of
+# whole rows (at most ``_READ_FIELDS`` fields) at a time, with no Python object
+# per value: the verbatim header, then rows of '%.6f' fields (an optional '-',
+# 1 to 8 integer digits, '.', 6 digits) and, in a traffic row, a '%d' size of 1
+# to 8 digits and ",UL\n" or ",DL\n"; every row ends in '\n'. Any other file
+# (CRLF endings, repr-printed floats, another digit count, a stray byte), and
+# any such file with a decreasing timestamp or a size below 1, goes whole to
+# the per-line parser, which re-reads it as text and is the one source of
+# every error message.
+#
+# Separators. Every byte below '-' ends a field, so a block's field ends come
+# from one flatnonzero; each must then read ',' or, at the end of a row, '\n'.
+# A space, '\r', '+' or NUL thus declines the file, and so does any byte of a
+# field that is not where the grammar puts it.
+#
+# Values. One gather with a one-byte stride takes the 16 bytes that end at a
+# field's separator, byte e, as two little-endian words: the first ends in the
+# integer digits, the second is '.', the 6 fraction digits and the separator
+# (the header precedes the first row, so e - 15 >= 0). A traffic row's size
+# and dir word come the same way from the 16 bytes that end at its '\n'. The
+# dot, separators and dir are checked by equality; XOR with '0' turns digits
+# into their values, and every other byte is masked to 0; a nibble test then
+# proves every byte a digit, and three multiply-shift steps read each word's
+# 8 digits as an integer. The words give I and 10 * F for a field I.F, so
+# 10 * N = I * 10**7 + 10 * F for N = I * 10**6 + F < 10**14, and
+# 10 * N / 1e7 is one correctly rounded division of the field's exact value:
+# the double float() reads. The sign is applied last, so "-0.000000" reads
+# -0.0.
 
-_MOVEMENT_BYTES = b"0123456789.-,\n"
-_TRAFFIC_BYTES = _MOVEMENT_BYTES + b"DLU"
-_TRAFFIC_ROW = np.dtype([("t", np.float64), ("size_bytes", np.int64), ("dir", "S3")])
+#: Fields per decoded block, at most, so that its temporaries stay small.
+_READ_FIELDS = 1 << 14
+_FIELD_BYTES = 17  # the longest field a block takes, with its separator
 _INT64_MAX = int(np.iinfo(np.int64).max)
+
+_U64 = np.uint64
+_ZEROS = _U64(0x3030303030303030)  # eight '0'
+#: _TOP[k] keeps the top k bytes of a word: the last k before its end
+_TOP = np.array([(1 << 64) - (1 << (64 - 8 * k)) for k in range(9)], dtype=np.uint64)
+_DOT_AND_SEPARATOR = _U64(0xFF000000000000FF)
+_FRACTION = ~_DOT_AND_SEPARATOR
+
+
+def _second_words(separators: bytes) -> np.ndarray:
+    """The '.' and separator bytes of the second word of fields that end in
+    ``separators``, one per column of a row."""
+    ends = np.frombuffer(separators, np.uint8).astype(np.uint64)
+    return (ends << _U64(56)) | _U64(ord("."))
+
+
+_MOVEMENT_ENDS = _second_words(b"," * len(MOVEMENT_CHANNELS) + b"\n")
+_TIME_END = _second_words(b",")
+_DIR_WORDS = np.frombuffer(b",UL\n,DL\n", "<u4").astype(np.uint64)  # DIR_UL, DIR_DL
+
+
+class _Unwritten(Exception):
+    """The file strays from the grammar the writers print."""
+
+
+def _require(ok) -> None:
+    if not ok:
+        raise _Unwritten
 
 
 def _read_trace_text(path: Path) -> str:
@@ -118,29 +166,99 @@ def _read_trace_text(path: Path) -> str:
         raise TraceFormatError(f"{path}: file not found") from None
 
 
-def _plain_rows(text: str, header: str, alphabet: bytes, dtype, ndmin: int) -> np.ndarray | None:
-    """The data rows of ``text`` from one ``np.loadtxt`` pass, or None when
-    ``text`` strays from the plain grammar or the pass rejects a row."""
-    prefix = header + "\n"
-    if not (text.startswith(prefix) and text.isascii()):
-        return None
-    body = text[len(prefix):].encode("ascii")
-    if not body or body.startswith(b"\n") or b"\n\n" in body or body.translate(None, alphabet):
-        return None
-    try:
-        with warnings.catch_warnings():
-            # numpy < 2 reads "12.0" into an int column, with this warning
-            warnings.simplefilter("error", DeprecationWarning)
-            rows = np.loadtxt(
-                io.BytesIO(body), dtype=dtype, delimiter=",", comments=None, ndmin=ndmin
-            )
-    except (ValueError, DeprecationWarning):
-        return None
-    return rows
+def _row_blocks(data: bytes, header: str, per_row: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (first byte, field ends (n, per_row)) for blocks of the rows
+    after ``header``, each of at most ``_READ_FIELDS`` fields (one row at
+    least); the caller checks what each field end reads."""
+    prefix = (header + "\n").encode()
+    _require(data.startswith(prefix) and len(data) > len(prefix))
+    u8 = np.frombuffer(data, np.uint8)
+    most = max(1, _READ_FIELDS // per_row)
+    pos, window = len(prefix), most * per_row * _FIELD_BYTES
+    while pos < len(data):
+        # one row of the longest fields always fits in the window, and so
+        # do ``most`` rows as long as the last block's
+        ends = np.flatnonzero(u8[pos : pos + window] < ord("-"))
+        n = min(len(ends) // per_row, most)
+        _require(n > 0)
+        ends = ends[: n * per_row].reshape(n, per_row) + pos
+        yield pos, ends
+        end = int(ends[-1, -1]) + 1
+        pos, window = end, end - pos + per_row * _FIELD_BYTES
+
+
+def _word_pairs(data: bytes, ends: np.ndarray) -> np.ndarray:
+    """The 16 bytes that end at each of ``ends``, as two little-endian words."""
+    runs = np.ndarray((len(data) - 15,), "V16", buffer=data, strides=(1,))
+    return runs[ends - 15].view("<u8").reshape(*ends.shape, 2)
+
+
+def _digit_values(words: np.ndarray) -> np.ndarray:
+    """Read words of 8 digit values (bytes of 0 to 9, byte 0 the leading
+    digit) as integers; any other byte declines the file."""
+    # a byte is at most 9 when neither it nor it + 6 has a high-nibble bit
+    _require(not ((words | (words + _U64(0x0606060606060606))) & _U64(0xF0F0F0F0F0F0F0F0)).any())
+    v = ((words * _U64(10 * 2**8 + 1)) >> _U64(8)) & _U64(0x00FF00FF00FF00FF)
+    v = ((v * _U64(100 * 2**16 + 1)) >> _U64(16)) & _U64(0x0000FFFF0000FFFF)
+    return (v * _U64(10000 * 2**32 + 1)) >> _U64(32)
+
+
+def _fixed_fields(
+    data: bytes, starts: np.ndarray, ends: np.ndarray, second_words: np.ndarray
+) -> np.ndarray:
+    """The '%.6f' fields ``data[starts:ends]`` as float64; the dot and
+    separator bytes of each row's fields must read ``second_words``."""
+    neg = np.frombuffer(data, np.uint8)[starts] == ord("-")
+    digits = ends - starts - 7 - neg  # integer digits
+    _require(((digits >= 1) & (digits <= 8)).all())
+    words = _word_pairs(data, ends)
+    _require(((words[..., 1] & _DOT_AND_SEPARATOR) == second_words).all())
+    words ^= _ZEROS
+    words[..., 0] &= _TOP[digits]
+    words[..., 1] &= _FRACTION
+    values = _digit_values(words)
+    x = (values[..., 0] * _U64(10**7) + values[..., 1]).view(np.int64) / 1e7
+    np.negative(x, out=x, where=neg)
+    return x
 
 
 def _nondecreasing(t: np.ndarray) -> bool:
     return not (np.diff(t) < 0).any()
+
+
+def _written_movement(data: bytes) -> tuple[np.ndarray, np.ndarray]:
+    blocks = []
+    for start, ends in _row_blocks(data, MOVEMENT_HEADER, len(_MOVEMENT_ENDS)):
+        starts = np.concatenate(([start], ends.ravel()[:-1] + 1)).reshape(ends.shape)
+        blocks.append(_fixed_fields(data, starts, ends, _MOVEMENT_ENDS))
+    rows = np.concatenate(blocks)
+    _require(_nondecreasing(rows[:, 0]))
+    return rows[:, 0], rows[:, 1:]
+
+
+def _written_traffic(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    t, sizes, dirs = [], [], []
+    for start, ends in _row_blocks(data, TRAFFIC_HEADER, 3):
+        t_end, row_end = ends[:, 0], ends[:, 2]
+        starts = np.concatenate(([start], row_end[:-1] + 1))
+        t.append(_fixed_fields(data, starts, t_end, _TIME_END))
+        # the size's digits come just before the row's ",UL\n" or ",DL\n"
+        words = _word_pairs(data, row_end)
+        tail = words[:, 1] >> _U64(32)
+        dl = tail == _DIR_WORDS[DIR_DL]
+        _require((dl | (tail == _DIR_WORDS[DIR_UL])).all())
+        width = row_end - 4 - t_end
+        _require(((width >= 1) & (width <= 8)).all())
+        size_word = ((words[:, 0] >> _U64(32)) | (words[:, 1] << _U64(32))) ^ _ZEROS
+        size_word &= _TOP[width]
+        size = _digit_values(size_word).view(np.int64)
+        _require((size >= 1).all())
+        sizes.append(size)
+        dirs.append(dl)
+    t = np.concatenate(t)
+    _require(_nondecreasing(t))
+    direction = np.where(np.concatenate(dirs), np.uint8(DIR_DL), np.uint8(DIR_UL))
+    return t, np.concatenate(sizes), direction
 
 
 def _data_lines(path: Path, text: str, expected_header: str) -> list[tuple[int, str]]:
@@ -172,16 +290,10 @@ def _check_monotone(path: Path, t: np.ndarray, first_data_line: np.ndarray) -> N
 def parse_movement_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Read a movement CSV into (timestamps (n,), channels (n, 21))."""
     path = Path(path)
-    text = _read_trace_text(path)
-    rows = _plain_rows(text, MOVEMENT_HEADER, _MOVEMENT_BYTES, np.float64, ndmin=2)
-    if (
-        rows is None
-        or rows.shape[1] != len(MOVEMENT_CHANNELS) + 1
-        or not np.isfinite(rows).all()
-        or not _nondecreasing(rows[:, 0])
-    ):
-        return _parse_movement_lines(path, text)
-    return rows[:, 0], rows[:, 1:]
+    try:
+        return _written_movement(path.read_bytes())
+    except (_Unwritten, FileNotFoundError):  # the per-line parser names the fault
+        return _parse_movement_lines(path, _read_trace_text(path))
 
 
 def _parse_movement_lines(path: Path, text: str) -> tuple[np.ndarray, np.ndarray]:
@@ -219,19 +331,10 @@ def _parse_movement_lines(path: Path, text: str) -> tuple[np.ndarray, np.ndarray
 def parse_traffic_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read a traffic CSV into (timestamps (m,), sizes (m,), directions (m,))."""
     path = Path(path)
-    text = _read_trace_text(path)
-    rows = _plain_rows(text, TRAFFIC_HEADER, _TRAFFIC_BYTES, _TRAFFIC_ROW, ndmin=1)
-    if rows is not None:
-        t, size = rows["t"], rows["size_bytes"]
-        ul = rows["dir"] == b"UL"
-        if (
-            (ul | (rows["dir"] == b"DL")).all()
-            and (size >= 1).all()
-            and np.isfinite(t).all()
-            and _nondecreasing(t)
-        ):
-            return t.copy(), size.copy(), np.where(ul, DIR_UL, DIR_DL).astype(np.uint8)
-    return _parse_traffic_lines(path, text)
+    try:
+        return _written_traffic(path.read_bytes())
+    except (_Unwritten, FileNotFoundError):  # the per-line parser names the fault
+        return _parse_traffic_lines(path, _read_trace_text(path))
 
 
 def _parse_traffic_lines(path: Path, text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -445,6 +445,17 @@ def test_trace_rejects_a_duration_a_manifest_cannot_hold(duration_s):
     )
 
 
+def test_assemble_rejects_a_duration_past_the_float_range():
+    # float(10**400) raises OverflowError; the trace's own check names it
+    tr = make_trace(10.0)
+    args = (tr.movement_t, tr.movement, tr.traffic_t, tr.traffic_size, tr.traffic_dir)
+    with pytest.raises(TraceFormatError) as err:
+        Trace.assemble("u0", "g", *args, duration_s=10**400)
+    assert str(err.value) == (
+        f"trace u0/g: duration_s must be a finite number > 0, got {10**400!r}"
+    )
+
+
 def test_trace_arrays_are_read_only_views():
     # the trace keeps no copy and leaves the caller's arrays writable
     tr = make_trace(10.0, packet_times=[0.5, 1.0])

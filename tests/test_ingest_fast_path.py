@@ -1,10 +1,11 @@
 """The vectorized trace reader and writers against per-line references.
 
-``parse_movement_csv`` and ``parse_traffic_csv`` read plain files in one
-``np.loadtxt`` pass and hand everything else to their per-line parsers. The
-references below are those per-line parsers as standalone functions: on
-every file, valid or corrupted with hostile tokens, both must return arrays
-equal byte for byte or raise the same ``TraceFormatError`` message. The
+``parse_movement_csv`` and ``parse_traffic_csv`` decode files in the grammar
+the writers print from their bytes, a block of rows at a time, and hand
+everything else to their per-line parsers. The references below are those
+per-line parsers as standalone functions: on every file, written or
+corrupted with hostile tokens or bytes, under any block size, both must
+return arrays equal byte for byte or raise the same error. The
 writers print blocks of values with a numpy encoder; the references format
 each value with an f-string. Both must write the same bytes for arrays of
 values the encoder prints exactly, and a ``Trace`` that holds any other value
@@ -19,6 +20,7 @@ import re
 import tempfile
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -166,15 +168,19 @@ def outcome(parse, path):
     """The parsed arrays as (dtype, shape, bytes) triples, or the error."""
     try:
         arrays = parse(path)
-    except TraceFormatError as err:
-        return str(err)
+    except (TraceFormatError, UnicodeDecodeError) as err:
+        return f"{type(err).__name__}: {err}"
     return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
 
 
 def same_outcome(text, parse, reference):
+    same_bytes_outcome(text.encode("utf-8"), parse, reference)
+
+
+def same_bytes_outcome(data, parse, reference):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trace.csv"
-        path.write_bytes(text.encode("utf-8"))
+        path.write_bytes(data)
         assert outcome(parse, path) == outcome(reference, path)
 
 
@@ -336,6 +342,110 @@ def test_movement_bad_headers_match(header):
 )
 def test_traffic_empty_files_match(text):
     same_outcome(text, parse_traffic_csv, reference_parse_traffic)
+
+
+# ---- the decoder of written files ---------------------------------------------
+
+WRITTEN = {
+    "movement": (MOVEMENT_HEADER, parse_movement_csv, reference_parse_movement),
+    "traffic": (TRAFFIC_HEADER, parse_traffic_csv, reference_parse_traffic),
+}
+# what may overwrite a byte of a written file: grammar bytes in the wrong
+# place, bytes other readers take, and non-ASCII bytes (0xc3 0xa9 is "é")
+OVERWRITES = [bytes([b]) for b in b"0123456789.-,\nULD\r +e_\0"] + [b"\xc3", b"\xa9", b"\xff"]
+
+
+def fixed_fields(digits, signed=True):
+    """'%.6f' fields with a digit count drawn from ``digits`` (1 reads 0-9),
+    a zero fraction half the time, so that 0.000000 and -0.000000 come up."""
+
+    @st.composite
+    def field(draw):
+        k = draw(digits)
+        whole = draw(st.integers(0 if k == 1 else 10 ** (k - 1), 10**k - 1))
+        frac = draw(st.just(0) | st.integers(0, 10**6 - 1))
+        sign = "-" if signed and draw(st.booleans()) else ""
+        return f"{sign}{whole}.{frac:06d}"
+
+    return field()
+
+
+@st.composite
+def written_files(draw):
+    """(kind, bytes, whether the decoder must take it): a file as the writers
+    print it, often with 9-10 integer digits or a size of up to 18 digits,
+    which the writers also print, sometimes with timestamps out of order,
+    and with 0 to 2 bytes overwritten."""
+    kind = draw(st.sampled_from(sorted(WRITTEN)))
+    n = draw(st.integers(1, 6))
+    digits = draw(st.sampled_from([8, 8, 8, 10]))  # integer digits, at most
+    size_digits = draw(st.sampled_from([8, 8, 8, 18]))
+    times = draw(st.lists(fixed_fields(st.integers(1, digits), False), min_size=n, max_size=n))
+    if draw(st.sampled_from([True, True, True, False])):
+        times.sort(key=float)
+    if kind == "movement":
+        cells = st.lists(fixed_fields(st.integers(1, digits)), min_size=21, max_size=21)
+        rows = [[t] + draw(cells) for t in times]
+    else:
+        sizes = st.integers(1, size_digits).flatmap(
+            lambda k: st.integers(0 if k == 1 else 10 ** (k - 1), 10**k - 1)
+        )
+        rows = [[t, str(draw(sizes)), draw(st.sampled_from(["UL", "DL"]))] for t in times]
+    text = WRITTEN[kind][0] + "\n" + "".join(",".join(r) + "\n" for r in rows)
+    data = bytearray(text.encode("ascii"))
+    overwrites = draw(st.sampled_from([0, 0, 1, 2]))
+    for _ in range(overwrites):
+        data[draw(st.integers(0, len(data) - 1))] = draw(st.sampled_from(OVERWRITES))[0]
+    sizes_ok = kind == "movement" or all(r[1] != "0" for r in rows)
+    in_order = times == sorted(times, key=float)
+    decodes = overwrites == 0 and digits == 8 and size_digits == 8 and sizes_ok and in_order
+    return kind, bytes(data), decodes
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=written_files())
+def test_written_files_decode_as_the_per_line_parser_reads_them(case):
+    kind, data, decodes = case
+    _, parse, reference = WRITTEN[kind]
+    if decodes:  # else the decoder may still take it, or decline
+        decode = ingest._written_movement if kind == "movement" else ingest._written_traffic
+        decode(data)
+    for bound in (ingest._READ_FIELDS, 1, 7):
+        with mock.patch.object(ingest, "_READ_FIELDS", bound):
+            same_bytes_outcome(data, parse, reference)
+
+
+WRITTEN_ROW = ",".join(["0.500000"] * 22)
+
+
+@pytest.mark.parametrize(
+    "kind,rows",
+    [
+        ("movement", ["1.000000" + WRITTEN_ROW[8:], WRITTEN_ROW]),  # t decreases
+        ("movement", ["-0.000000" + WRITTEN_ROW[8:], "0.000000" + WRITTEN_ROW[8:]]),
+        ("movement", [WRITTEN_ROW, WRITTEN_ROW[:-8] + "-0.000000"]),
+        ("movement", [WRITTEN_ROW, WRITTEN_ROW[:-8] + "-12345678.000001"]),
+        ("movement", [WRITTEN_ROW, WRITTEN_ROW[:-8] + "123456789.000001"]),
+        ("movement", [WRITTEN_ROW, WRITTEN_ROW[:-8] + "-4503599627.370495"]),
+        ("movement", [WRITTEN_ROW, WRITTEN_ROW[:-8] + "0.5000000"]),
+        ("movement", [WRITTEN_ROW, WRITTEN_ROW + "\r"]),
+        ("traffic", ["0.500000,10,UL", "0.400000,10,DL"]),  # t decreases
+        ("traffic", ["0.500000,10,UL", "0.500000,0,DL"]),
+        ("traffic", ["0.500000,00000001,UL", "0.600000,99999999,DL"]),
+        ("traffic", ["0.500000,10,UL", "0.600000,123456789,DL"]),
+        ("traffic", ["0.500000,10,UL", "0.600000,999999999999999999,DL"]),
+        ("traffic", ["0.500000,10,UL", "12345678.000000,1,UL", "123456789.000000,1,UL"]),
+        ("traffic", ["0.500000,10,UL", "0.600000,10,DL,"]),
+        ("traffic", ["0.500000,10,UL", "0.600000,10,LD"]),
+    ],
+)
+def test_written_edge_cases_match(kind, rows):
+    header, parse, reference = WRITTEN[kind]
+    body = "\n".join(rows)
+    for text in (body, body + "\n"):
+        for bound in (ingest._READ_FIELDS, 1):
+            with mock.patch.object(ingest, "_READ_FIELDS", bound):
+                same_outcome(header + "\n" + text, parse, reference)
 
 
 def test_plain_files_never_reach_the_per_line_parser(tmp_path, monkeypatch):
