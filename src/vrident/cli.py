@@ -338,13 +338,8 @@ def cmd_featurize(args) -> int:
     for flag, value in (("--window", args.window), ("--bin", args.bin_s)):
         if not 0 < value <= sys.float_info.max:
             raise UsageError(f"{flag} must be a finite positive number, got {value}")
-    feature_set, blocks = args.feature_set, FEATURE_SETS[args.feature_set]
-    if args.normalize_height:
-        if not blocks.movement:
-            raise UsageError("height normalization does not apply to the traffic feature set")
-        blocks = blocks._replace(norm_height=True)
-        feature_set = next(name for name, fs in FEATURE_SETS.items() if fs == blocks)
-    if blocks.traffic:
+    feature_set = args.feature_set
+    if FEATURE_SETS[feature_set].traffic:
         _bin_count(args.window, args.bin_s)
     dataset = load_dataset(args.manifest)
     out_dir = _resolve_out_dir(args.out, "features")
@@ -532,11 +527,6 @@ def build_parser() -> argparse.ArgumentParser:
     feat.add_argument("--window", type=float, default=DEFAULT_WINDOW_S, help="window seconds")
     feat.add_argument(
         "--bin", type=float, default=DEFAULT_BIN_S, dest="bin_s", help="traffic bin seconds"
-    )
-    feat.add_argument(
-        "--normalize-height",
-        action="store_true",
-        help="switch movement-bearing sets to their height-normalized variant",
     )
     feat.add_argument("--out", default=None, help="output directory (default: features)")
     feat.set_defaults(func=cmd_featurize)

@@ -252,7 +252,9 @@ class Trace:
 
         The offset is the minimum first timestamp across the two streams, so
         their relative alignment is preserved. When ``duration_s`` is not
-        given it falls back to the last re-based timestamp.
+        given it falls back to the last re-based timestamp. A given one is
+        made a float only if it is a ``positive_number``; any other value
+        reaches ``check``, which refuses it as ``Trace(...)`` does.
         """
         movement_t = np.asarray(movement_t, dtype=np.float64)
         traffic_t = np.asarray(traffic_t, dtype=np.float64)
@@ -263,11 +265,9 @@ class Trace:
         movement_t = movement_t - offset
         traffic_t = traffic_t - offset
         if duration_s is None:
-            duration_s = max(a[-1] for a in (movement_t, traffic_t) if a.size)
-        try:
+            duration_s = float(max(a[-1] for a in (movement_t, traffic_t) if a.size))
+        elif positive_number(duration_s):
             duration_s = float(duration_s)
-        except OverflowError:  # an int past the float range: check names the trace
-            pass
         return cls(
             user_id=user_id,
             game_id=game_id,

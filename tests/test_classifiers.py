@@ -800,6 +800,54 @@ def test_default_ensemble_has_five_members():
     assert all(m.seed == 9 for m in ens.members)
 
 
+def test_ensemble_fitted_only_through_its_members_is_not_fitted():
+    X, y = blobs(seed=67)
+    members = [LogisticOneVsRest(), QuadraticDiscriminant()]
+    ens = SoftVotingEnsemble(members)
+    with pytest.raises(ValueError, match="^ensemble model is not fitted$"):
+        ens.predict_proba(X)
+    for m in members:
+        m.fit(X, y)
+    # the labels are taken at construction or by fit, never by predict_proba
+    with pytest.raises(ValueError, match="^ensemble model is not fitted$"):
+        ens.predict_proba(X)
+
+
+def test_ensemble_refuses_a_matrix_of_the_wrong_width():
+    X, y = blobs(seed=67)
+    ens = cheap_model("ensemble").fit(X, y)
+    assert ens.n_features_ == 2
+    with pytest.raises(ValueError, match="^expected 2 features, got 3$"):
+        ens.predict_proba(np.zeros((4, 3)))
+    fitted = SoftVotingEnsemble([LogisticOneVsRest().fit(X, y), cheap_model("qda").fit(X, y)])
+    with pytest.raises(ValueError, match="^expected 2 features, got 1$"):
+        fitted.predict(np.zeros((4, 1)))
+
+
+def test_ensemble_refuses_members_fitted_on_different_widths():
+    X, y = blobs(seed=67)
+    wide = np.hstack([X, X[:, :1]])
+    members = [LogisticOneVsRest().fit(X, y), QuadraticDiscriminant().fit(wide, y)]
+    expected = r"^members were fitted on different feature counts \[2, 3\]$"
+    with pytest.raises(ValueError, match=expected):
+        SoftVotingEnsemble(members)
+
+
+def test_ensemble_fit_refuses_a_single_label():
+    # a matrix with no columns is refused by test_fit_rejects_a_matrix_with_no_columns
+    with pytest.raises(ValueError, match="^training needs >= 2 distinct labels, got 1$"):
+        cheap_model("ensemble").fit(np.zeros((4, 2)), np.array(["a"] * 4))
+
+
+def test_ensemble_of_members_without_a_width_averages_any_matrix():
+    ens = SoftVotingEnsemble(
+        [FixedProba([0.6, 0.4], ["u1", "u2"]), FixedProba([0.2, 0.8], ["u1", "u2"])]
+    )
+    assert ens.n_features_ is None
+    for width in (1, 4):
+        np.testing.assert_allclose(ens.predict_proba(np.zeros((2, width))), [[0.4, 0.6]] * 2)
+
+
 # ---------------------------------------------------------------- registry / io
 
 

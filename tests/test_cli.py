@@ -200,21 +200,12 @@ def test_featurize_parse_failure_names_file_and_line(cohort_dir, tmp_path, capsy
     assert "user01_game_a_traffic.csv" in err and "line 3" in err
 
 
-def test_featurize_normalize_height_flag_rejects_traffic(cohort_dir, capsys):
-    code = run_cli(
-        "featurize", "--manifest", cohort_dir / "manifest.json",
-        "--feature-set", "traffic", "--normalize-height",
-    )
-    assert code == 2
-    assert "does not apply" in capsys.readouterr().err
-
-
 def test_featurize_normalize_height_switches_the_set(cohort_dir, tmp_path):
     plain, norm = tmp_path / "plain", tmp_path / "norm"
-    for flag_out, extra in ((plain, ()), (norm, ("--normalize-height",))):
+    for out, feature_set in ((plain, "movement"), (norm, "movement_norm_height")):
         assert run_cli(
             "featurize", "--manifest", cohort_dir / "manifest.json",
-            "--feature-set", "movement", "--out", flag_out, *extra,
+            "--feature-set", feature_set, "--out", out,
         ) == 0
     a = (plain / "features_game_a.csv").read_text()
     b = (norm / "features_game_a.csv").read_text()

@@ -445,15 +445,29 @@ def test_trace_rejects_a_duration_a_manifest_cannot_hold(duration_s):
     )
 
 
-def test_assemble_rejects_a_duration_past_the_float_range():
-    # float(10**400) raises OverflowError; the trace's own check names it
+@pytest.mark.parametrize(
+    "duration_s",
+    [
+        True,
+        pytest.param("10", id="str"),
+        pytest.param(np.int64(10), id="np.int64"),
+        pytest.param(10**400, id="10**400"),
+        float("nan"),
+        -1.0,
+    ],
+)
+def test_assemble_refuses_a_duration_trace_refuses(duration_s):
+    # assemble converts only a positive_number to float, so the trace's own
+    # check sees every other value as given and names the trace
     tr = make_trace(10.0)
     args = (tr.movement_t, tr.movement, tr.traffic_t, tr.traffic_size, tr.traffic_dir)
     with pytest.raises(TraceFormatError) as err:
-        Trace.assemble("u0", "g", *args, duration_s=10**400)
+        Trace.assemble("u0", "g", *args, duration_s=duration_s)
     assert str(err.value) == (
-        f"trace u0/g: duration_s must be a finite number > 0, got {10**400!r}"
+        f"trace u0/g: duration_s must be a finite number > 0, got {duration_s!r}"
     )
+    taken = Trace.assemble("u0", "g", *args, duration_s=10).duration_s
+    assert (type(taken), taken) == (float, 10.0)
 
 
 def test_trace_arrays_are_read_only_views():
