@@ -8,6 +8,8 @@ import typing
 
 import numpy as np
 
+from .._blas import one_blas_thread
+
 
 def _softmax(F: np.ndarray) -> np.ndarray:
     """Row-wise softmax of scores ``F``, shifted by each row's maximum."""
@@ -116,7 +118,9 @@ class Classifier:
     index on ties). Subclasses implement _fit(X, y_idx) and _proba(X), and
     for saving name their hyperparameters in ``param_names`` and their
     fitted state in ``state_names`` (saved-file order; state ``name`` is
-    the attribute ``name_``) and implement restore()."""
+    the attribute ``name_``) and implement restore(). fit and predict_proba
+    are the only entry points that compute from a feature matrix, and both
+    run with one BLAS thread (see ``vrident._blas``)."""
 
     kind = "base"
     param_names: tuple[str, ...] = ()
@@ -139,7 +143,8 @@ class Classifier:
             raise ValueError(f"training needs >= 2 distinct labels, got {self.labels_.shape[0]}")
         self.n_features_ = X.shape[1]
         y_idx = np.searchsorted(self.labels_, y)
-        self._fit(X, y_idx.astype(np.int64))
+        with one_blas_thread():
+            self._fit(X, y_idx.astype(np.int64))
         return self
 
     def _fit(self, X: np.ndarray, y_idx: np.ndarray) -> None:
@@ -155,7 +160,9 @@ class Classifier:
         return check_matrix(X, self.n_features_)
 
     def predict_proba(self, X) -> np.ndarray:
-        return self._proba(self._checked(X))
+        X = self._checked(X)
+        with one_blas_thread():
+            return self._proba(X)
 
     def predict(self, X) -> np.ndarray:
         return self.labels_[np.argmax(self.predict_proba(X), axis=1)]

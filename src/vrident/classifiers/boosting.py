@@ -285,11 +285,8 @@ class GradientBoosting(Classifier):
                 self.trees_.append(round_trees)
                 self.train_loss_.append(_log_loss(F, y_idx))
 
-    def decision_scores(self, X) -> np.ndarray:
-        """Accumulated boosting scores before the softmax, shape (n, k)."""
-        return self._decision_scores(self._checked(X))
-
     def _decision_scores(self, X: np.ndarray) -> np.ndarray:
+        """Accumulated boosting scores before the softmax, shape (n, k)."""
         F = np.zeros((X.shape[0], self.labels_.shape[0]))
         if self.trees_:
             stack, root = _stack([tree for round_trees in self.trees_ for tree in round_trees])

@@ -78,11 +78,8 @@ class QuadraticDiscriminant(Classifier):
             self.loads_[c] = alpha
             self.logdets_[c] = logdet
 
-    def log_densities(self, X) -> np.ndarray:
-        """Per-class Gaussian log-density of each row, shape (n, k)."""
-        return self._log_densities(self._checked(X))
-
     def _log_densities(self, X: np.ndarray) -> np.ndarray:
+        """Per-class Gaussian log-density of each row, shape (n, k)."""
         d = X.shape[1]
         out = np.empty((X.shape[0], self.means_.shape[0]))
         for c in range(self.means_.shape[0]):

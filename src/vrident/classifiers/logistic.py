@@ -108,11 +108,8 @@ class LogisticOneVsRest(Classifier):
             self.weights_[c] = w
             self.converged_.append(ok)
 
-    def scores(self, X) -> np.ndarray:
-        """Per-user sigmoid scores before normalization, shape (n, n_labels)."""
-        return self._scores(self._checked(X))
-
     def _scores(self, X: np.ndarray) -> np.ndarray:
+        """Per-user sigmoid scores before normalization, shape (n, n_labels)."""
         return _sigmoid(np.hstack([X, np.ones((X.shape[0], 1))]) @ self.weights_.T)
 
     def _proba(self, X: np.ndarray) -> np.ndarray:

@@ -18,9 +18,9 @@ every value the encoder cannot print exactly (|x| * 10**6 >= 2**52, about
 
 Files in the grammar the writers print are decoded from their bytes, a block
 of rows at a time; any other file, such as one with repr-printed floats or
-CRLF endings, is read line by line. Both readers return the same arrays, and
-the per-line reader raises every error message (see the parsing section
-below).
+CRLF endings, is read line by line, except that a traffic file is first
+read a column at a time. All readers return the same arrays, and the
+per-line reader raises every error message (see the parsing section below).
 
 Manifest: a JSON file with ``games`` (id -> {"category": "fast"|"slow"})
 and ``traces`` (user_id, game_id, movement/traffic paths relative to the
@@ -104,7 +104,9 @@ def atomic_write_text(path: str | Path, text: str | Iterable[str | bytes]) -> No
 # (CRLF endings, repr-printed floats, another digit count, a stray byte), and
 # any such file with a decreasing timestamp or a size below 1, goes whole to
 # the per-line parser, which re-reads it as text and is the one source of
-# every error message.
+# every error message. A traffic file passes through ``_traffic_columns``
+# on the way, which takes it when it is valid and its sizes and dirs are
+# in the grammar.
 #
 # Separators. Every byte below '-' ends a field, so a block's field ends come
 # from one flatnonzero; each must then read ',' or, at the end of a row, '\n'.
@@ -242,23 +244,32 @@ def _written_traffic(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         t_end, row_end = ends[:, 0], ends[:, 2]
         starts = np.concatenate(([start], row_end[:-1] + 1))
         t.append(_fixed_fields(data, starts, t_end, _TIME_END))
-        # the size's digits come just before the row's ",UL\n" or ",DL\n"
-        words = _word_pairs(data, row_end)
-        tail = words[:, 1] >> _U64(32)
-        dl = tail == _DIR_WORDS[DIR_DL]
-        _require((dl | (tail == _DIR_WORDS[DIR_UL])).all())
-        width = row_end - 4 - t_end
-        _require(((width >= 1) & (width <= 8)).all())
-        size_word = ((words[:, 0] >> _U64(32)) | (words[:, 1] << _U64(32))) ^ _ZEROS
-        size_word &= _TOP[width]
-        size = _digit_values(size_word).view(np.int64)
-        _require((size >= 1).all())
+        size, direction = _sizes_and_directions(data, t_end, row_end)
         sizes.append(size)
-        dirs.append(dl)
+        dirs.append(direction)
     t = np.concatenate(t)
     _require(_nondecreasing(t))
-    direction = np.where(np.concatenate(dirs), np.uint8(DIR_DL), np.uint8(DIR_UL))
-    return t, np.concatenate(sizes), direction
+    return t, np.concatenate(sizes), np.concatenate(dirs)
+
+
+def _sizes_and_directions(
+    data: bytes, t_end: np.ndarray, row_end: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The '%d' sizes (1 to 8 digits, at least 1) and the dir codes of the
+    traffic rows whose time field ends at byte ``t_end`` and whose newline
+    is byte ``row_end``: the size's digits come just before the row's
+    ",UL" or ",DL" and its newline."""
+    words = _word_pairs(data, row_end)
+    tail = words[:, 1] >> _U64(32)
+    dl = tail == _DIR_WORDS[DIR_DL]
+    _require((dl | (tail == _DIR_WORDS[DIR_UL])).all())
+    width = row_end - 4 - t_end
+    _require(((width >= 1) & (width <= 8)).all())
+    size_word = ((words[:, 0] >> _U64(32)) | (words[:, 1] << _U64(32))) ^ _ZEROS
+    size_word &= _TOP[width]
+    size = _digit_values(size_word).view(np.int64)
+    _require((size >= 1).all())
+    return size, np.where(dl, np.uint8(DIR_DL), np.uint8(DIR_UL))
 
 
 def _data_lines(path: Path, text: str, expected_header: str) -> list[tuple[int, str]]:
@@ -333,8 +344,42 @@ def parse_traffic_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndar
     path = Path(path)
     try:
         return _written_traffic(path.read_bytes())
-    except (_Unwritten, FileNotFoundError):  # the per-line parser names the fault
-        return _parse_traffic_lines(path, _read_trace_text(path))
+    except (_Unwritten, FileNotFoundError):
+        text = _read_trace_text(path)
+    try:
+        return _traffic_columns(text)
+    except _Unwritten:  # the per-line parser names the fault
+        return _parse_traffic_lines(path, text)
+
+
+_ROW_SEPARATORS = np.frombuffer(b",,\n", np.uint8)
+
+
+def _traffic_columns(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read traffic text outside the writers' grammar, such as a CRLF file
+    or one with repr-printed times, a column at a time: the times through
+    one float() pass over the split fields, the sizes and dirs from the
+    bytes as the decoder reads them. Text whose every row is not a time, a
+    size of 1 to 8 digits and UL or DL, ending in a newline, or that the
+    per-line parser would refuse, raises _Unwritten."""
+    head = len(TRAFFIC_HEADER) + 1
+    _require(text.startswith(TRAFFIC_HEADER + "\n") and text.endswith("\n"))
+    data = text.encode()
+    u8 = np.frombuffer(data, np.uint8)
+    # a field's own bytes are never ',' or '\n', not even in a non-ASCII character
+    ends = np.flatnonzero((u8 == ord(",")) | (u8 == ord("\n")))
+    ends = ends[ends >= head]
+    _require(ends.size and ends.size % 3 == 0)
+    ends = ends.reshape(-1, 3)
+    _require((u8[ends] == _ROW_SEPARATORS).all())
+    size, direction = _sizes_and_directions(data, ends[:, 0], ends[:, 2])
+    fields = text[head:].replace("\n", ",").split(",")
+    try:
+        t = np.fromiter(map(float, fields[0:-1:3]), np.float64, size.shape[0])
+    except ValueError:
+        raise _Unwritten from None
+    _require(np.isfinite(t).all() and _nondecreasing(t))
+    return t, size, direction
 
 
 def _parse_traffic_lines(path: Path, text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

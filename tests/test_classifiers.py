@@ -1,15 +1,22 @@
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vrident
+from vrident import _blas
 from vrident.classifiers import (
     MODEL_FORMAT_VERSION,
     MODEL_KINDS,
@@ -32,6 +39,7 @@ from vrident.classifiers.logistic import (
 from vrident.classifiers.serialize import _model_obj
 from vrident.classifiers.trees import _leaves, _stack
 from vrident.core import philox_stream
+from vrident.ingest import generate_synthetic_cohort, write_cohort
 
 from test_qda_reference import dense_fit, dense_log_densities
 from tree_fixtures import hand_walk
@@ -118,14 +126,12 @@ def test_unfitted_predict_is_an_error():
         RandomForest().predict_proba(np.zeros((1, 2)))
 
 
-@pytest.mark.parametrize(
-    "kind,scorer", [("logistic", "scores"), ("qda", "log_densities"), ("gbm", "decision_scores")]
-)
-def test_scorers_check_their_matrix_like_predict_proba(kind, scorer):
+@pytest.mark.parametrize("kind", ["logistic", "qda", "gbm"])
+def test_predict_proba_checks_its_matrix(kind):
     X, y = blobs(seed=61)
     with pytest.raises(ValueError, match=f"^{kind} model is not fitted$"):
-        getattr(cheap_model(kind), scorer)(X)
-    score = getattr(cheap_model(kind).fit(X, y), scorer)
+        cheap_model(kind).predict_proba(X)
+    score = cheap_model(kind).fit(X, y).predict_proba
     with pytest.raises(ValueError, match="^expected 2 features, got 9$"):
         score(np.zeros((3, 9)))
     with pytest.raises(ValueError, match="^expected 2 features, got 1$"):
@@ -223,7 +229,7 @@ def test_logistic_argmax_matches_score_argmax():
     X, y = blobs(seed=8)
     model = LogisticOneVsRest().fit(X, y)
     Xq = np.random.default_rng(1).normal(size=(25, 2), scale=3.0)
-    scores = model.scores(Xq)
+    scores = model._scores(Xq)
     by_scores = model.labels_[np.argmax(scores, axis=1)]
     assert np.array_equal(model.predict(Xq), by_scores)
     # scaling every score by c > 0 leaves predictions unchanged
@@ -455,7 +461,7 @@ def test_qda_restore_of_fitted_state_keeps_log_densities():
     restored.labels_, restored.n_features_ = model.labels_, model.n_features_
     restored.restore(json.loads(json.dumps(_model_obj(model))))
     Xq = rng.normal(size=(25, 6), scale=3.0)
-    assert np.array_equal(restored.log_densities(Xq), model.log_densities(Xq))
+    assert np.array_equal(restored._log_densities(Xq), model._log_densities(Xq))
 
 
 @pytest.mark.parametrize(
@@ -512,7 +518,7 @@ def test_qda_log_densities_match_dense_fit_at_full_size(n_c):
     # evaluate_matrix's 2 windows per user and the full-size cell's 48, in
     # 511 features at the default ridge
     X, y, Xq = full_size_classes(n_c)
-    got = QuadraticDiscriminant().fit(X, y).log_densities(Xq)
+    got = QuadraticDiscriminant().fit(X, y)._log_densities(Xq)
     want = dense_log_densities(dense_fit(X, y, 1e-6), Xq)
     np.testing.assert_allclose(got, want, rtol=1e-8)
     assert np.array_equal(np.argmax(got, axis=1), np.argmax(want, axis=1))
@@ -536,7 +542,7 @@ def test_saved_qda_file_holds_no_d_by_d_array(tmp_path):
         "vts": [(2, d), (48, d), (48, d)],
         "weights": [(2,), (48,), (48,)],
     }
-    assert np.array_equal(load_model(str(path)).log_densities(Xq), model.log_densities(Xq))
+    assert np.array_equal(load_model(str(path))._log_densities(Xq), model._log_densities(Xq))
 
 
 def test_load_refuses_a_format_version_1_qda_file(tmp_path):
@@ -696,7 +702,7 @@ def test_gbm_scaled_scores_keep_argmax():
     X, y = blobs(seed=47)
     model = GradientBoosting(n_rounds=8, min_leaf=2).fit(X, y)
     Xq = np.random.default_rng(4).normal(size=(20, 2), scale=3.0)
-    F = model.decision_scores(Xq)
+    F = model._decision_scores(Xq)
     scaled_pred = model.labels_[np.argmax(F * 3.7, axis=1)]
     assert np.array_equal(model.predict(Xq), scaled_pred)
 
@@ -912,6 +918,169 @@ def test_loaded_model_saves_the_same_bytes(tmp_path, kind):
     save_model(cheap_model(kind, seed=2).fit(X, y), str(first))
     save_model(load_model(str(first)), str(second))
     assert second.read_bytes() == first.read_bytes()
+
+
+# sha256 of every file `vrident evaluate` writes for each run of
+# REPORT_RUNS on a 10-user x 1-min synthetic cohort at seed 1, captured at
+# one BLAS thread with the numpy and OpenBLAS core below on x86-64. The
+# logistic and ensemble bytes also depend on the OpenBLAS core type, so
+# those runs are compared on the recorded core only.
+GOLDEN_REPORT_SHA256 = {
+    "numpy": "2.4.6",
+    "openblas_core": "SkylakeX",
+    "runs": {
+        "qda_forests_gbm": {
+            "confusion_game_a.combined.extra_trees.s0.csv": "19b8e79a617a81a5d8d50f8e4e4c8ac145f7300a87904e4d7bc7765a29e01ab2",
+            "confusion_game_a.combined.gbm.s0.csv": "a45a6394bd9b682339767d54f2b47d79ed5b21c0d2ea103a84635cab133278a3",
+            "confusion_game_a.combined.qda.s0.csv": "a69616941e1fef608ac3166e72bc6d7db81d86c8ddc3b68ca7416474864494ac",
+            "confusion_game_a.combined.random_forest.s0.csv": "bb2f1ab442862310124809ba5d808c2ba59459a91d099655404d98b4ec8b8591",
+            "confusion_game_a.movement.extra_trees.s0.csv": "19b8e79a617a81a5d8d50f8e4e4c8ac145f7300a87904e4d7bc7765a29e01ab2",
+            "confusion_game_a.movement.gbm.s0.csv": "a45a6394bd9b682339767d54f2b47d79ed5b21c0d2ea103a84635cab133278a3",
+            "confusion_game_a.movement.qda.s0.csv": "4c6b4ac992a6473d0ecaeb49506b9ee1a11c5be1f0db94db282d84c24340ea0e",
+            "confusion_game_a.movement.random_forest.s0.csv": "79ee21b4876a85842666d0d20b59a1621b09b86265dfc637ed9deff2b850102d",
+            "confusion_game_a.traffic.extra_trees.s0.csv": "19b8e79a617a81a5d8d50f8e4e4c8ac145f7300a87904e4d7bc7765a29e01ab2",
+            "confusion_game_a.traffic.gbm.s0.csv": "eae58c267c0978bc9c7494d3642e1bf202147c0632c2ef7a4981cd48a5717878",
+            "confusion_game_a.traffic.qda.s0.csv": "8e1f13a7057fc4df8d822a9ec7eaf83ca8605bb220c5a028c3c0bd6eb0d9fffa",
+            "confusion_game_a.traffic.random_forest.s0.csv": "19b8e79a617a81a5d8d50f8e4e4c8ac145f7300a87904e4d7bc7765a29e01ab2",
+            "report.json": "a1af6796aabafc246f5025c8d276af5ee08208bca9a657ab4763ad0ccaecfcd3",
+            "subsets_game_a.combined.extra_trees.s0.csv": "2db16fd3637a8aee46628b9bb12a7580109221a2e6b85010fc70144b444c775f",
+            "subsets_game_a.combined.gbm.s0.csv": "6ebf94a61a57c7237995db73dfd0731275aefc8497af7a9981f6b1d42c9b2825",
+            "subsets_game_a.combined.qda.s0.csv": "e9745c38a6383867c4ab9816dab57ad6d52edc9fe607cd85d9fc52a447214c1e",
+            "subsets_game_a.combined.random_forest.s0.csv": "423fba79e824e366cfeff1001d321f39598c592e286a707691411ca404775bcf",
+            "subsets_game_a.movement.extra_trees.s0.csv": "2db16fd3637a8aee46628b9bb12a7580109221a2e6b85010fc70144b444c775f",
+            "subsets_game_a.movement.gbm.s0.csv": "6ebf94a61a57c7237995db73dfd0731275aefc8497af7a9981f6b1d42c9b2825",
+            "subsets_game_a.movement.qda.s0.csv": "a67d42e9c7e2278dacc7e742fd5c31a4962c7f2cc5d9af4689ddddc57fd68891",
+            "subsets_game_a.movement.random_forest.s0.csv": "c651be07621f7712afb14086756cceb5ea43a176f7cb5a0caba5919125bf39c3",
+            "subsets_game_a.traffic.extra_trees.s0.csv": "2db16fd3637a8aee46628b9bb12a7580109221a2e6b85010fc70144b444c775f",
+            "subsets_game_a.traffic.gbm.s0.csv": "433900022abda81de31e57c0aaca0ed9bdf9c8f57df384b559f258fa27b420e3",
+            "subsets_game_a.traffic.qda.s0.csv": "3f9bbb52d1de5e60a071f3e383f8b18df550d69601da02982dfdd9e3d4cc04a1",
+            "subsets_game_a.traffic.random_forest.s0.csv": "2db16fd3637a8aee46628b9bb12a7580109221a2e6b85010fc70144b444c775f",
+            "summary_s0.csv": "9b440f1cb17023eab1d797d888e633d2dea55b890398234c6ab4031be6df733d",
+            "voting_game_a.combined.extra_trees.s0.csv": "30204bb65a1541468f8023d823db63355aebedc04103dbb560d29e45dbe393da",
+            "voting_game_a.combined.gbm.s0.csv": "3f212989a2a77c0fe515ac5d7f1c7df346db9eb4c5efb3ced2e6fbca34015254",
+            "voting_game_a.combined.qda.s0.csv": "3964cb961a31366eba9c8b7dd2e643f9c92c1a327f308ca5b2784752bcc051ff",
+            "voting_game_a.combined.random_forest.s0.csv": "348ffd2033e58e3aa102e3dfc3a8254076f57c955f408a4753527f7842411d6d",
+            "voting_game_a.movement.extra_trees.s0.csv": "30204bb65a1541468f8023d823db63355aebedc04103dbb560d29e45dbe393da",
+            "voting_game_a.movement.gbm.s0.csv": "3f212989a2a77c0fe515ac5d7f1c7df346db9eb4c5efb3ced2e6fbca34015254",
+            "voting_game_a.movement.qda.s0.csv": "10e7079d368ff3013ef49238a2d146bdd3cc7523bd86a8d82708a92e41a6944b",
+            "voting_game_a.movement.random_forest.s0.csv": "404a0cd55b368a8c80a7c72e2410830dfd9e9bc15af2d1932c1cf3ac71bc0c3c",
+            "voting_game_a.traffic.extra_trees.s0.csv": "30204bb65a1541468f8023d823db63355aebedc04103dbb560d29e45dbe393da",
+            "voting_game_a.traffic.gbm.s0.csv": "88814cc9a56d29ab3b6d7965771184fd6f437a3416ccac41e22c3bf1e17ae0d0",
+            "voting_game_a.traffic.qda.s0.csv": "4852cf2f69dafa72699165a6812438f5a24013ed57dd76f403a581a703a6cf22",
+            "voting_game_a.traffic.random_forest.s0.csv": "30204bb65a1541468f8023d823db63355aebedc04103dbb560d29e45dbe393da",
+        },
+        "logistic": {
+            "confusion_game_a.combined.logistic.s0.csv": "de0dbc9aed701f680a23a291b757892752a7f1a2803ffea66b2d5f0df925b9e2",
+            "confusion_game_a.movement.logistic.s0.csv": "4df81b60056dac9c9a62b8212bf3318a3837db565f5f983aa688a8b29bd64ba9",
+            "confusion_game_a.traffic.logistic.s0.csv": "1f09e1c0b23b753b7e19f2681f97870e51bf4c502896f1a83ca2dc94ce8bcd03",
+            "report.json": "d9d5602d08c5c5e32edcf3407e6485cfed262eed72bf4b8748dd87a0cb06871f",
+            "subsets_game_a.combined.logistic.s0.csv": "1e795869bcfa743b98ca24cbd54bae75d8a5fc1ac00d38926ace022a0bda3bd9",
+            "subsets_game_a.movement.logistic.s0.csv": "1e795869bcfa743b98ca24cbd54bae75d8a5fc1ac00d38926ace022a0bda3bd9",
+            "subsets_game_a.traffic.logistic.s0.csv": "c74e9e478d0fa9ebadd79f8b91d2be958a435216b338651b020de0026f85b115",
+            "summary_s0.csv": "e2b7bfcb11ed3275c7cf6c0f06854b069a4154c545145b83683194f9557d7a1d",
+            "voting_game_a.combined.logistic.s0.csv": "d0e630f748e77d2b391051c1f7ec4c68071c013058284defb0530f9d08903152",
+            "voting_game_a.movement.logistic.s0.csv": "d0e630f748e77d2b391051c1f7ec4c68071c013058284defb0530f9d08903152",
+            "voting_game_a.traffic.logistic.s0.csv": "23e7e3009c29fa9aa9bb918bcefbb48f2fa507f906dca1cd45644f6c384af5e6",
+        },
+        "ensemble": {
+            "confusion_game_a.combined.ensemble.s0.csv": "a241d9c22299d85567862fed68c6270556ec692c8facfa60bb964c31295fac42",
+            "report.json": "76d18f1924395187654be1ea63149f6a7076ee789038c6c3f1c8a24ba9cad2f8",
+            "subsets_game_a.combined.ensemble.s0.csv": "5f272566f6e917df63b029b731281137298ed09acb50b0283963e8f3c79fbdb7",
+            "summary_s0.csv": "719b61f887af65896f33a065be03ea3c28609398312bc55a37db8554e9163874",
+            "voting_game_a.combined.ensemble.s0.csv": "94e986b5c072211ee4161cbc2539d69cc804587df2fec6f5c8582f143bfa16e0",
+        },
+    },
+}
+
+# run name -> (feature sets, model kinds); small forests and gbm keep the
+# first run short, and the ensemble's members run at their defaults
+REPORT_RUNS = {
+    "qda_forests_gbm": (
+        ["movement", "traffic", "combined"],
+        ["qda", "random_forest", "extra_trees", "gbm"],
+    ),
+    "logistic": (["movement", "traffic", "combined"], ["logistic"]),
+    "ensemble": (["combined"], ["ensemble"]),
+}
+
+
+@pytest.fixture(scope="module")
+def report_cohort(tmp_path_factory):
+    """A directory holding the cohort; runs start there, so that the
+    relative paths report.json records are the same on every host."""
+    root = tmp_path_factory.mktemp("report_cohort")
+    write_cohort(generate_synthetic_cohort(10, minutes=1.0, seed=1), root / "cohort")
+    return root
+
+
+def evaluate_digests(root, run, blas_threads, out_dir):
+    """Run `vrident evaluate` for ``run`` from ``root`` in a new process
+    under ``OPENBLAS_NUM_THREADS=blas_threads``, writing into ``out_dir``;
+    the sha256 of each file it writes."""
+    feature_sets, kinds = REPORT_RUNS[run]
+    config = {
+        "manifest": "cohort/manifest.json",
+        "feature_sets": feature_sets,
+        "model_kinds": kinds,
+        "model_params": {
+            "random_forest": {"n_trees": 5},
+            "extra_trees": {"n_trees": 5},
+            "gbm": {"n_rounds": 3},
+        },
+        "train_s": 30,
+        "test_s": 30,
+        "vote_k": [1, 3],
+        "subset_sizes": [5, 10],
+        "out_dir": "reports",
+    }
+    (root / f"{run}.json").write_text(json.dumps(config))
+    env = {k: v for k, v in os.environ.items() if k != "VRIDENT_JOBS"}
+    env["VRIDENT_OUT_DIR"] = str(out_dir)
+    src = str(Path(vrident.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([src] + env.get("PYTHONPATH", "").split(os.pathsep))
+    env["OPENBLAS_NUM_THREADS"] = str(blas_threads)
+    done = subprocess.run(
+        [sys.executable, "-m", "vrident.cli", "evaluate", "--config", f"{run}.json"],
+        cwd=root,
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out_dir.iterdir())}
+
+
+def openblas_core():
+    lib = _blas.openblas()
+    if lib is None:
+        return None
+    core = lib.scipy_openblas_get_corename64_
+    core.argtypes, core.restype = [], ctypes.c_char_p
+    return core().decode()
+
+
+def skip_off_the_recorded_core(run):
+    core, pinned = openblas_core(), GOLDEN_REPORT_SHA256["openblas_core"]
+    if run != "qda_forests_gbm" and core != pinned:
+        pytest.skip(f"{run} bytes were pinned on OpenBLAS core {pinned}, this host has {core}")
+
+
+@pytest.mark.parametrize("run", REPORT_RUNS)
+def test_report_bytes_are_pinned(report_cohort, tmp_path, run):
+    skip_off_the_recorded_core(run)
+    got = evaluate_digests(report_cohort, run, 1, tmp_path / "out")
+    assert got == GOLDEN_REPORT_SHA256["runs"][run], (
+        f"pinned with numpy {GOLDEN_REPORT_SHA256['numpy']}, this is {np.__version__}"
+    )
+
+
+@pytest.mark.parametrize("run", ["logistic", "ensemble"])
+def test_report_bytes_do_not_depend_on_the_blas_thread_count(report_cohort, tmp_path, run):
+    skip_off_the_recorded_core(run)
+    if _blas._swap() is None:
+        pytest.skip("numpy bundles no OpenBLAS here, so BLAS is not pinned")
+    got = evaluate_digests(report_cohort, run, 2, tmp_path / "out")
+    assert got == GOLDEN_REPORT_SHA256["runs"][run]
 
 
 @pytest.mark.parametrize("failure", ["encode", "rename"])

@@ -466,6 +466,63 @@ def test_plain_files_never_reach_the_per_line_parser(tmp_path, monkeypatch):
         assert np.array_equal(d, rec.traffic_dir)
 
 
+# ---- the column pass over other traffic files -------------------------------------
+
+
+@st.composite
+def repr_traffic_rows(draw):
+    """Traffic rows whose times are printed as repr() prints a float."""
+    rows = draw(traffic_rows())
+    times = sorted(draw(st.lists(st.floats(0.0, 1e5), min_size=len(rows), max_size=len(rows))))
+    for row, t in zip(rows, times):
+        row[0] = repr(t)
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(body=st.one_of(traffic_rows(), repr_traffic_rows()).flatmap(corrupted))
+def test_traffic_column_pass_matches_the_per_line_parser(body):
+    """Text the column pass takes reads as the per-line parser reads it, and
+    text the per-line parser refuses is never taken, so its message stands."""
+    text = TRAFFIC_HEADER + "\n" + body
+    try:
+        want = [(a.dtype.str, a.shape, a.tobytes()) for a in ingest._parse_traffic_lines("f", text)]
+    except TraceFormatError:
+        want = None
+    try:
+        got = [(a.dtype.str, a.shape, a.tobytes()) for a in ingest._traffic_columns(text)]
+    except ingest._Unwritten:
+        got = None
+    if got is not None:
+        assert got == want
+    same_outcome(text, parse_traffic_csv, reference_parse_traffic)
+
+
+def test_crlf_and_repr_traffic_files_never_reach_the_per_line_parser(tmp_path, monkeypatch):
+    ds = generate_synthetic_cohort(2, minutes=0.2, seed=4)
+    write_cohort(ds, tmp_path)
+
+    def refuse(path, text):
+        raise AssertionError(f"{path} left the column pass")
+
+    monkeypatch.setattr(ingest, "_parse_traffic_lines", refuse)
+    for rec in ds.traces:
+        written = tmp_path / f"{rec.user_id}_{rec.game_id}_traffic.csv"
+        crlf = tmp_path / "crlf.csv"
+        crlf.write_bytes(written.read_bytes().replace(b"\n", b"\r\n"))
+        arrays = parse_traffic_csv(written)
+        printed = tmp_path / "repr.csv"
+        printed.write_text(
+            "".join(
+                [TRAFFIC_HEADER + "\n"]
+                + [f"{t!r},{n},{_DIR_NAMES[d]}\n" for t, n, d in zip(*(a.tolist() for a in arrays))]
+            )
+        )
+        want = [(a.dtype.str, a.tobytes()) for a in arrays]
+        for path in (crlf, printed):
+            assert [(a.dtype.str, a.tobytes()) for a in parse_traffic_csv(path)] == want
+
+
 # ---- write oracle ---------------------------------------------------------------
 
 EDGE_FLOATS = [

@@ -97,7 +97,7 @@ def test_log_densities_match_dense_fit_with_fewer_rows_than_features(seed, k, d,
     X, y, centers = class_blobs(seed, k, n_c, d)
     Xq = np.repeat(centers, 3, axis=0) + np.random.default_rng(seed).normal(size=(3 * k, d))
     model = QuadraticDiscriminant(ridge=ridge).fit(X, y)
-    got = model.log_densities(Xq)
+    got = model._log_densities(Xq)
     want = dense_log_densities(dense_fit(X, y, ridge), Xq)
     np.testing.assert_allclose(got, want, rtol=1e-8)
     assert np.array_equal(np.argmax(got, axis=1), np.argmax(want, axis=1))

@@ -122,7 +122,7 @@ def test_predictions_do_not_depend_on_the_block_bound():
                     forest.predict_proba(Xq).tobytes(),
                     extra.predict_proba(Xq).tobytes(),
                     np.array(gbm.train_loss_).tobytes(),
-                    gbm.decision_scores(Xq).tobytes(),
+                    gbm._decision_scores(Xq).tobytes(),
                     gbm.predict_proba(Xq).tobytes(),
                 ]
             )
@@ -137,5 +137,5 @@ def test_predictions_do_not_depend_on_the_block_bound():
     for round_trees in gbm.trees_:
         for c, tree in enumerate(round_trees):
             F[:, c] += gbm.learning_rate * tree.value[hand_leaves(tree, Xq), 0]
-    assert gbm.decision_scores(Xq).tobytes() == F.tobytes()
+    assert gbm._decision_scores(Xq).tobytes() == F.tobytes()
 
